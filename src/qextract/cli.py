@@ -106,6 +106,8 @@ def _load_family(path: str):
 def cmd_extract(args) -> int:
     from .extractor import DEOR, IP, ExtractionJob, ExtractorSpec, extract_file
 
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     if args.family:
         fam = _load_family(args.family)
         spec = ExtractorSpec(DEOR, fam.n, fam.m, fam)

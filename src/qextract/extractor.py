@@ -1,6 +1,6 @@
 """Block and stream evaluation of the parity extractors.
 
-Two kernels are provided:
+Two extractors are provided, each with an exact block-level oracle:
 
 * ``ip_extract`` -- the inner product mod 2 of two n-bit blocks, one
   output bit per block pair.
@@ -13,10 +13,29 @@ blocks are packed back to back with no header or padding between them.
 Each processed block emits m output bits, or m + n bits in strong mode
 where the y block is appended verbatim after the extractor output.
 
-The stream path is numpy-vectorized and chunked; chunk boundaries are
-aligned to multiples of 8 blocks so that worker threads write disjoint,
-byte-aligned slices of the output buffer.  Output is therefore
-bit-identical regardless of the number of workers.
+The stream kernels work on little-endian uint64 words and
+``np.bitwise_count``:
+
+* IP, any n: ``z = x & y`` once over the words of a chunk.  A block's
+  parity is that of a uint8 running sum of the word popcounts, which
+  wraps mod 256 and so keeps parity, plus the partial word at each block
+  boundary.  When n is a multiple of 64 the blocks are whole rows of
+  words and the popcounts are summed row by row instead.
+* Matrix family, any construction: a row table (:func:`row_table`),
+  built once per call from the matrices, maps each 4-bit slice of x to
+  the XOR of the matching rows of every K_i.  ``K_i^T x`` is the XOR of
+  ceil(n/4) table entries, and output bit i is the parity of
+  ``popcount(y & K_i^T x)``.  The kernel reads only the matrices, so
+  every family gets ``deor_extract``'s bits.
+* Strong mode writes the extractor bits and the unpacked y bits into one
+  array per chunk and packs it once.
+
+Chunks are whole multiples of 8 blocks, so every chunk starts on a byte
+of input and of output and the output is bit-identical for any worker
+count.  Each chunk's largest array is capped at ``CHUNK_BYTES``, so
+kernel memory does not grow with the stream.  Chunks run in a thread
+pool only when every thread gets at least ``MIN_CHUNKS_PER_THREAD`` of
+them; smaller jobs run in the calling thread, where they are faster.
 """
 
 from __future__ import annotations
@@ -114,77 +133,127 @@ def deor_extract(spec: ExtractorSpec, x: BitVector, y: BitVector) -> BitVector:
     return BitVector(spec.m, bits)
 
 
-def deor_extract_circulant(spec: ExtractorSpec, x: BitVector, y: BitVector) -> BitVector:
-    """Shift-family fast path: the output is a prefix of the cyclic
-    cross-correlation of x and y, reduced mod 2.
-
-    With K_i the (i-1)-th power of the cyclic shift, output bit i equals
-    sum_k x_k y_(k+i mod n), so all m bits come out of one FFT-sized
-    correlation.  Counts stay below 2^53, so rounding the float
-    transform is exact and this agrees bit for bit with the
-    matrix-product path (which remains the oracle).
-    """
-    if spec.kind != DEOR or spec.family.construction != "circulant":
-        raise ValueError("fast path requires a circulant family")
-    if x.n != spec.n or y.n != spec.n:
-        raise ValueError(f"blocks must be {spec.n} bits, got {x.n} and {y.n}")
-    xa = np.array(x.to_list(), dtype=float)
-    ya = np.array(y.to_list(), dtype=float)
-    corr = np.fft.irfft(np.conj(np.fft.rfft(xa)) * np.fft.rfft(ya), n=spec.n)
-    counts = np.rint(corr).astype(np.int64) & 1
-    bits = 0
-    for i in range(spec.m):
-        bits |= int(counts[i]) << i
-    return BitVector(spec.m, bits)
-
-
 # ---------------------------------------------------------------------------
 # Stream kernels
 
-_PARITY8 = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.uint8)
+# Cap on the largest array one chunk makes, in bytes: the words of a stream
+# span, the K_i^T x words of a matrix family, or the unpacked output bits
+# of strong mode.
+CHUNK_BYTES = 1 << 20
+# A thread pool pays only when each thread gets this many chunks.  On 2
+# cores (numpy 2.4) IP and strong jobs of 2 to 16 chunks ran up to 2.8x
+# slower at 2 threads than at 1: pool start-up and the hand-off of each
+# chunk outweighed the second core.  From 24 chunks on, 2 threads were
+# 1.07-1.5x faster.
+MIN_CHUNKS_PER_THREAD = 12
+
+_WORD = np.dtype("<u8")
 
 
-def _unpack_block_bits(data: bytes, start_block: int, count: int, n: int) -> np.ndarray:
-    """Bits of blocks [start, start+count) as a (count, n) uint8 array."""
-    bit_lo = start_block * n
-    bit_hi = bit_lo + count * n
-    byte_lo, byte_hi = bit_lo // 8, (bit_hi + 7) // 8
-    raw = np.frombuffer(data, dtype=np.uint8, count=byte_hi - byte_lo, offset=byte_lo)
-    bits = np.unpackbits(raw, bitorder="little")
-    lo = bit_lo - 8 * byte_lo
-    return bits[lo:lo + count * n].reshape(count, n)
+def _words(span: np.ndarray) -> np.ndarray:
+    """The bytes of a stream span as little-endian uint64 words, followed by
+    one zero word so that a block may read one word past the span."""
+    words = np.empty(len(span) // 8 + 2, dtype=_WORD)
+    words[-2:] = 0
+    words.view(np.uint8)[:len(span)] = span
+    return words
 
 
-def _ip_chunk_bytewise(x: bytes, y: bytes, start: int, count: int, n: int) -> np.ndarray:
-    """Output bits for an IP chunk with byte-aligned blocks (n % 8 == 0)."""
-    nbytes = n // 8
-    off = start * nbytes
-    xa = np.frombuffer(x, dtype=np.uint8, count=count * nbytes, offset=off)
-    ya = np.frombuffer(y, dtype=np.uint8, count=count * nbytes, offset=off)
-    folded = np.bitwise_xor.reduce((xa & ya).reshape(count, nbytes), axis=1)
-    return _PARITY8[folded]
+def _block_words(words: np.ndarray, n: int, count: int) -> np.ndarray:
+    """Each of ``count`` back-to-back n-bit blocks as a row of ceil(n/64)
+    words.  Bits past n hold whatever follows the block in the stream: the
+    family kernel ignores them, since the rows of K_i have n bits and the
+    row table is zero past row n."""
+    t = np.arange(count)[:, None] * n + 64 * np.arange(-(-n // 64))
+    w, s = t >> 6, (t & 63).astype(_WORD)
+    # numpy defines a shift by 64 as 0, so s = 0 takes no bits from w + 1
+    return (words[w] >> s) | (words[w + 1] << (np.uint64(64) - s))
 
 
-def _extract_chunk(job: ExtractionJob, x: bytes, y: bytes, start: int, count: int) -> bytes:
+def _ip_bits(xs: np.ndarray, ys: np.ndarray, count: int, n: int) -> np.ndarray:
+    """Inner-product bit of each block of a byte-aligned span."""
+    z = np.empty(len(xs) // 8 + 2, dtype=_WORD)
+    z[-2:] = 0
+    np.bitwise_and(xs, ys, out=z.view(np.uint8)[:len(xs)])
+    if n % 64 == 0:
+        ones = np.bitwise_count(z[:count * n // 64]).reshape(count, n // 64)
+        return ones.sum(axis=1, dtype=np.uint8) & 1
+    # F(t), the number of set bits of z below bit t, taken mod 256 (a uint8
+    # running sum wraps, which keeps parity); block b's parity is that of
+    # F((b + 1) n) - F(b n)
+    prefix = np.zeros(len(z) + 1, dtype=np.uint8)
+    np.cumsum(np.bitwise_count(z), dtype=np.uint8, out=prefix[1:])
+    t = np.arange(count + 1) * n
+    w = t >> 6
+    below = (np.uint64(1) << (t & 63).astype(_WORD)) - np.uint64(1)
+    f = prefix[w] + np.bitwise_count(z[w] & below)
+    return (f[1:] ^ f[:-1]) & 1
+
+
+def row_table(family: MatrixFamily) -> np.ndarray:
+    """Row table of a matrix family for the stream kernel.
+
+    ``T[p, v, i]`` is the XOR, over the set bits j of the 4-bit value v, of
+    row 4p + j of K_i, as ceil(n/64) little-endian words; rows past n are
+    zero.  So ``K_i^T x`` is the XOR over p of ``T[p, nibble p of x, i]``.
+    Shape ``(ceil(n/4), 16, m, ceil(n/64))``, about n^2 m / 2 bytes: half
+    the size of the family's JSON text, which spells out every entry.
+    """
+    n, m = family.n, family.m
+    nw, nibbles = -(-n // 64), -(-n // 4)
+    raw = b"".join(row.to_bytes(8 * nw, "little")
+                   for k in family.matrices for row in k.row_bits)
+    rows = np.zeros((m, 4 * nibbles, nw), dtype=_WORD)
+    rows[:, :n] = np.frombuffer(raw, dtype=_WORD).reshape(m, n, nw)
+    rows = rows.reshape(m, nibbles, 4, nw).transpose(1, 2, 0, 3)
+    table = np.zeros((nibbles, 16, m, nw), dtype=_WORD)
+    for v in range(1, 16):
+        low = v & -v
+        table[:, v] = table[:, v ^ low] ^ rows[:, low.bit_length() - 1]
+    return table
+
+
+def _family_bits(table: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                 count: int, n: int) -> np.ndarray:
+    """Bits x . (K_i y) = (K_i^T x) . y of each block, shape (count, m)."""
+    xb = _block_words(_words(xs), n, count).view(np.uint8)
+    yw = _block_words(_words(ys), n, count)
+    nib = np.empty((count, 2 * xb.shape[1]), dtype=np.uint8)
+    np.bitwise_and(xb, 15, out=nib[:, 0::2])
+    np.right_shift(xb, 4, out=nib[:, 1::2])
+    acc = table[0][nib[:, 0]]  # acc[b, i] = K_i^T x_b, four rows at a time
+    for p in range(1, len(table)):
+        acc ^= table[p][nib[:, p]]
+    acc &= yw[:, None, :]
+    return np.bitwise_count(acc).sum(axis=2, dtype=np.uint8) & 1
+
+
+def _chunk_blocks(job: ExtractionJob) -> int:
+    """Blocks per chunk: a multiple of 8, so that every chunk starts on a
+    byte of input and of output, and at most CHUNK_BYTES of its largest
+    array (at least 8 blocks)."""
     spec = job.spec
-    n, m = spec.n, spec.m
-    if spec.kind == IP and n % 8 == 0 and not job.strong:
-        out_bits = _ip_chunk_bytewise(x, y, start, count, n)
-        return np.packbits(out_bits, bitorder="little").tobytes()
+    per_block = max(8 * -(-spec.n // 64) * (spec.m if spec.kind == DEOR else 1),
+                    job.out_bits_per_block if job.strong else 0)
+    return max(8, CHUNK_BYTES // per_block // 8 * 8)
 
-    xb = _unpack_block_bits(x, start, count, n)
-    yb = _unpack_block_bits(y, start, count, n)
-    if spec.kind == IP:
-        z = np.bitwise_xor.reduce(xb & yb, axis=1)[:, None]
+
+def _extract_chunk(job: ExtractionJob, table: np.ndarray | None, x: bytes, y: bytes,
+                   start: int, count: int) -> bytes:
+    n, m = job.spec.n, job.spec.m
+    lo, nbytes = start * n // 8, (count * n + 7) // 8
+    xs = np.frombuffer(x, dtype=np.uint8, count=nbytes, offset=lo)
+    ys = np.frombuffer(y, dtype=np.uint8, count=nbytes, offset=lo)
+    if table is None:
+        bits = _ip_bits(xs, ys, count, n)
     else:
-        cols = []
-        for k in spec.family.matrices:
-            kd = np.array(k.to_lists(), dtype=np.uint8)
-            v = (yb @ kd.T) & 1  # v[b] = K_i y_b
-            cols.append(np.bitwise_xor.reduce(xb & v, axis=1))
-        z = np.stack(cols, axis=1)
-    out = np.concatenate([z, yb], axis=1) if job.strong else z
-    return np.packbits(out.reshape(-1), bitorder="little").tobytes()
+        bits = _family_bits(table, xs, ys, count, n)
+    if job.strong:
+        out = np.empty((count, m + n), dtype=np.uint8)
+        out[:, :m] = bits.reshape(count, m)
+        out[:, m:] = np.unpackbits(ys, count=count * n, bitorder="little").reshape(count, n)
+        bits = out
+    return np.packbits(bits, axis=None, bitorder="little").tobytes()
 
 
 def _check_stream(which: str, data: bytes, blocks: int, n: int) -> None:
@@ -199,38 +268,28 @@ def extract_blocks(job: ExtractionJob, x: bytes, y: bytes, workers: int = 1) -> 
 
     Deterministic: the result is bit-identical for any worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     _check_stream("x", x, job.blocks, job.spec.n)
     _check_stream("y", y, job.blocks, job.spec.n)
     if job.blocks == 0:
         return b""
-    out_bits = job.out_bits_per_block
+    table = row_table(job.spec.family) if job.spec.kind == DEOR else None
+    chunk = _chunk_blocks(job)
+    starts = range(0, job.blocks, chunk)
 
-    # chunks of whole multiples of 8 blocks keep input/output byte-aligned
-    chunk = max(8, 8 * ((job.blocks // max(1, 8 * workers)) or 1))
-    starts = list(range(0, job.blocks, chunk))
-    pieces: list[bytes | None] = [None] * len(starts)
+    def run(start: int) -> bytes:
+        return _extract_chunk(job, table, x, y, start, min(chunk, job.blocks - start))
 
-    def run(i: int) -> None:
-        start = starts[i]
-        count = min(chunk, job.blocks - start)
-        pieces[i] = _extract_chunk(job, x, y, start, count)
-
-    if workers <= 1 or len(starts) == 1:
-        for i in range(len(starts)):
-            run(i)
+    threads = min(workers, os.cpu_count() or 1, len(starts) // MIN_CHUNKS_PER_THREAD)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pieces = list(pool.map(run, starts))
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(starts))))
-
-    if len(pieces) == 1:
-        return pieces[0]
-    # all chunks except the last cover a multiple of 8 blocks, so each piece
-    # except the last is a whole number of bytes of output with no slack
-    total_bits = job.blocks * out_bits
-    buf = bytearray()
-    for piece in pieces:
-        buf.extend(piece)
-    return bytes(buf[: (total_bits + 7) // 8])
+        pieces = [run(start) for start in starts]
+    # every chunk but the last covers a multiple of 8 blocks, so each piece
+    # but the last is a whole number of output bytes with no slack
+    return b"".join(pieces)
 
 
 def extract_file(job: ExtractionJob, x_path: str, y_path: str, out_path: str,

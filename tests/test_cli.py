@@ -86,6 +86,19 @@ class TestExtract:
         assert not out.exists()
         assert not list(tmp_path.glob(".qextract-*"))
 
+    def test_workers_below_one_exits_2(self, capsys, tmp_path):
+        x, y = tmp_path / "x", tmp_path / "y"
+        x.write_bytes(b"\x00" * 16)
+        y.write_bytes(b"\x00" * 16)
+        out = tmp_path / "z"
+        for workers in ("0", "-2"):
+            code, _, err = run(capsys, "extract", "--ip", "--n", "8",
+                               "--x", str(x), "--y", str(y), "--blocks", "16",
+                               "--workers", workers, "--out", str(out))
+            assert code == 2
+            assert "--workers" in err
+        assert not out.exists()
+
     def test_missing_input_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "extract", "--ip", "--n", "8",
                            "--x", str(tmp_path / "nope"), "--y", str(tmp_path / "nope"),

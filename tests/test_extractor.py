@@ -1,6 +1,12 @@
+import os
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qextract import extractor
 from qextract.extractor import (
     DEOR,
     IP,
@@ -18,6 +24,8 @@ from qextract.gf2 import (
     MatrixFamily,
     build_circulant_family,
     build_field_family,
+    is_prime,
+    is_primitive_root_2,
 )
 
 
@@ -109,24 +117,6 @@ class TestDeorExtract:
                 parity = (s & z.bits).bit_count() & 1
                 ks_t = fam.span(s).transpose()
                 assert parity == ip_extract(matvec_gf2(ks_t, x), y)
-
-    @pytest.mark.parametrize("n,m", [(3, 2), (5, 4), (11, 8), (13, 12)])
-    def test_circulant_correlation_path_bit_exact(self, n, m):
-        from qextract.extractor import deor_extract_circulant
-
-        spec = ExtractorSpec(DEOR, n, m, build_circulant_family(n, m))
-        rng = np.random.default_rng(n * 100 + m)
-        for _ in range(200):
-            x = BitVector(n, int(rng.integers(0, 1 << n)))
-            y = BitVector(n, int(rng.integers(0, 1 << n)))
-            assert deor_extract_circulant(spec, x, y) == deor_extract(spec, x, y)
-
-    def test_circulant_path_rejects_other_families(self):
-        from qextract.extractor import deor_extract_circulant
-
-        spec = ExtractorSpec(DEOR, 3, 2, build_field_family(3, 2))
-        with pytest.raises(ValueError, match="circulant"):
-            deor_extract_circulant(spec, BitVector(3, 0), BitVector(3, 0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="family required"):
@@ -246,3 +236,135 @@ class TestExtractStream:
             extract_file(job, str(xp), str(yp), str(op))
         assert not op.exists()
         assert not list(tmp_path.glob(".qextract-*"))
+
+
+CIRCULANT_N = [n for n in range(3, 201) if is_prime(n) and is_primitive_root_2(n)]
+
+
+def oracle_stream(job, x, y):
+    """Expected stream output, block by block from ip_extract/deor_extract."""
+    n, m = job.spec.n, job.spec.m
+    xi, yi = int.from_bytes(x, "little"), int.from_bytes(y, "little")
+    out = 0
+    for b in range(job.blocks):
+        xv = BitVector(n, (xi >> (b * n)) & ((1 << n) - 1))
+        yv = BitVector(n, (yi >> (b * n)) & ((1 << n) - 1))
+        z = ip_extract(xv, yv) if job.spec.kind == IP else deor_extract(job.spec, xv, yv).bits
+        if job.strong:
+            z |= yv.bits << m
+        out |= z << (b * job.out_bits_per_block)
+    return out.to_bytes((job.blocks * job.out_bits_per_block + 7) // 8, "little")
+
+
+@st.composite
+def stream_specs(draw):
+    """IP at any n in 1..200 (word boundaries included), or a circulant,
+    field or random arbitrary-matrix family."""
+    kind = draw(st.sampled_from(["ip", "circulant", "field", "random"]))
+    if kind == "ip":
+        n = draw(st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129, 191, 192, 200]),
+                           st.integers(1, 200)))
+        return ExtractorSpec(IP, n)
+    if kind == "circulant":
+        n = draw(st.sampled_from(CIRCULANT_N))
+        fam = build_circulant_family(n, draw(st.integers(1, min(n - 1, 6))))
+    elif kind == "field":
+        n = draw(st.integers(1, 64))
+        fam = build_field_family(n, draw(st.integers(1, min(n, 6))))
+    else:
+        n, m = draw(st.integers(1, 200)), draw(st.integers(1, 6))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        fam = MatrixFamily(n, m, 0, "random", tuple(
+            BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n))) for _ in range(m)))
+    return ExtractorSpec(DEOR, fam.n, fam.m, fam)
+
+
+class TestStreamDifferential:
+    """The packed stream kernels against the block oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=stream_specs(), blocks=st.integers(0, 70), strong=st.booleans(),
+           workers=st.integers(1, 3), chunk_bytes=st.sampled_from([8, 100, 1 << 20]),
+           slack=st.integers(0, 9), seed=st.integers(0, 2**32))
+    def test_matches_block_oracles(self, spec, blocks, strong, workers, chunk_bytes,
+                                   slack, seed):
+        # small chunks put many chunk boundaries inside the stream, and one
+        # chunk per thread lets every worker count run the pool
+        rng = random.Random(seed)
+        nbytes = (blocks * spec.n + 7) // 8 + slack
+        x, y = rng.randbytes(nbytes), rng.randbytes(nbytes)
+        job = ExtractionJob(spec, blocks, strong)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extractor, "CHUNK_BYTES", chunk_bytes)
+            mp.setattr(extractor, "MIN_CHUNKS_PER_THREAD", 1)
+            assert extract_blocks(job, x, y, workers=workers) == oracle_stream(job, x, y)
+
+    @pytest.mark.parametrize("n,m,r", [(61, 32, 1), (64, 32, 0), (1019, 3, 1)])
+    def test_large_families(self, n, m, r):
+        from qextract.gf2 import build_family
+
+        spec = ExtractorSpec(DEOR, n, m, build_family(n, m, r))
+        rng = random.Random(n)
+        blocks = 24
+        x, y = rng.randbytes(blocks * n // 8 + 1), rng.randbytes(blocks * n // 8 + 1)
+        job = ExtractionJob(spec, blocks, strong=True)
+        assert extract_blocks(job, x, y) == oracle_stream(job, x, y)
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        RecordingPool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkers:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        RecordingPool.started = []
+        monkeypatch.setattr(extractor, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(extractor, "CHUNK_BYTES", 64)  # 8 blocks per chunk
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        return RecordingPool.started
+
+    @staticmethod
+    def job_with_chunks(chunks):
+        n = 64
+        blocks = chunks * extractor._chunk_blocks(ExtractionJob(ExtractorSpec(IP, n), 8))
+        data = random.Random(chunks).randbytes(blocks * n // 8)
+        return ExtractionJob(ExtractorSpec(IP, n), blocks), data
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_fewer_than_one(self, workers):
+        job = ExtractionJob(ExtractorSpec(IP, 8), 1)
+        with pytest.raises(ValueError, match="workers"):
+            extract_blocks(job, b"\x01", b"\x01", workers=workers)
+
+    def test_threads_capped_by_cores_and_chunks(self, pool, monkeypatch):
+        monkeypatch.setattr(extractor, "MIN_CHUNKS_PER_THREAD", 1)
+        job, data = self.job_with_chunks(3)
+        serial = extract_blocks(job, data, data, workers=1)
+        assert extract_blocks(job, data, data, workers=100_000) == serial
+        assert extract_blocks(job, data, data, workers=2) == serial
+        job, data = self.job_with_chunks(6)
+        extract_blocks(job, data, data, workers=100_000)
+        assert pool == [3, 2, 4]
+
+    def test_small_jobs_run_in_calling_thread(self, pool):
+        per_thread = extractor.MIN_CHUNKS_PER_THREAD
+        job, data = self.job_with_chunks(2 * per_thread - 1)
+        extract_blocks(job, data, data, workers=2)
+        assert pool == []
+        job, data = self.job_with_chunks(2 * per_thread)
+        extract_blocks(job, data, data, workers=8)
+        assert pool == [2]
