@@ -10,9 +10,11 @@ One executable, five subcommands:
 
 Machine-readable JSON is the default output; ``--plain`` prints the same
 content as key-value lines.  Exit codes: 0 success, 1 verification
-failure, 2 bad arguments, 3 bad input data, 4 solver non-convergence.
-Output files are written to a temporary name and atomically renamed, so
-a failed command never leaves partial output behind.
+failure, 2 bad arguments (an output file that cannot be written among
+them), 3 bad input data (an input file that cannot be opened or read
+among them), 4 solver non-convergence.  Output files are written to a
+temporary name and atomically renamed, so a failed command never leaves
+partial output behind.
 
 The environment variable ``QEXTRACT_GAP`` overrides the default
 certificate gap of the entropy solver.
@@ -24,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -60,19 +61,6 @@ def _jsonable(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               prefix=".qextract-")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _entropy_payload(kind: str, result, gap: float) -> dict:
     return {
         "quantity": kind,
@@ -87,10 +75,11 @@ def _entropy_payload(kind: str, result, gap: float) -> dict:
 
 
 def cmd_gen_family(args) -> int:
+    from .extractor import write_atomic
     from .gf2 import build_family
 
     fam = build_family(args.n, args.m, args.r)
-    _atomic_write_text(args.out, json.dumps(fam.to_json_dict()))
+    write_atomic(args.out, json.dumps(fam.to_json_dict()).encode())
     _emit({"out": args.out, "n": fam.n, "m": fam.m, "r": fam.r,
            "construction": fam.construction}, args.plain)
     return EXIT_OK
@@ -246,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="run an extractor over bit files")
     p.add_argument("--family", help="matrix family JSON (multi-bit extractor)")
-    p.add_argument("--ip", action="store_true", help="inner product extractor")
     p.add_argument("--n", type=int, help="block bits (inner product only)")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
@@ -292,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .extractor import TruncatedStreamError
+    from .extractor import OutputError, TruncatedStreamError
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -301,7 +289,11 @@ def main(argv=None) -> int:
     except TruncatedStreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except OutputError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
+    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        # every other OSError comes from opening or reading an input file
         print(f"error: bad input data: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA
     except ValueError as exc:

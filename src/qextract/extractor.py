@@ -36,11 +36,19 @@ count.  Each chunk's largest array is capped at ``CHUNK_BYTES``, so
 kernel memory does not grow with the stream.  Chunks run in a thread
 pool only when every thread gets at least ``MIN_CHUNKS_PER_THREAD`` of
 them; smaller jobs run in the calling thread, where they are faster.
+
+``extract_file`` memory-maps each input that is a regular, non-empty
+file, so the kernels read the page cache with no copy of the stream.
+Other inputs (empty files, FIFOs, ``/dev/stdin``), which cannot be
+mapped, are read whole.  As with any mmap reader, truncating a mapped
+input while extraction runs kills the process with SIGBUS.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
+import stat
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -292,25 +300,52 @@ def extract_blocks(job: ExtractionJob, x: bytes, y: bytes, workers: int = 1) -> 
     return b"".join(pieces)
 
 
+def _read_input(path: str) -> bytes | mmap.mmap:
+    """The bytes of an input file: a read-only map of a regular, non-empty
+    file, or the whole contents of anything else, which mmap cannot map."""
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size > 0:
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        return f.read()
+
+
+class OutputError(OSError):
+    """Writing an output file failed; ``filename`` is the output path."""
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file in the same
+    directory and one rename, so that a failure leaves no partial output.
+    An ``OSError`` is raised again as :class:`OutputError` naming ``path``
+    rather than the temporary file."""
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".qextract-")
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OutputError(exc.errno, exc.strerror, path) from exc
+    finally:
+        # the temporary file is left only if the rename did not happen
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def extract_file(job: ExtractionJob, x_path: str, y_path: str, out_path: str,
                  workers: int = 1) -> int:
     """File-to-file extraction with an atomic output write.
 
-    Returns the number of output bytes written.
+    Returns the number of output bytes written.  The input maps are not
+    closed here: they unmap when their last reference goes.  On an error
+    that is the traceback, whose frames may hold numpy views of a map, and
+    closing a map with a live view raises ``BufferError`` in place of the
+    error.
     """
-    with open(x_path, "rb") as f:
-        x = f.read()
-    with open(y_path, "rb") as f:
-        y = f.read()
+    x = _read_input(x_path)
+    y = _read_input(y_path)
     out = extract_blocks(job, x, y, workers=workers)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)) or ".",
-                               prefix=".qextract-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(out)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(out_path, out)
     return len(out)

@@ -470,11 +470,6 @@ def instrument_from_json(d: dict, outcome_name: str = "X") -> Instrument:
     return Instrument(ins, outcome_name, outs, kraus, labels)
 
 
-def save_state(rho: DensityOperator, path: str) -> None:
-    with open(path, "w") as f:
-        json.dump(state_to_json(rho), f)
-
-
 def load_state(path: str) -> DensityOperator:
     with open(path) as f:
         return state_from_json(json.load(f))

@@ -49,7 +49,7 @@ class TestExtract:
         x.write_bytes(rng.bytes(400))
         y.write_bytes(rng.bytes(400))
         out = tmp_path / "z"
-        code, stdout, _ = run(capsys, "extract", "--ip", "--n", "32",
+        code, stdout, _ = run(capsys, "extract", "--n", "32",
                               "--x", str(x), "--y", str(y),
                               "--blocks", "100", "--out", str(out))
         assert code == 0
@@ -78,7 +78,7 @@ class TestExtract:
         x.write_bytes(b"\x00" * 3)
         y.write_bytes(b"\x00" * 16)
         out = tmp_path / "z"
-        code, _, err = run(capsys, "extract", "--ip", "--n", "8",
+        code, _, err = run(capsys, "extract", "--n", "8",
                            "--x", str(x), "--y", str(y), "--blocks", "16",
                            "--out", str(out))
         assert code == 3
@@ -92,7 +92,7 @@ class TestExtract:
         y.write_bytes(b"\x00" * 16)
         out = tmp_path / "z"
         for workers in ("0", "-2"):
-            code, _, err = run(capsys, "extract", "--ip", "--n", "8",
+            code, _, err = run(capsys, "extract", "--n", "8",
                                "--x", str(x), "--y", str(y), "--blocks", "16",
                                "--workers", workers, "--out", str(out))
             assert code == 2
@@ -100,17 +100,38 @@ class TestExtract:
         assert not out.exists()
 
     def test_missing_input_exits_3(self, capsys, tmp_path):
-        code, _, err = run(capsys, "extract", "--ip", "--n", "8",
+        code, _, err = run(capsys, "extract", "--n", "8",
                            "--x", str(tmp_path / "nope"), "--y", str(tmp_path / "nope"),
                            "--blocks", "1", "--out", str(tmp_path / "z"))
         assert code == 3
+
+    def test_unreadable_input_exits_3(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        data.write_bytes(b"\x00" * 16)
+        for flags in (("--x", str(tmp_path), "--y", str(data), "--n", "8"),
+                      ("--x", str(data), "--y", str(tmp_path), "--n", "8"),
+                      ("--x", str(data), "--y", str(data), "--family", str(tmp_path))):
+            code, _, err = run(capsys, "extract", *flags, "--blocks", "16",
+                               "--out", str(tmp_path / "z"))
+            assert code == 3, flags
+            assert err.startswith("error: bad input data:") and str(tmp_path) in err
+        assert not (tmp_path / "z").exists()
+
+    def test_missing_out_directory_names_out_path(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        data.write_bytes(b"\x00" * 16)
+        out = tmp_path / "nodir" / "z"
+        code, _, err = run(capsys, "extract", "--n", "8", "--x", str(data),
+                           "--y", str(data), "--blocks", "16", "--out", str(out))
+        assert code == 2
+        assert str(out) in err and ".qextract-" not in err
 
     def test_zero_blocks_empty_output(self, capsys, tmp_path):
         x, y = tmp_path / "x", tmp_path / "y"
         x.write_bytes(b"")
         y.write_bytes(b"")
         out = tmp_path / "z"
-        code, _, _ = run(capsys, "extract", "--ip", "--n", "8", "--x", str(x),
+        code, _, _ = run(capsys, "extract", "--n", "8", "--x", str(x),
                          "--y", str(y), "--blocks", "0", "--out", str(out))
         assert code == 0
         assert out.read_bytes() == b""

@@ -1,5 +1,8 @@
+import mmap
 import os
 import random
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +237,92 @@ class TestExtractStream:
         job = ExtractionJob(ExtractorSpec(IP, 8), 5)
         with pytest.raises(TruncatedStreamError):
             extract_file(job, str(xp), str(yp), str(op))
+        assert not op.exists()
+        assert not list(tmp_path.glob(".qextract-*"))
+
+
+class TestExtractFileInputs:
+    """extract_file maps regular input files and reads anything else."""
+
+    @staticmethod
+    def ip_job(n, blocks):
+        return ExtractionJob(ExtractorSpec(IP, n), blocks)
+
+    def test_inputs_are_not_copied(self, tmp_path):
+        # two 8 MB streams; a copy of either would allocate 8 MiB
+        size = 8 << 20
+        rng = random.Random(0)
+        xp, yp, op = tmp_path / "x", tmp_path / "y", tmp_path / "z"
+        x, y = rng.randbytes(size), rng.randbytes(size)
+        xp.write_bytes(x)
+        yp.write_bytes(y)
+        job = self.ip_job(1024, size * 8 // 1024)
+        tracemalloc.start()
+        try:
+            extract_file(job, str(xp), str(yp), str(op), workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert op.read_bytes() == extract_blocks(job, x, y)
+
+    def test_fifo_input_is_read(self, tmp_path):
+        job = self.ip_job(13, 50)
+        rng = random.Random(1)
+        x, y = rng.randbytes(82), rng.randbytes(82)
+        xp, yp, op = tmp_path / "x", tmp_path / "y", tmp_path / "z"
+        os.mkfifo(xp)
+        yp.write_bytes(y)
+
+        def feed():
+            with open(xp, "wb") as f:
+                f.write(x)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        extract_file(job, str(xp), str(yp), str(op))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert op.read_bytes() == oracle_stream(job, x, y)
+
+    def test_output_over_input_replaces_it_by_rename(self, tmp_path):
+        job = self.ip_job(16, 40)
+        rng = random.Random(2)
+        x, y = rng.randbytes(80), rng.randbytes(80)
+        xp, yp = tmp_path / "x", tmp_path / "y"
+        xp.write_bytes(x)
+        yp.write_bytes(y)
+        with open(xp, "rb") as old:
+            extract_file(job, str(xp), str(yp), str(xp))
+            # the original file was never written: the rename replaced it
+            assert old.read() == x
+            assert os.fstat(old.fileno()).st_ino != os.stat(xp).st_ino
+        assert xp.read_bytes() == oracle_stream(job, x, y)
+        assert not list(tmp_path.glob(".qextract-*"))
+
+    def test_short_mapped_input_is_truncated(self, tmp_path):
+        xp, yp, op = tmp_path / "x", tmp_path / "y", tmp_path / "z"
+        xp.write_bytes(b"\x00" * 9)
+        yp.write_bytes(b"\x00" * 4)
+        with pytest.raises(TruncatedStreamError) as exc:
+            extract_file(self.ip_job(8, 9), str(xp), str(yp), str(op))
+        assert (exc.value.which, exc.value.block_index) == ("y", 4)
+        assert not op.exists()
+
+    def test_kernel_error_surfaces_as_itself(self, tmp_path, monkeypatch):
+        # a numpy view of the map is alive in the traceback when the error
+        # leaves extract_file; closing the map then would raise BufferError
+        def failing_chunk(job, table, x, y, start, count):
+            assert isinstance(x, mmap.mmap)
+            view = np.frombuffer(x, dtype=np.uint8)  # noqa: F841
+            raise MemoryError("injected")
+
+        monkeypatch.setattr(extractor, "_extract_chunk", failing_chunk)
+        xp, yp, op = tmp_path / "x", tmp_path / "y", tmp_path / "z"
+        xp.write_bytes(b"\x01" * 8)
+        yp.write_bytes(b"\x01" * 8)
+        with pytest.raises(MemoryError, match="injected"):
+            extract_file(self.ip_job(8, 8), str(xp), str(yp), str(op))
         assert not op.exists()
         assert not list(tmp_path.glob(".qextract-*"))
 
