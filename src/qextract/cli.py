@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     except OutputError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         # every other OSError comes from opening or reading an input file
         print(f"error: bad input data: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA

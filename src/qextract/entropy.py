@@ -12,12 +12,20 @@ Three quantities are computed for a bipartite sub-normalized state:
       minimize   tr[sigma]
       subject to identity (x) sigma >= rho_AB
 
-  solved by a damped-Newton log-barrier method.  Every solve returns a
-  two-sided certificate: the feasible primal iterate bounds 2^-Hmin from
-  above, and a corrected dual witness (for classical A: an explicit
-  POVM) bounds it from below via its guessing probability.  The reported
-  value is the primal bound, so the value itself is always a certified
-  lower bound on the entropy.
+  solved by a damped-Newton log-barrier method.  Each barrier
+  parameter mu is a tenth of the last, and each Newton system is solved
+  over the d^2 real coordinates of a Hermitian direction.  At the
+  centre for mu the duality gap is mu times the total slack dimension,
+  so the bracket is about mu * size / (tr(sigma) ln 2) bits wide; only
+  once that estimate meets the requested gap is the extended-precision
+  certificate computed, normally once per solve.  It is two-sided: the
+  feasible primal iterate bounds 2^-Hmin from above, and a corrected dual
+  witness (for classical A: an explicit POVM) bounds it from below via
+  its guessing probability.  A solve that stops early (iteration cap,
+  mu floor, numerically singular slack) certifies its last feasible
+  iterate and reports that bracket.  The reported value is the primal
+  bound, so the value itself is always a certified lower bound on the
+  entropy.
 
 All entropies are in bits.  When the target registers are classical the
 constraint splits into one block per classical value and the solver
@@ -207,6 +215,39 @@ def _inv_sqrt_ld(mat: np.ndarray) -> np.ndarray:
     return y
 
 
+def _hessian_gather(d: int):
+    """Index and weight tables that gather the Hessian in the real basis
+    of ``_SdpKernel`` from the block product C of ``_SdpKernel.hessian``.
+
+    Basis element k is c_k at (a_k, b_k) plus conj(c_k) at (b_k, a_k),
+    with c_k = 1/2 for E_ii (both halves land on the diagonal), 1/sqrt2
+    for the real and i/sqrt2 for the imaginary off-diagonal elements.
+    The Hessian acts on a direction as D -> sum_x U_x D U_x, whose entry
+    ((p, q), (r, s)) as a matrix on row-major vec(D) is C[p, r, s, q].
+    With the inverses exactly Hermitian it maps Hermitian matrices to
+    Hermitian matrices, so entry (k, l) in the real basis comes to
+    2 Re[conj(c_k) c_l C[a_k, a_l, b_l, b_k]
+         + conj(c_k) conj(c_l) C[a_k, b_l, a_l, b_k]].
+    Every coefficient product is real or imaginary, so each term is a
+    fixed weight times the real or imaginary part of one entry of C,
+    indexed in C viewed as interleaved float64 (real, imag) pairs.
+    """
+    iu, ju = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    a = np.concatenate([diag, iu, iu])
+    b = np.concatenate([diag, ju, ju])
+    c = np.concatenate([np.full(d, 0.5), np.full(len(iu), math.sqrt(0.5)),
+                        np.full(len(iu), 1j * math.sqrt(0.5))])
+    ak, bk, ck = a[:, None], b[:, None], c.conj()[:, None]
+    al, bl = a[None, :], b[None, :]
+    tables = []
+    for flat, coef in ((((ak * d + al) * d + bl) * d + bk, 2.0 * ck * c[None, :]),
+                       (((ak * d + bl) * d + al) * d + bk, 2.0 * ck * c.conj()[None, :])):
+        imag = coef.real == 0.0
+        tables.append((2 * flat + imag, np.where(imag, -coef.imag, coef.real)))
+    return tables
+
+
 class _SdpKernel:
     """Batched barrier computations for the min-entropy SDP.
 
@@ -214,6 +255,11 @@ class _SdpKernel:
     single (count, d_b, d_b) array so feasibility checks, inverses and
     Hessian assembly run as batched LAPACK calls.  Blocks with a quantum
     target dimension keep a per-block loop.
+
+    Newton systems are solved for the d_b^2 real coordinates of a
+    Hermitian direction in the orthonormal basis E_ii, then
+    (E_ij + E_ji)/sqrt2, then i(E_ij - E_ji)/sqrt2 for i < j, where the
+    Hessian is a real symmetric matrix.
     """
 
     def __init__(self, blocks, d_b: int):
@@ -222,6 +268,10 @@ class _SdpKernel:
             if any(m == 1 for m, _ in blocks) else None
         self.big = [(m, b) for m, b in blocks if m > 1]
         self.lam_max = max(float(herm_eig(b)[0].max(initial=0.0)) for _, b in blocks)
+        # total slack dimension: at the centre for mu the duality gap is mu * size
+        self.size = sum(m for m, _ in blocks) * d_b
+        self._iu, self._ju = np.triu_indices(d_b, 1)
+        self._gather = _hessian_gather(d_b)
 
     def barrier(self, sigma: np.ndarray, mu: float):
         """(feasible, barrier value) at sigma."""
@@ -239,14 +289,18 @@ class _SdpKernel:
         return True, total
 
     def inverses(self, sigma: np.ndarray):
+        """Inverse slacks, made exactly Hermitian: LAPACK's inverse of a
+        Hermitian matrix is not, and the Hessian gather relies on it."""
         flat_inv = None
         if self.flat is not None:
             slack = sigma[None] - self.flat
             flat_inv = np.linalg.inv(0.5 * (slack + slack.conj().transpose(0, 2, 1)))
+            flat_inv = 0.5 * (flat_inv + flat_inv.conj().transpose(0, 2, 1))
         big_inv = []
         for m, b in self.big:
             slack = np.kron(np.eye(m), sigma) - b
-            big_inv.append(np.linalg.inv(0.5 * (slack + slack.conj().T)))
+            inv = np.linalg.inv(0.5 * (slack + slack.conj().T))
+            big_inv.append(0.5 * (inv + inv.conj().T))
         return flat_inv, big_inv
 
     def gradient(self, mu: float, flat_inv, big_inv) -> np.ndarray:
@@ -258,19 +312,39 @@ class _SdpKernel:
         return g
 
     def hessian(self, mu: float, flat_inv, big_inv) -> np.ndarray:
+        """Barrier Hessian in the real basis.
+
+        Entry (k, l) is mu * sum_x tr[B_k U_x B_l U_x] over the inverse
+        slacks U_x.  The block sum is one product
+        C[i, j, l, k] = sum_x U_x[i, j] U_x[l, k], and each entry is then
+        a weighted real or imaginary part of two entries of C.
+        """
         d = self.d_b
-        h = np.zeros((d * d, d * d), dtype=complex)
+        c = np.zeros((d * d, d * d), dtype=complex)
         if flat_inv is not None:
-            # sum_x kron(U_x, U_x^T) via one BLAS product over the block axis
             nb = flat_inv.shape[0]
-            left = flat_inv.transpose(1, 2, 0).reshape(d * d, nb)
-            right = flat_inv.reshape(nb, d * d)
-            c = (left @ right).reshape(d, d, d, d)  # indices (i, j, l, k)
-            h += c.transpose(0, 3, 1, 2).reshape(d * d, d * d)
+            c += flat_inv.transpose(1, 2, 0).reshape(d * d, nb) @ flat_inv.reshape(nb, d * d)
         for (m, _), inv in zip(self.big, big_inv):
             u4 = inv.reshape(m, d, m, d)
-            h += np.einsum("aibj,bkal->iljk", u4, u4).reshape(d * d, d * d)
-        return mu * h
+            c += np.einsum("aibj,blak->ijlk", u4, u4).reshape(d * d, d * d)
+        parts = c.reshape(-1).view(np.float64)
+        (idx1, w1), (idx2, w2) = self._gather
+        return mu * (w1 * parts[idx1] + w2 * parts[idx2])
+
+    def newton_step(self, sigma: np.ndarray, mu: float):
+        """Newton direction of the barrier at sigma, and the barrier's
+        derivative along it (minus the squared Newton decrement)."""
+        d, iu, ju = self.d_b, self._iu, self._ju
+        flat_inv, big_inv = self.inverses(sigma)
+        g = self.gradient(mu, flat_inv, big_inv)
+        g_real = np.concatenate([g.diagonal().real, math.sqrt(2.0) * g[iu, ju].real,
+                                 math.sqrt(2.0) * g[iu, ju].imag])
+        x = np.linalg.solve(self.hessian(mu, flat_inv, big_inv), -g_real)
+        off = (x[d:d + len(iu)] + 1j * x[d + len(iu):]) * math.sqrt(0.5)
+        delta = np.diag(x[:d]).astype(complex)
+        delta[iu, ju] = off
+        delta[ju, iu] = off.conj()
+        return delta, float(g_real @ x)
 
     def certificates(self, sigma: np.ndarray, mu: float):
         """Primal/dual bounds from the current interior point.
@@ -315,6 +389,16 @@ class _SdpKernel:
 
 
 MU_FLOOR = 1e-19
+# mu shrinks by this factor after each centring
+MU_FACTOR = 0.1
+
+
+def _certify(kernel: _SdpKernel, sigma: np.ndarray, mu: float, steps: int) -> EntropyResult:
+    primal, dual, witness = kernel.certificates(sigma, mu)
+    lower = -math.log2(primal)
+    upper = -math.log2(dual) if dual > 0 else math.inf
+    return EntropyResult(lower, lower, max(upper, lower), SDP, steps,
+                         sigma=sigma.copy(), witness=tuple(witness))
 
 
 def _solve_hmin(blocks, d_b: int, gap: float) -> EntropyResult:
@@ -326,18 +410,20 @@ def _solve_hmin(blocks, d_b: int, gap: float) -> EntropyResult:
     # the dual certificate degrades in proportion to the residual Newton
     # decrement, so certifying small gaps needs a tighter inner loop
     newton_tol = min(NEWTON_TOL, 0.01 * gap)
-    for _ in range(MAX_OUTER):
-        try:
+    try:
+        for _ in range(MAX_OUTER):
+            last = math.inf
+            _, f0 = kernel.barrier(sigma, mu)
             for _ in range(MAX_INNER):
-                flat_inv, big_inv = kernel.inverses(sigma)
-                grad = kernel.gradient(mu, flat_inv, big_inv)
-                hess = kernel.hessian(mu, flat_inv, big_inv)
-                delta = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d_b, d_b)
-                delta = 0.5 * (delta + delta.conj().T)
-                desc = float(np.vdot(grad, delta).real)  # = -decrement^2
-                if desc >= 0 or math.sqrt(-desc) < newton_tol:
+                delta, desc = kernel.newton_step(sigma, mu)
+                decrement = math.sqrt(max(-desc, 0.0))
+                # The barrier over mu is self-concordant: once decrement /
+                # sqrt(mu) is at most 1/4, each full Newton step more than
+                # halves the decrement.  When it stops halving, rounding has
+                # put a floor under it and more steps are wasted.
+                if desc >= 0 or decrement < newton_tol or decrement > 0.5 * last:
                     break
-                _, f0 = kernel.barrier(sigma, mu)
+                last = decrement if decrement <= 0.25 * math.sqrt(mu) else math.inf
                 t = 1.0
                 while t > 1e-13:
                     ok, f1 = kernel.barrier(sigma + t * delta, mu)
@@ -345,25 +431,29 @@ def _solve_hmin(blocks, d_b: int, gap: float) -> EntropyResult:
                         break
                     t *= 0.5
                 if t <= 1e-13:
-                    break
-                sigma = sigma + t * delta
+                    break  # rounding stalls the line search; sigma is as central as it gets
+                sigma, f0 = sigma + t * delta, f1
                 steps += 1
-            primal, dual, witness = kernel.certificates(sigma, mu)
-        except np.linalg.LinAlgError:
-            break  # slack numerically singular; report the best bracket so far
-        lower = -math.log2(primal)
-        upper = -math.log2(dual) if dual > 0 else math.inf
-        upper = max(upper, lower)
-        result = EntropyResult(lower, lower, upper, SDP, steps,
-                               sigma=sigma.copy(), witness=tuple(witness))
+            # At the centre for mu the certified bracket is mu * size /
+            # (tr(sigma) ln 2) bits wide; the extended-precision
+            # certificate runs only once that estimate meets the request.
+            estimate = mu * kernel.size / (float(sigma.trace().real) * math.log(2.0))
+            if estimate <= gap:
+                result = _certify(kernel, sigma, mu, steps)
+                if best is None or result.gap < best.gap:
+                    best = result
+                if best.gap <= gap:
+                    return best
+            if mu * MU_FACTOR < MU_FLOOR:
+                break
+            mu *= MU_FACTOR
+    except np.linalg.LinAlgError:
+        pass  # slack numerically singular; certify the last feasible iterate
+    if best is None or best.iterations < steps:
+        result = _certify(kernel, sigma, mu, steps)
         if best is None or result.gap < best.gap:
             best = result
-        if best.gap <= gap:
-            return best
-        mu *= 0.5
-        if mu < MU_FLOOR:
-            break
-    if best is not None and best.gap <= gap:
+    if best.gap <= gap:
         return best
     raise SolverConvergenceError(best)
 

@@ -403,20 +403,29 @@ def apply_instrument(inst: Instrument, rho: DensityOperator) -> CqState:
         raise ValueError(f"output labels {sorted(out_names & set(rest))} collide "
                          "with untouched systems")
     rho = permute_systems(rho, acted + rest)
+    return CqState.from_blocks(inst.outcome_system,
+                               inst.output_systems + tuple(rho.systems[len(acted):]),
+                               instrument_blocks(inst, rho))
+
+
+def instrument_blocks(inst: Instrument, rho: DensityOperator) -> list[np.ndarray]:
+    """Per-outcome sub-normalized operators on (instrument outputs (x) rest).
+
+    The leading systems of ``rho`` must be the instrument's inputs, in
+    order; the rest stay as they are.
+    """
     d_in = inst.input_dim
     d_rest = rho.dim // d_in
     t = rho.matrix.reshape(d_in, d_rest, d_in, d_rest)
-    rest_systems = tuple(rho.systems[len(acted):])
-    blocks = []
     d_out = inst.output_dim
+    blocks = []
     for ops in inst.kraus:
         b = np.zeros((d_out * d_rest, d_out * d_rest), dtype=complex)
         for k in ops:
             kt = np.einsum("ai,irjs,bj->arbs", k, t, k.conj())
             b += kt.reshape(d_out * d_rest, d_out * d_rest)
         blocks.append(b)
-    return CqState.from_blocks(inst.outcome_system,
-                               inst.output_systems + rest_systems, blocks)
+    return blocks
 
 
 # ---------------------------------------------------------------------------

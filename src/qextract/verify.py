@@ -34,6 +34,7 @@ from .quantum import (
     Instrument,
     System,
     frac_power,
+    instrument_blocks,
     permute_systems,
     purify,
     trace_norm,
@@ -108,19 +109,7 @@ def _branch_blocks(inst: Instrument, rho: DensityOperator):
     """Per-outcome sub-normalized operators on (instrument outputs (x) rest)."""
     acted = [s.name for s in inst.input_systems]
     rest = [nm for nm in rho.names() if nm not in acted]
-    rp = permute_systems(rho, acted + rest)
-    d_in = inst.input_dim
-    d_rest = rp.dim // d_in
-    t = rp.matrix.reshape(d_in, d_rest, d_in, d_rest)
-    d_out = inst.output_dim
-    out = []
-    for ops in inst.kraus:
-        b = np.zeros((d_out * d_rest, d_out * d_rest), dtype=complex)
-        for k in ops:
-            kt = np.einsum("ai,irjs,bj->arbs", k, t, k.conj())
-            b += kt.reshape(d_out * d_rest, d_out * d_rest)
-        out.append(b)
-    return out
+    return instrument_blocks(inst, permute_systems(rho, acted + rest))
 
 
 def _scenario_blocks(inst: ScenarioInstance):

@@ -284,6 +284,61 @@ class TestSolverFailureExit:
         assert payload["lower"] <= payload["upper"]
 
 
+    def test_singular_slack_exit_4_prints_bracket(self, capsys, monkeypatch):
+        import numpy as np
+
+        import qextract.entropy as ent
+
+        real = ent._SdpKernel.inverses
+        calls = []
+
+        def failing_once(self, sigma):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular slack matrix")
+            return real(self, sigma)
+
+        monkeypatch.setattr(ent._SdpKernel, "inverses", failing_once)
+        code, stdout, _ = run(capsys, "entropy", "--kind", "hmin",
+                              "--state", f"{FIXTURES}/counterexample_eta.json",
+                              "--target", "X", "--condition", "B")
+        assert code == 4
+        payload = json.loads(stdout)
+        assert payload["converged"] is False
+        assert payload["lower"] <= payload["upper"]
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is bad input data, not a bad argument."""
+
+    @staticmethod
+    def garbage(tmp_path):
+        path = tmp_path / "garbage.json"
+        # 0xff never occurs in UTF-8
+        path.write_bytes(b"\xff" + np.random.default_rng(7).bytes(256))
+        return str(path)
+
+    def test_family(self, capsys, tmp_path):
+        x = tmp_path / "x.bin"
+        x.write_bytes(b"\x00" * 8)
+        code, _, err = run(capsys, "extract", "--family", self.garbage(tmp_path),
+                           "--x", str(x), "--y", str(x), "--blocks", "1",
+                           "--out", str(tmp_path / "out.bin"))
+        assert code == 3 and "bad input data" in err
+        assert not (tmp_path / "out.bin").exists()
+
+    def test_state(self, capsys, tmp_path):
+        code, _, err = run(capsys, "entropy", "--kind", "hmin",
+                           "--state", self.garbage(tmp_path))
+        assert code == 3 and "bad input data" in err
+
+    def test_instrument(self, capsys, tmp_path):
+        code, _, err = run(capsys, "entropy", "--kind", "k2",
+                           "--state", f"{FIXTURES}/maximally_entangled.json",
+                           "--instrument", self.garbage(tmp_path))
+        assert code == 3 and "bad input data" in err
+
+
 class TestFixtureFreshness:
     def test_fixtures_match_generators(self, tmp_path):
         # the checked-in fixtures must be exactly what the script produces

@@ -1,7 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_psd
 from qextract.entropy import (
@@ -21,6 +24,7 @@ from qextract.quantum import (
     DensityOperator,
     Instrument,
     System,
+    load_state,
     partial_trace,
     purify,
     trace_norm,
@@ -159,6 +163,118 @@ class TestHMin:
         assert best.lower <= best.upper
         assert np.isfinite(best.lower)
         assert best.gap > 1e-10
+
+    def test_singular_slack_in_first_iteration_reports_bracket(self, monkeypatch):
+        import qextract.entropy as ent
+
+        real = ent._SdpKernel.inverses
+        calls = []
+
+        def failing_once(self, sigma):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular slack matrix")
+            return real(self, sigma)
+
+        monkeypatch.setattr(ent._SdpKernel, "inverses", failing_once)
+        rho = random_cq_state(np.random.default_rng(5), 3, 3)
+        with pytest.raises(SolverConvergenceError) as exc:
+            h_min(rho, ["Z"], ["E"], gap=1e-8)
+        best = exc.value.best
+        assert np.isfinite(best.lower) and np.isfinite(best.upper)
+        assert best.lower <= best.upper
+        assert best.iterations == 0
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _solver_cases():
+    """(state, target, condition) for every fixture state and for seeded
+    random cq states."""
+    cases = []
+    for name in sorted(os.listdir(FIXTURES)):
+        rho = load_state(os.path.join(FIXTURES, name))
+        names = list(rho.names())
+        cases.append((rho, names[:1], names[1:]))
+    for seed in range(12):
+        r = np.random.default_rng(seed)
+        rho = random_cq_state(r, int(r.integers(2, 6)), int(r.integers(2, 9)),
+                              trace=float(r.uniform(0.4, 1.0)))
+        cases.append((rho, ["Z"], ["E"]))
+    return cases
+
+
+class TestSolverSchedule:
+    """The certificate runs once the barrier's own gap estimate meets the
+    request, so a converged solve certifies once, or twice after a miss."""
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-8])
+    def test_certificate_calls_and_brackets(self, monkeypatch, gap):
+        import qextract.entropy as ent
+
+        real = ent._SdpKernel.certificates
+        calls = []
+
+        def counting(self, sigma, mu):
+            calls.append(1)
+            return real(self, sigma, mu)
+
+        monkeypatch.setattr(ent._SdpKernel, "certificates", counting)
+        for rho, target, condition in _solver_cases():
+            calls.clear()
+            res = h_min(rho, target, condition, gap=gap)
+            assert len(calls) <= 2
+            # up to 80 here; a centring that ignored the rounding floor of
+            # the Newton decrement could spend 60 steps on it
+            assert res.iterations <= 120
+            assert res.lower <= res.value <= res.upper
+            assert res.gap <= gap
+            tight = h_min(rho, target, condition, gap=gap / 100)
+            assert abs(res.value - tight.value) <= gap
+
+
+def _newton_oracle(blocks, sigma, mu):
+    """Newton step of the barrier from the complex d^2 x d^2 system,
+    assembled by applying the Hessian to each matrix unit."""
+    d = sigma.shape[0]
+    invs = [(m, np.linalg.inv(np.kron(np.eye(m), sigma) - b)) for m, b in blocks]
+
+    def ptrace(m, mat):
+        return np.einsum("aiaj->ij", mat.reshape(m, d, m, d))
+
+    grad = np.eye(d) - mu * sum(ptrace(m, u) for m, u in invs)
+    hess = np.zeros((d * d, d * d), dtype=complex)
+    for col in range(d * d):
+        unit = np.zeros(d * d, dtype=complex)
+        unit[col] = 1.0
+        unit = unit.reshape(d, d)
+        hess[:, col] = mu * sum(ptrace(m, u @ np.kron(np.eye(m), unit) @ u)
+                                for m, u in invs).reshape(-1)
+    delta = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d)
+    return 0.5 * (delta + delta.conj().T), grad
+
+
+class TestRealFormNewtonStep:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 5),
+           mults=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+           mu=st.floats(1e-6, 1.0))
+    def test_matches_complex_solve(self, seed, d, mults, mu):
+        from qextract.entropy import _SdpKernel
+
+        r = np.random.default_rng(seed)
+        sigma = rand_psd(r, d, float(d))
+        # slack blocks kron(1_m, sigma) - b that are positive definite
+        blocks = [(m, np.kron(np.eye(m), sigma)
+                   - (rand_psd(r, m * d, float(m * d)) + 0.1 * np.eye(m * d)))
+                  for m in mults]
+        kernel = _SdpKernel(blocks, d)
+        delta, desc = kernel.newton_step(sigma, mu)
+        expect, grad = _newton_oracle(blocks, sigma, mu)
+        assert np.abs(delta - delta.conj().T).max() == 0.0
+        assert np.linalg.norm(delta - expect) <= 1e-9 * np.linalg.norm(expect)
+        assert desc == pytest.approx(float(np.vdot(grad, expect).real), rel=1e-9)
 
 
 class TestPGuess:
