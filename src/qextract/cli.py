@@ -11,10 +11,10 @@ One executable, five subcommands:
 Machine-readable JSON is the default output; ``--plain`` prints the same
 content as key-value lines.  Exit codes: 0 success, 1 verification
 failure, 2 bad arguments (an output file that cannot be written among
-them), 3 bad input data (an input file that cannot be opened or read
-among them), 4 solver non-convergence.  Output files are written to a
-temporary name and atomically renamed, so a failed command never leaves
-partial output behind.
+them), 3 bad input data (an input file that cannot be opened or read,
+or whose content is malformed, among them), 4 solver non-convergence.
+Output files are written to a temporary name and atomically renamed, so
+a failed command never leaves partial output behind.
 
 The environment variable ``QEXTRACT_GAP`` overrides the default
 certificate gap of the entropy solver.
@@ -85,11 +85,25 @@ def cmd_gen_family(args) -> int:
     return EXIT_OK
 
 
+class BadInputError(Exception):
+    """An input file whose content does not describe a valid object."""
+
+
+def _load_input(path: str, build):
+    """``build`` applied to the JSON document in the file at ``path``.
+    Any error in the document's content is bad input data."""
+    with open(path) as f:
+        data = json.load(f)
+    try:
+        return build(data)
+    except (ValueError, TypeError) as exc:
+        raise BadInputError(f"{path}: {exc}") from exc
+
+
 def _load_family(path: str):
     from .gf2 import MatrixFamily
 
-    with open(path) as f:
-        return MatrixFamily.from_json_dict(json.load(f))
+    return _load_input(path, MatrixFamily.from_json_dict)
 
 
 def cmd_extract(args) -> int:
@@ -115,10 +129,10 @@ def cmd_extract(args) -> int:
 
 def cmd_entropy(args) -> int:
     from . import entropy as ent
-    from .quantum import instrument_from_json, load_state
+    from .quantum import instrument_from_json, state_from_json
 
     gap = args.gap if args.gap is not None else _default_gap()
-    rho = load_state(args.state)
+    rho = _load_input(args.state, state_from_json)
     target = args.target.split(",") if args.target else [rho.systems[0].name]
     condition = (args.condition.split(",") if args.condition
                  else [n for n in rho.names() if n not in target])
@@ -126,8 +140,7 @@ def cmd_entropy(args) -> int:
     if args.kind == "k2":
         if not args.instrument:
             raise ValueError("--instrument is required for the k2 functional")
-        with open(args.instrument) as f:
-            inst = instrument_from_json(json.load(f))
+        inst = _load_input(args.instrument, instrument_from_json)
         value = ent.k2_functional(inst, rho)
         _emit({"quantity": "k2", "value_bits": value, "lower": value,
                "upper": value, "gap": 0.0, "iterations": 0,
@@ -292,7 +305,8 @@ def main(argv=None) -> int:
     except OutputError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError,
+            BadInputError) as exc:
         # every other OSError comes from opening or reading an input file
         print(f"error: bad input data: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA

@@ -12,20 +12,28 @@ Three quantities are computed for a bipartite sub-normalized state:
       minimize   tr[sigma]
       subject to identity (x) sigma >= rho_AB
 
-  solved by a damped-Newton log-barrier method.  Each barrier
-  parameter mu is a tenth of the last, and each Newton system is solved
-  over the d^2 real coordinates of a Hermitian direction.  At the
-  centre for mu the duality gap is mu times the total slack dimension,
-  so the bracket is about mu * size / (tr(sigma) ln 2) bits wide; only
-  once that estimate meets the requested gap is the extended-precision
-  certificate computed, normally once per solve.  It is two-sided: the
-  feasible primal iterate bounds 2^-Hmin from above, and a corrected dual
-  witness (for classical A: an explicit POVM) bounds it from below via
-  its guessing probability.  A solve that stops early (iteration cap,
-  mu floor, numerically singular slack) certifies its last feasible
-  iterate and reports that bracket.  The reported value is the primal
-  bound, so the value itself is always a certified lower bound on the
-  entropy.
+  with its dual, the guessing POVM,
+
+      maximize   sum_x tr[Z_x rho_x]
+      subject to sum_x tr_A Z_x = identity,  Z_x >= 0,
+
+  solved by a feasible primal-dual interior-point method on
+  (sigma; Z_x) with Nesterov-Todd scaling and Mehrotra's
+  predictor-corrector.  Each iteration scales every block from Cholesky
+  factors of its slack and of Z_x and one batched SVD, builds one Schur
+  matrix over the d^2 real coordinates of a Hermitian direction, and
+  solves it twice: predictor, then corrector.  The duality gap is known
+  at every iteration, so the extended-precision certificate is computed
+  once, when the iterate's own gap is at most half the requested one;
+  a solve takes about 10 iterations.  The certificate is two-sided: tr(sigma)
+  at a sigma whose every slack passes Cholesky bounds 2^-Hmin from
+  above, and the dual iterate Z, whitened so that its partial traces
+  sum to the identity (for classical A: an explicit POVM), bounds it
+  from below via its guessing probability.  A solve that stops early
+  (iteration cap, a slack or Z_x that fails Cholesky) certifies its last
+  iterate that passed and reports that bracket.  The reported value is
+  the primal bound, so the value itself is always a certified lower
+  bound on the entropy.
 
 All entropies are in bits.  When the target registers are classical the
 constraint splits into one block per classical value and the solver
@@ -34,6 +42,7 @@ works blockwise, which is what keeps n-bit targets cheap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -51,9 +60,10 @@ from .quantum import (
 )
 
 DEFAULT_GAP = 1e-8
-NEWTON_TOL = 1e-6
-MAX_OUTER = 200
-MAX_INNER = 60
+# cap on predictor-corrector iterations per solve
+MAX_OUTER = 60
+# largest fraction of the step to the boundary of the cone
+STEP_FRACTION = 0.95
 
 CLOSED_FORM = "closed-form"
 SDP = "sdp-primal-dual"
@@ -64,7 +74,7 @@ class SupportError(ValueError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """Barrier solve stopped before reaching the requested gap."""
+    """Solve stopped before reaching the requested gap."""
 
     def __init__(self, best: "EntropyResult"):
         self.best = best
@@ -175,32 +185,6 @@ def h2_down(rho: DensityOperator, target, condition=()) -> EntropyResult:
 # Min-entropy SDP
 
 
-def _inv_ld(mat: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverse with partial pivoting in extended precision.
-
-    LAPACK has no long double kernels, so this is hand-rolled; the
-    matrices are at most 64x64 and it only runs on the certificate path.
-    """
-    d = mat.shape[0]
-    a = mat.astype(np.clongdouble).copy()
-    inv = np.eye(d, dtype=np.clongdouble)
-    for col in range(d):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0:
-            raise np.linalg.LinAlgError("singular slack matrix")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        scale = a[col, col]
-        a[col] /= scale
-        inv[col] /= scale
-        factors = a[:, col].copy()
-        factors[col] = 0
-        a -= factors[:, None] * a[col][None, :]
-        inv -= factors[:, None] * inv[col][None, :]
-    return inv
-
-
 def _inv_sqrt_ld(mat: np.ndarray) -> np.ndarray:
     """Inverse square root of a well-conditioned PD matrix, refined from a
     double precision seed by Newton-Schulz iterations in extended precision."""
@@ -215,17 +199,20 @@ def _inv_sqrt_ld(mat: np.ndarray) -> np.ndarray:
     return y
 
 
+@functools.lru_cache(maxsize=None)
 def _hessian_gather(d: int):
-    """Index and weight tables that gather the Hessian in the real basis
-    of ``_SdpKernel`` from the block product C of ``_SdpKernel.hessian``.
+    """Index and weight tables that gather the Schur complement in the
+    real basis of ``_SdpKernel`` from the block product C of
+    ``_SdpKernel.schur``.  Cached per d and read-only.
 
     Basis element k is c_k at (a_k, b_k) plus conj(c_k) at (b_k, a_k),
     with c_k = 1/2 for E_ii (both halves land on the diagonal), 1/sqrt2
     for the real and i/sqrt2 for the imaginary off-diagonal elements.
-    The Hessian acts on a direction as D -> sum_x U_x D U_x, whose entry
-    ((p, q), (r, s)) as a matrix on row-major vec(D) is C[p, r, s, q].
-    With the inverses exactly Hermitian it maps Hermitian matrices to
-    Hermitian matrices, so entry (k, l) in the real basis comes to
+    The Schur complement acts on a direction as D -> sum_x U_x D U_x,
+    whose entry ((p, q), (r, s)) as a matrix on row-major vec(D) is
+    C[p, r, s, q].  With the U_x exactly Hermitian it maps Hermitian
+    matrices to Hermitian matrices, so entry (k, l) in the real basis
+    comes to
     2 Re[conj(c_k) c_l C[a_k, a_l, b_l, b_k]
          + conj(c_k) conj(c_l) C[a_k, b_l, a_l, b_k]].
     Every coefficient product is real or imaginary, so each term is a
@@ -244,213 +231,265 @@ def _hessian_gather(d: int):
     for flat, coef in ((((ak * d + al) * d + bl) * d + bk, 2.0 * ck * c[None, :]),
                        (((ak * d + bl) * d + al) * d + bk, 2.0 * ck * c.conj()[None, :])):
         imag = coef.real == 0.0
-        tables.append((2 * flat + imag, np.where(imag, -coef.imag, coef.real)))
-    return tables
+        idx, weight = 2 * flat + imag, np.where(imag, -coef.imag, coef.real)
+        idx.setflags(write=False)
+        weight.setflags(write=False)
+        tables.append((idx, weight))
+    return tuple(tables)
+
+
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _herm(a: np.ndarray) -> np.ndarray:
+    """Hermitian part of each matrix in a stack, exactly Hermitian."""
+    return 0.5 * (a + _ct(a))
+
+
+def _lift(m: int, x: np.ndarray) -> np.ndarray:
+    """identity_m (x) x."""
+    return x if m == 1 else np.kron(np.eye(m), x)
+
+
+def _ptrace(m: int, d: int, stack: np.ndarray) -> np.ndarray:
+    """Sum over a stack of (m d) x (m d) matrices of their partial traces
+    over the m-dimensional target factor."""
+    return np.einsum("kaiaj->ij", stack.reshape(-1, m, d, m, d))
+
+
+def _diag(lam: np.ndarray) -> np.ndarray:
+    """Stack of diagonal matrices from a stack of diagonals."""
+    return lam[..., None] * np.eye(lam.shape[-1])
 
 
 class _SdpKernel:
-    """Batched barrier computations for the min-entropy SDP.
+    """Batched primal-dual computations for the min-entropy SDP.
 
-    Multiplicity-1 blocks (the classical-target case) are stacked into a
-    single (count, d_b, d_b) array so feasibility checks, inverses and
-    Hessian assembly run as batched LAPACK calls.  Blocks with a quantum
-    target dimension keep a per-block loop.
+    The primal variable is sigma with slacks S_x = 1_m (x) sigma - rho_x;
+    the dual variables are the Z_x >= 0 with sum_x tr_A Z_x = 1.  Blocks
+    are kept in groups of one multiplicity m: every multiplicity-1 block
+    (the classical-target case) in one stacked (count, d_b, d_b) array,
+    so Cholesky factors, SVDs, eigenvalues and the Schur complement run
+    as batched LAPACK calls, and each block with a quantum target
+    (m > 1) as a group of its own.
 
-    Newton systems are solved for the d_b^2 real coordinates of a
+    Schur systems are solved for the d_b^2 real coordinates of a
     Hermitian direction in the orthonormal basis E_ii, then
     (E_ij + E_ji)/sqrt2, then i(E_ij - E_ji)/sqrt2 for i < j, where the
-    Hessian is a real symmetric matrix.
+    Schur complement is a real symmetric matrix.
     """
 
     def __init__(self, blocks, d_b: int):
         self.d_b = d_b
-        self.flat = np.stack([b for m, b in blocks if m == 1]) \
-            if any(m == 1 for m, _ in blocks) else None
-        self.big = [(m, b) for m, b in blocks if m > 1]
+        flat = [b for m, b in blocks if m == 1]
+        self.groups = ([(1, np.stack(flat))] if flat else []) \
+            + [(m, b[None]) for m, b in blocks if m > 1]
         self.lam_max = max(float(herm_eig(b)[0].max(initial=0.0)) for _, b in blocks)
-        # total slack dimension: at the centre for mu the duality gap is mu * size
-        self.size = sum(m for m, _ in blocks) * d_b
+        self.count = sum(m for m, _ in blocks)
+        # total slack dimension: the duality gap is mu * size
+        self.size = self.count * d_b
         self._iu, self._ju = np.triu_indices(d_b, 1)
         self._gather = _hessian_gather(d_b)
 
-    def barrier(self, sigma: np.ndarray, mu: float):
-        """(feasible, barrier value) at sigma."""
-        total = float(sigma.trace().real)
-        try:
-            if self.flat is not None:
-                chol = np.linalg.cholesky(sigma[None] - self.flat)
-                diags = np.diagonal(chol, axis1=-2, axis2=-1).real
-                total -= mu * 2.0 * float(np.log(diags).sum())
-            for m, b in self.big:
-                chol = np.linalg.cholesky(np.kron(np.eye(m), sigma) - b)
-                total -= mu * 2.0 * float(np.log(np.diag(chol).real).sum())
-        except np.linalg.LinAlgError:
-            return False, np.inf
-        return True, total
+    def start(self):
+        """Strictly feasible primal and dual points: sigma = (1 + lambda_max) 1
+        and Z_x = 1 / sum_x m_x, whose partial traces sum to 1."""
+        sigma = (1.0 + self.lam_max) * np.eye(self.d_b, dtype=complex)
+        z = [np.broadcast_to(np.eye(rho.shape[-1], dtype=complex) / self.count,
+                             rho.shape).copy() for _, rho in self.groups]
+        return sigma, z
 
-    def inverses(self, sigma: np.ndarray):
-        """Inverse slacks, made exactly Hermitian: LAPACK's inverse of a
-        Hermitian matrix is not, and the Hessian gather relies on it."""
-        flat_inv = None
-        if self.flat is not None:
-            slack = sigma[None] - self.flat
-            flat_inv = np.linalg.inv(0.5 * (slack + slack.conj().transpose(0, 2, 1)))
-            flat_inv = 0.5 * (flat_inv + flat_inv.conj().transpose(0, 2, 1))
-        big_inv = []
-        for m, b in self.big:
-            slack = np.kron(np.eye(m), sigma) - b
-            inv = np.linalg.inv(0.5 * (slack + slack.conj().T))
-            big_inv.append(0.5 * (inv + inv.conj().T))
-        return flat_inv, big_inv
+    def slacks(self, sigma: np.ndarray):
+        return [_lift(m, sigma)[None] - rho for m, rho in self.groups]
 
-    def gradient(self, mu: float, flat_inv, big_inv) -> np.ndarray:
-        g = np.eye(self.d_b, dtype=complex)
-        if flat_inv is not None:
-            g = g - mu * flat_inv.sum(axis=0)
-        for (m, _), inv in zip(self.big, big_inv):
-            g = g - mu * np.einsum("aiaj->ij", inv.reshape(m, self.d_b, m, self.d_b))
-        return g
+    def dual_value(self, z) -> float:
+        return float(sum(np.vdot(zg, rho).real for zg, (_, rho) in zip(z, self.groups)))
 
-    def hessian(self, mu: float, flat_inv, big_inv) -> np.ndarray:
-        """Barrier Hessian in the real basis.
+    def scaling(self, sigma: np.ndarray, z):
+        """Nesterov-Todd scaling of every block at (sigma; Z).
 
-        Entry (k, l) is mu * sum_x tr[B_k U_x B_l U_x] over the inverse
-        slacks U_x.  The block sum is one product
-        C[i, j, l, k] = sum_x U_x[i, j] U_x[l, k], and each entry is then
-        a weighted real or imaginary part of two entries of C.
+        With S = L L^H and Z = R R^H (Cholesky) and R^H L = U Lam V^H
+        (SVD), G^-1 = Lam^-1/2 U^H R^H takes both S and Z to the same
+        diagonal Lam: G^-1 S G^-H = G^H Z G = Lam.  The scaling point
+        W^-1 = G^-H G^-1 satisfies W^-1 S W^-1 = Z, and is made exactly
+        Hermitian for the Schur gather.  Raises LinAlgError unless every
+        slack and every Z_x passes Cholesky.  Returns (G^-1, lam, W^-1)
+        per group.
+        """
+        out = []
+        for s, zg in zip(self.slacks(sigma), z):
+            low = np.linalg.cholesky(s)
+            r = np.linalg.cholesky(zg)
+            u, lam, _ = np.linalg.svd(_ct(r) @ low)
+            gi = _ct(r @ u) / np.sqrt(lam)[..., None]
+            out.append((gi, lam, _herm(_ct(gi) @ gi)))
+        return out
+
+    def schur(self, scal) -> np.ndarray:
+        """Schur complement D -> sum_x tr_A[W_x^-1 (1 (x) D) W_x^-1] in the
+        real basis.
+
+        Entry (k, l) is sum_x tr[(1 (x) B_k) W_x^-1 (1 (x) B_l) W_x^-1].
+        The block sum is one product
+        C[i, j, l, k] = sum_x sum_ab U_x[a i, b j] U_x[b l, a k] over the
+        U_x = W_x^-1, and each entry is then a weighted real or imaginary
+        part of two entries of C.
         """
         d = self.d_b
         c = np.zeros((d * d, d * d), dtype=complex)
-        if flat_inv is not None:
-            nb = flat_inv.shape[0]
-            c += flat_inv.transpose(1, 2, 0).reshape(d * d, nb) @ flat_inv.reshape(nb, d * d)
-        for (m, _), inv in zip(self.big, big_inv):
-            u4 = inv.reshape(m, d, m, d)
-            c += np.einsum("aibj,blak->ijlk", u4, u4).reshape(d * d, d * d)
+        for (m, _), (_, _, winv) in zip(self.groups, scal):
+            u5 = winv.reshape(-1, m, d, m, d)
+            left = u5.transpose(0, 1, 3, 2, 4).reshape(-1, d * d)
+            right = u5.transpose(0, 3, 1, 2, 4).reshape(-1, d * d)
+            c += left.T @ right
         parts = c.reshape(-1).view(np.float64)
         (idx1, w1), (idx2, w2) = self._gather
-        return mu * (w1 * parts[idx1] + w2 * parts[idx2])
+        return w1 * parts[idx1] + w2 * parts[idx2]
 
-    def newton_step(self, sigma: np.ndarray, mu: float):
-        """Newton direction of the barrier at sigma, and the barrier's
-        derivative along it (minus the squared Newton decrement)."""
+    def solve(self, schur: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Hermitian D with schur(D) = rhs, solved in the real basis."""
         d, iu, ju = self.d_b, self._iu, self._ju
-        flat_inv, big_inv = self.inverses(sigma)
-        g = self.gradient(mu, flat_inv, big_inv)
-        g_real = np.concatenate([g.diagonal().real, math.sqrt(2.0) * g[iu, ju].real,
-                                 math.sqrt(2.0) * g[iu, ju].imag])
-        x = np.linalg.solve(self.hessian(mu, flat_inv, big_inv), -g_real)
+        b = np.concatenate([rhs.diagonal().real, math.sqrt(2.0) * rhs[iu, ju].real,
+                            math.sqrt(2.0) * rhs[iu, ju].imag])
+        x = np.linalg.solve(schur, b)
         off = (x[d:d + len(iu)] + 1j * x[d + len(iu):]) * math.sqrt(0.5)
         delta = np.diag(x[:d]).astype(complex)
         delta[iu, ju] = off
         delta[ju, iu] = off.conj()
-        return delta, float(g_real @ x)
+        return delta
 
-    def certificates(self, sigma: np.ndarray, mu: float):
-        """Primal/dual bounds from the current interior point.
+    def direction(self, scal, schur: np.ndarray, shift=None):
+        """Search direction for the scaled complementarity equation
+        Lam o (dS~ + dZ~) = Lam o (shift - Lam), with X o Y = (XY + YX)/2.
 
-        The dual candidate mu * inverse(slack) is whitened so that its
-        partial trace over the target is the identity, then scaled down
-        so that residual rounding cannot push it above the identity:
-        tr_A[W] <= 1 is all weak duality needs, so the bound is sound at
-        any iterate.  The whole pipeline runs in extended precision;
-        near the optimum the slack is nearly singular and a double
-        precision inverse would put a 1e-7-bit floor under the gap.
+        dS~ = G^-1 (1 (x) dsigma) G^-H and dZ~ = shift - Lam - dS~, and the
+        dual step dZ = G^H dZ~ G restores sum_x tr_A (Z_x + dZ_x) = 1.
+        Since G^H Lam G = Z, dsigma solves the Schur system with right
+        side -1 + sum_x tr_A[G^H shift_x G]: just -1 for the predictor,
+        whose shift is zero.  Returns dsigma and (dS~, dZ~) per group.
         """
         d = self.d_b
-        mults = ([1] * len(self.flat) if self.flat is not None else []) \
-            + [m for m, _ in self.big]
-        blocks = (list(self.flat) if self.flat is not None else []) \
-            + [b for _, b in self.big]
-        sig_ld = sigma.astype(np.clongdouble)
-        inverses = []
-        for m, b in zip(mults, blocks):
-            slack = np.kron(np.eye(m), sig_ld) - b.astype(np.clongdouble)
-            inverses.append(_inv_ld(0.5 * (slack + slack.conj().T)))
-        t = np.zeros((d, d), dtype=np.clongdouble)
-        for m, inv in zip(mults, inverses):
-            t += mu * np.einsum("aiaj->ij", inv.reshape(m, d, m, d))
-        t_m12 = _inv_sqrt_ld(t)
-        witness = []
-        for m, inv in zip(mults, inverses):
-            c = np.kron(np.eye(m), t_m12)
-            w = mu * (c @ inv @ c)
-            witness.append(0.5 * (w + w.conj().T))
-        t_check = sum(np.einsum("aiaj->ij", w.reshape(m, d, m, d))
-                      for m, w in zip(mults, witness))
-        top = float(np.linalg.eigvalsh(
-            (0.5 * (t_check + t_check.conj().T)).astype(complex)).max())
+        rhs = -np.eye(d, dtype=complex)
+        if shift is not None:
+            for (m, _), (gi, _, _), sh in zip(self.groups, scal, shift):
+                rhs += _ptrace(m, d, _ct(gi) @ sh @ gi)
+        dsigma = self.solve(schur, _herm(rhs))
+        dirs = []
+        for k, ((m, _), (gi, lam, _)) in enumerate(zip(self.groups, scal)):
+            ds = _herm(gi @ _lift(m, dsigma) @ _ct(gi))
+            dz = -ds - _diag(lam)
+            if shift is not None:
+                dz += shift[k]
+            dirs.append((ds, dz))
+        return dsigma, dirs
+
+    @staticmethod
+    def max_steps(scal, dirs):
+        """Largest primal and dual steps t with Lam + t dS~ >= 0 and
+        Lam + t dZ~ >= 0, from one eigvalsh of every block scaled by
+        Lam^-1/2 on both sides."""
+        steps = [math.inf, math.inf]
+        for (_, lam, _), (ds, dz) in zip(scal, dirs):
+            r = 1.0 / np.sqrt(lam)
+            w = r[..., :, None] * r[..., None, :]
+            low = np.linalg.eigvalsh(np.concatenate([ds * w, dz * w]))[:, 0]
+            for i, part in enumerate((low[:len(lam)], low[len(lam):])):
+                worst = float(part.min())
+                if worst < 0.0:
+                    steps[i] = min(steps[i], -1.0 / worst)
+        return steps
+
+    def iterate(self, sigma: np.ndarray, z, scal):
+        """One Mehrotra predictor-corrector step from (sigma; Z) with its
+        scaling.  Both Schur solves share one Schur matrix."""
+        schur = self.schur(scal)
+        _, dirs = self.direction(scal, schur)
+        tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(scal, dirs))
+        mu = sum(float((lam ** 2).sum()) for _, lam, _ in scal) / self.size
+        mu_aff = sum(float(np.vdot(_diag(lam) + tp * ds, _diag(lam) + td * dz).real)
+                     for (_, lam, _), (ds, dz) in zip(scal, dirs)) / self.size
+        target = min(1.0, max(mu_aff, 0.0) / mu) ** 3 * mu
+        shift = []
+        for (_, lam, _), (ds, dz) in zip(scal, dirs):
+            cross = ds @ dz
+            shift.append(_diag(target / lam)
+                         - (cross + _ct(cross)) / (lam[..., :, None] + lam[..., None, :]))
+        dsigma, dirs = self.direction(scal, schur, shift)
+        tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(scal, dirs))
+        z = [_herm(zg + td * (_ct(gi) @ dz @ gi))
+             for zg, (gi, _, _), (_, dz) in zip(z, scal, dirs)]
+        return sigma + tp * dsigma, z
+
+    def certificates(self, sigma: np.ndarray, z):
+        """Primal and dual bounds at (sigma; Z).
+
+        The primal bound tr(sigma) stands once every slack passes
+        Cholesky (else LinAlgError).  The dual witness is Z itself,
+        whitened in extended precision so that its partial traces sum to
+        the identity, then scaled down so that residual rounding cannot
+        push that sum above the identity: tr_A[W] <= 1 is all weak
+        duality needs.  Each witness block must pass Cholesky; if one
+        does not there is no dual bound, reported as zero.
+        """
+        d = self.d_b
+        for s in self.slacks(sigma):
+            np.linalg.cholesky(s)
+        mults = [m for m, _ in self.groups]
+        zs = [zg.astype(np.clongdouble) for zg in z]
+        t_m12 = _inv_sqrt_ld(sum(_ptrace(m, d, zl) for m, zl in zip(mults, zs)))
+        witness = [_herm(_lift(m, t_m12) @ zl @ _lift(m, t_m12)) for m, zl in zip(mults, zs)]
+        t_check = sum(_ptrace(m, d, w) for m, w in zip(mults, witness))
+        top = float(np.linalg.eigvalsh(_herm(t_check).astype(complex)).max())
         scale = max(1.0, top + 1e-14 * max(1.0, abs(top)))
         witness = [w / scale for w in witness]
-        dual = float(sum((w @ b.astype(np.clongdouble)).trace().real
-                         for w, b in zip(witness, blocks)))
+        dual = float(sum((w.conj() * rho.astype(np.clongdouble)).sum().real
+                         for w, (_, rho) in zip(witness, self.groups)))
         witness = [w.astype(complex) for w in witness]
-        return float(sigma.trace().real), dual, witness
+        try:
+            for w in witness:
+                np.linalg.cholesky(w)
+        except np.linalg.LinAlgError:
+            return float(sigma.trace().real), 0.0, None
+        return float(sigma.trace().real), dual, [blk for w in witness for blk in w]
 
 
-MU_FLOOR = 1e-19
-# mu shrinks by this factor after each centring
-MU_FACTOR = 0.1
-
-
-def _certify(kernel: _SdpKernel, sigma: np.ndarray, mu: float, steps: int) -> EntropyResult:
-    primal, dual, witness = kernel.certificates(sigma, mu)
+def _certify(kernel: _SdpKernel, sigma: np.ndarray, z, steps: int) -> EntropyResult:
+    primal, dual, witness = kernel.certificates(sigma, z)
     lower = -math.log2(primal)
     upper = -math.log2(dual) if dual > 0 else math.inf
-    return EntropyResult(lower, lower, max(upper, lower), SDP, steps,
-                         sigma=sigma.copy(), witness=tuple(witness))
+    return EntropyResult(lower, lower, max(upper, lower), SDP, steps, sigma=sigma.copy(),
+                         witness=tuple(witness) if witness is not None else None)
 
 
 def _solve_hmin(blocks, d_b: int, gap: float) -> EntropyResult:
     kernel = _SdpKernel(blocks, d_b)
-    sigma = (1.0 + kernel.lam_max) * np.eye(d_b, dtype=complex)
-    mu = 1.0
-    steps = 0
+    sigma, z = kernel.start()
+    # the last iterate whose slacks and Z_x all passed Cholesky; the
+    # start is strictly feasible by construction
+    last = (sigma, z, 0)
     best: EntropyResult | None = None
-    # the dual certificate degrades in proportion to the residual Newton
-    # decrement, so certifying small gaps needs a tighter inner loop
-    newton_tol = min(NEWTON_TOL, 0.01 * gap)
     try:
-        for _ in range(MAX_OUTER):
-            last = math.inf
-            _, f0 = kernel.barrier(sigma, mu)
-            for _ in range(MAX_INNER):
-                delta, desc = kernel.newton_step(sigma, mu)
-                decrement = math.sqrt(max(-desc, 0.0))
-                # The barrier over mu is self-concordant: once decrement /
-                # sqrt(mu) is at most 1/4, each full Newton step more than
-                # halves the decrement.  When it stops halving, rounding has
-                # put a floor under it and more steps are wasted.
-                if desc >= 0 or decrement < newton_tol or decrement > 0.5 * last:
-                    break
-                last = decrement if decrement <= 0.25 * math.sqrt(mu) else math.inf
-                t = 1.0
-                while t > 1e-13:
-                    ok, f1 = kernel.barrier(sigma + t * delta, mu)
-                    if ok and f1 <= f0 + 0.25 * t * desc:
-                        break
-                    t *= 0.5
-                if t <= 1e-13:
-                    break  # rounding stalls the line search; sigma is as central as it gets
-                sigma, f0 = sigma + t * delta, f1
-                steps += 1
-            # At the centre for mu the certified bracket is mu * size /
-            # (tr(sigma) ln 2) bits wide; the extended-precision
-            # certificate runs only once that estimate meets the request.
-            estimate = mu * kernel.size / (float(sigma.trace().real) * math.log(2.0))
-            if estimate <= gap:
-                result = _certify(kernel, sigma, mu, steps)
+        for it in range(MAX_OUTER + 1):
+            scal = kernel.scaling(sigma, z)
+            last = (sigma, z, it)
+            # the duality gap is real at every iterate, so the
+            # extended-precision certificate runs once it meets the request
+            dual = kernel.dual_value(z)
+            if dual > 0 and math.log2(float(sigma.trace().real) / dual) <= 0.5 * gap:
+                result = _certify(kernel, sigma, z, it)
                 if best is None or result.gap < best.gap:
                     best = result
                 if best.gap <= gap:
                     return best
-            if mu * MU_FACTOR < MU_FLOOR:
+            if it == MAX_OUTER:
                 break
-            mu *= MU_FACTOR
+            sigma, z = kernel.iterate(sigma, z, scal)
     except np.linalg.LinAlgError:
-        pass  # slack numerically singular; certify the last feasible iterate
-    if best is None or best.iterations < steps:
-        result = _certify(kernel, sigma, mu, steps)
+        pass  # a slack or Z_x failed Cholesky; certify the last iterate that passed
+    if best is None or best.iterations < last[2]:
+        result = _certify(kernel, *last)
         if best is None or result.gap < best.gap:
             best = result
     if best.gap <= gap:

@@ -363,11 +363,16 @@ class MatrixFamily:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MatrixFamily":
+        n = d["n"]
+        if not isinstance(n, int):
+            raise ValueError(f"family size n must be an integer, got {n!r}")
         mats = []
         for rows in d["matrices"]:
-            bits = tuple(int(row[::-1], 2) for row in rows)
-            mats.append(BitMatrix(len(rows), len(rows[0]), bits))
-        return cls(d["n"], d["m"], d["r"], d["construction"], tuple(mats))
+            # length checks only: this runs on every extraction
+            if not isinstance(rows, list) or len(rows) != n or set(map(len, rows)) != {n}:
+                raise ValueError(f"family matrices must be lists of {n} rows of {n} bits")
+            mats.append(BitMatrix(n, n, tuple(int(row[::-1], 2) for row in rows)))
+        return cls(n, d["m"], d["r"], d["construction"], tuple(mats))
 
 
 def build_field_family(n: int, m: int) -> MatrixFamily:

@@ -133,6 +133,19 @@ class DensityOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _derived(cls, systems, matrix: np.ndarray) -> "DensityOperator":
+        """Operator made from a checked one by a map that keeps every
+        invariant the public constructor checks (a reordering of the
+        factors, a partial trace), so those checks, a full eigvalsh
+        among them, are skipped."""
+        rho = object.__new__(cls)
+        mat = np.ascontiguousarray(matrix, dtype=complex)
+        mat.setflags(write=False)
+        object.__setattr__(rho, "systems", tuple(systems))
+        object.__setattr__(rho, "matrix", mat)
+        return rho
+
     def _check_classical_diagonal(self, mat: np.ndarray) -> None:
         dims = self.dims
         t = mat.reshape(dims + dims)
@@ -199,7 +212,7 @@ def permute_systems(rho: DensityOperator, order) -> DensityOperator:
     t = np.transpose(t, perm + [k + p for p in perm])
     dim = rho.dim
     systems = tuple(rho.systems[p] for p in perm)
-    return DensityOperator(systems, t.reshape(dim, dim))
+    return DensityOperator._derived(systems, t.reshape(dim, dim))
 
 
 def partial_trace(rho: DensityOperator, drop) -> DensityOperator:
@@ -215,7 +228,7 @@ def partial_trace(rho: DensityOperator, drop) -> DensityOperator:
     dd = rho.dim // dk
     t = rho.matrix.reshape(dk, dd, dk, dd)
     out = np.einsum("iaja->ij", t)
-    return DensityOperator(tuple(rho.systems[:len(keep)]), out)
+    return DensityOperator._derived(rho.systems[:len(keep)], out)
 
 
 def purify(rho: DensityOperator, ref_name: str | None = None) -> DensityOperator:
@@ -436,8 +449,21 @@ def _matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, dtype=complex)]
 
 
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _matrix_from_json(rows, shape: tuple[int, int]) -> np.ndarray:
+    """Complex matrix of the given shape from rows of [re, im] pairs."""
+    pairs = np.array(rows, dtype=float)
+    if pairs.shape != (*shape, 2):
+        raise ValueError(f"matrix must be {shape[0]} rows of {shape[1]} [re, im] pairs")
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+def _systems_from_json(items) -> tuple[System, ...]:
+    return tuple(System(s["name"], int(s["dim"]), bool(s.get("classical", False)))
+                 for s in items)
+
+
+def _dim(systems) -> int:
+    return int(np.prod([s.dim for s in systems], dtype=np.int64))
 
 
 def state_to_json(rho: DensityOperator) -> dict:
@@ -449,12 +475,10 @@ def state_to_json(rho: DensityOperator) -> dict:
 
 
 def state_from_json(d: dict) -> DensityOperator:
-    systems = tuple(System(s["name"], int(s["dim"]), bool(s.get("classical", False)))
-                    for s in d["systems"])
-    rho = DensityOperator(systems, _matrix_from_json(d["matrix"]))
-    if systems and systems[0].classical:
-        return CqState(systems, rho.matrix)
-    return rho
+    systems = _systems_from_json(d["systems"])
+    dim = _dim(systems)
+    cls = CqState if systems and systems[0].classical else DensityOperator
+    return cls(systems, _matrix_from_json(d["matrix"], (dim, dim)))
 
 
 def instrument_to_json(inst: Instrument) -> dict:
@@ -470,11 +494,10 @@ def instrument_to_json(inst: Instrument) -> dict:
 
 
 def instrument_from_json(d: dict, outcome_name: str = "X") -> Instrument:
-    ins = tuple(System(s["name"], int(s["dim"]), bool(s.get("classical", False)))
-                for s in d["input_systems"])
-    outs = tuple(System(s["name"], int(s["dim"]), bool(s.get("classical", False)))
-                 for s in d["output_systems"])
-    kraus = tuple(tuple(_matrix_from_json(k) for k in o["kraus"]) for o in d["outcomes"])
+    ins = _systems_from_json(d["input_systems"])
+    outs = _systems_from_json(d["output_systems"])
+    shape = (_dim(outs), _dim(ins))
+    kraus = tuple(tuple(_matrix_from_json(k, shape) for k in o["kraus"]) for o in d["outcomes"])
     labels = tuple(int(o["label"]) for o in d["outcomes"])
     return Instrument(ins, outcome_name, outs, kraus, labels)
 

@@ -112,51 +112,61 @@ def _branch_blocks(inst: Instrument, rho: DensityOperator):
     return instrument_blocks(inst, permute_systems(rho, acted + rest))
 
 
-def _scenario_blocks(inst: ScenarioInstance):
-    """Exact output blocks rho_{ST and X=x, Y=y} of the scenario."""
-    tau = _branch_blocks(inst.m_inst, inst.rho_ab)  # on (S, B)
+def _scenario_blocks(inst: ScenarioInstance) -> np.ndarray:
+    """Exact output blocks rho_{ST and X=x, Y=y} of the scenario, as one
+    (2^n, 2^n, d_s d_t, d_s d_t) array indexed by [x, y]."""
+    tau = np.stack(_branch_blocks(inst.m_inst, inst.rho_ab))  # x -> on (S, B)
     d_s = inst.m_inst.output_dim
     d_b = inst.n_inst.input_dim
     d_t = inst.n_inst.output_dim
-    blocks = {}
-    for x, tx in enumerate(tau):
-        t4 = tx.reshape(d_s, d_b, d_s, d_b)
-        for y, ops in enumerate(inst.n_inst.kraus):
-            b = np.zeros((d_s * d_t, d_s * d_t), dtype=complex)
-            for k in ops:
-                kt = np.einsum("ai,risj,bj->rasb", k, t4, k.conj())
-                b += kt.reshape(d_s * d_t, d_s * d_t)
-            blocks[x, y] = b
-    return blocks
+    kraus = np.array([k for ops in inst.n_inst.kraus for k in ops]).reshape(-1, d_t, d_b)
+    owner = np.array([y for y, ops in enumerate(inst.n_inst.kraus) for _ in ops], dtype=int)
+    t5 = tau.reshape(-1, d_s, d_b, d_s, d_b)
+    half = np.einsum("kai,xrisj->xkrasj", kraus, t5)
+    per_kraus = np.einsum("xkrasj,kbj->xkrasb", half, kraus.conj())
+    # sum the Kraus terms of each outcome y
+    onehot = (owner[:, None] == np.arange(inst.n_inst.num_outcomes)).astype(float)
+    d = d_s * d_t
+    blocks = np.einsum("xkq,ky->xyq", per_kraus.reshape(len(tau), len(owner), d * d), onehot)
+    return blocks.reshape(len(tau), -1, d, d)
+
+
+def _output_index(ext: ExtractorSpec) -> np.ndarray:
+    """The extractor's output z for every pair (x, y) of n-bit blocks, as
+    a (2^n, 2^n) table; entry [x, y] equals ``ext.apply_ints(x, y)``."""
+    vals = np.arange(2 ** ext.n, dtype=np.uint64)
+
+    def parity(words):
+        return (np.bitwise_count(words) & 1).astype(np.int64)
+
+    if ext.kind == IP:
+        return parity(vals[:, None] & vals[None, :])
+    z = np.zeros((len(vals), len(vals)), dtype=np.int64)
+    for i, k in enumerate(ext.family.matrices):
+        rows = np.array(k.row_bits, dtype=np.uint64)
+        # K_i y for every y: bit r is the parity of row r and y
+        k_y = (parity(vals[:, None] & rows[None, :]) << np.arange(k.rows)).sum(axis=1)
+        z |= parity(vals[:, None] & k_y.astype(np.uint64)[None, :]) << i
+    return z
 
 
 def measured_epsilon(inst: ScenarioInstance) -> float:
     """Exact half trace distance of the extracted output from uniform.
 
     Strong mode keeps the Y register next to the side information; weak
-    mode marginalizes it.
+    mode marginalizes it.  One einsum sorts every block (x, y) into its
+    output value z, and one stacked eigvalsh gives every trace norm.
     """
     blocks = _scenario_blocks(inst)
-    n_vals = 2 ** inst.ext.n
     m_vals = 2 ** inst.ext.m
-    d = inst.m_inst.output_dim * inst.n_inst.output_dim
-    total = 0.0
+    onehot = (_output_index(inst.ext)[..., None] == np.arange(m_vals)).astype(float)
     if inst.strong:
-        for y in range(n_vals):
-            az = np.zeros((m_vals, d, d), dtype=complex)
-            for x in range(n_vals):
-                az[inst.ext.apply_ints(x, y)] += blocks[x, y]
-            marg = az.sum(axis=0)
-            for z in range(m_vals):
-                total += trace_norm(az[z] - marg / m_vals)
+        az = np.einsum("xyz,xyab->yzab", onehot, blocks)  # per y: z -> block
     else:
-        az = np.zeros((m_vals, d, d), dtype=complex)
-        for (x, y), b in blocks.items():
-            az[inst.ext.apply_ints(x, y)] += b
-        marg = az.sum(axis=0)
-        for z in range(m_vals):
-            total += trace_norm(az[z] - marg / m_vals)
-    return 0.5 * total
+        az = np.einsum("xyz,xyab->zab", onehot, blocks)[None]
+    diff = az - az.sum(axis=1, keepdims=True) / m_vals
+    vals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().swapaxes(-1, -2)))
+    return 0.5 * float(np.abs(vals).sum())
 
 
 def scenario_entropies(inst: ScenarioInstance, gap: float = DEFAULT_GAP):

@@ -289,16 +289,16 @@ class TestSolverFailureExit:
 
         import qextract.entropy as ent
 
-        real = ent._SdpKernel.inverses
+        real = ent._SdpKernel.scaling
         calls = []
 
-        def failing_once(self, sigma):
+        def failing_once(self, sigma, z):
             calls.append(1)
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("singular slack matrix")
-            return real(self, sigma)
+            return real(self, sigma, z)
 
-        monkeypatch.setattr(ent._SdpKernel, "inverses", failing_once)
+        monkeypatch.setattr(ent._SdpKernel, "scaling", failing_once)
         code, stdout, _ = run(capsys, "entropy", "--kind", "hmin",
                               "--state", f"{FIXTURES}/counterexample_eta.json",
                               "--target", "X", "--condition", "B")
@@ -337,6 +337,57 @@ class TestNonUtf8Input:
                            "--state", f"{FIXTURES}/maximally_entangled.json",
                            "--instrument", self.garbage(tmp_path))
         assert code == 3 and "bad input data" in err
+
+
+class TestMalformedJsonShapes:
+    """A JSON input of the wrong shape is bad input data: exit 3 with one
+    error line, not an exception."""
+
+    @staticmethod
+    def write(tmp_path, name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def check(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("error: bad input data:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_state_matrix_entries_not_pairs(self, capsys, tmp_path):
+        state = self.write(tmp_path, "s.json",
+                           {"systems": [{"name": "A", "dim": 1}], "matrix": [[1]]})
+        self.check(capsys, "entropy", "--kind", "hmin", "--state", state)
+
+    def test_state_matrix_row_count(self, capsys, tmp_path):
+        for matrix in ([[[0.5, 0.0]]], [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], 1.0):
+            state = self.write(tmp_path, "s.json",
+                               {"systems": [{"name": "A", "dim": 2}], "matrix": matrix})
+            self.check(capsys, "entropy", "--kind", "hinf", "--state", state)
+
+    def test_state_not_positive(self, capsys, tmp_path):
+        state = self.write(tmp_path, "s.json", {"systems": [{"name": "A", "dim": 1}],
+                                                "matrix": [[[-1.0, 0.0]]]})
+        self.check(capsys, "entropy", "--kind", "hmin", "--state", state)
+
+    def test_instrument_kraus_shape(self, capsys, tmp_path):
+        inst = self.write(tmp_path, "i.json", {
+            "input_systems": [{"name": "B", "dim": 2}], "output_systems": [],
+            "outcomes": [{"label": 0, "kraus": [[[[1.0, 0.0]]]]}]})
+        self.check(capsys, "entropy", "--kind", "k2",
+                   "--state", f"{FIXTURES}/maximally_entangled.json", "--instrument", inst)
+
+    def test_family_empty_row_list(self, capsys, tmp_path):
+        x = tmp_path / "x.bin"
+        x.write_bytes(b"\x00" * 8)
+        for matrices in ([[]], [["101", "01", "110"]], [["101", "011"]], [[[1, 0, 1]] * 3]):
+            fam = self.write(tmp_path, "f.json", {"n": 3, "m": 1, "r": 0,
+                                                  "construction": "field-mult",
+                                                  "matrices": matrices})
+            self.check(capsys, "extract", "--family", fam, "--x", str(x), "--y", str(x),
+                       "--blocks", "1", "--out", str(tmp_path / "out.bin"))
+        assert not (tmp_path / "out.bin").exists()
 
 
 class TestFixtureFreshness:

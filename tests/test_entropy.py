@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_psd
+from conftest import rand_herm, rand_psd
 from qextract.entropy import (
     CLOSED_FORM,
     SDP,
@@ -167,16 +167,16 @@ class TestHMin:
     def test_singular_slack_in_first_iteration_reports_bracket(self, monkeypatch):
         import qextract.entropy as ent
 
-        real = ent._SdpKernel.inverses
+        real = ent._SdpKernel.scaling
         calls = []
 
-        def failing_once(self, sigma):
+        def failing_once(self, sigma, z):
             calls.append(1)
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("singular slack matrix")
-            return real(self, sigma)
+            return real(self, sigma, z)
 
-        monkeypatch.setattr(ent._SdpKernel, "inverses", failing_once)
+        monkeypatch.setattr(ent._SdpKernel, "scaling", failing_once)
         rho = random_cq_state(np.random.default_rng(5), 3, 3)
         with pytest.raises(SolverConvergenceError) as exc:
             h_min(rho, ["Z"], ["E"], gap=1e-8)
@@ -206,7 +206,7 @@ def _solver_cases():
 
 
 class TestSolverSchedule:
-    """The certificate runs once the barrier's own gap estimate meets the
+    """The certificate runs once the duality gap of the iterate meets the
     request, so a converged solve certifies once, or twice after a miss."""
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-8])
@@ -216,52 +216,67 @@ class TestSolverSchedule:
         real = ent._SdpKernel.certificates
         calls = []
 
-        def counting(self, sigma, mu):
+        def counting(self, sigma, z):
             calls.append(1)
-            return real(self, sigma, mu)
+            return real(self, sigma, z)
 
         monkeypatch.setattr(ent._SdpKernel, "certificates", counting)
         for rho, target, condition in _solver_cases():
             calls.clear()
             res = h_min(rho, target, condition, gap=gap)
             assert len(calls) <= 2
-            # up to 80 here; a centring that ignored the rounding floor of
-            # the Newton decrement could spend 60 steps on it
-            assert res.iterations <= 120
+            # up to 17 predictor-corrector iterations here
+            assert res.iterations <= 30
             assert res.lower <= res.value <= res.upper
             assert res.gap <= gap
             tight = h_min(rho, target, condition, gap=gap / 100)
             assert abs(res.value - tight.value) <= gap
 
+    def test_every_case_converges_at_gap_1e_10(self):
+        for rho, target, condition in _solver_cases():
+            res = h_min(rho, target, condition, gap=1e-10)
+            assert res.lower <= res.value <= res.upper
+            assert res.gap <= 1e-10
 
-def _newton_oracle(blocks, sigma, mu):
-    """Newton step of the barrier from the complex d^2 x d^2 system,
-    assembled by applying the Hessian to each matrix unit."""
+
+def _nt_oracle(blocks, sigma, zs, rhs):
+    """Schur direction from the complex d^2 x d^2 system, assembled by
+    applying D -> sum_x tr_A[W_x^-1 (1 (x) D) W_x^-1] to each matrix
+    unit, with the Nesterov-Todd point
+    W^-1 = S^-1/2 (S^1/2 Z S^1/2)^1/2 S^-1/2 from eigendecompositions."""
     d = sigma.shape[0]
-    invs = [(m, np.linalg.inv(np.kron(np.eye(m), sigma) - b)) for m, b in blocks]
+
+    def power(mat, p):
+        vals, vecs = np.linalg.eigh(mat)
+        return (vecs * vals ** p) @ vecs.conj().T
+
+    winvs = []
+    for (m, b), z in zip(blocks, zs):
+        s = np.kron(np.eye(m), sigma) - b
+        s_half, s_mhalf = power(s, 0.5), power(s, -0.5)
+        winvs.append((m, s_mhalf @ power(s_half @ z @ s_half, 0.5) @ s_mhalf))
 
     def ptrace(m, mat):
         return np.einsum("aiaj->ij", mat.reshape(m, d, m, d))
 
-    grad = np.eye(d) - mu * sum(ptrace(m, u) for m, u in invs)
-    hess = np.zeros((d * d, d * d), dtype=complex)
+    schur = np.zeros((d * d, d * d), dtype=complex)
     for col in range(d * d):
         unit = np.zeros(d * d, dtype=complex)
         unit[col] = 1.0
         unit = unit.reshape(d, d)
-        hess[:, col] = mu * sum(ptrace(m, u @ np.kron(np.eye(m), unit) @ u)
-                                for m, u in invs).reshape(-1)
-    delta = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d, d)
-    return 0.5 * (delta + delta.conj().T), grad
+        schur[:, col] = sum(ptrace(m, w @ np.kron(np.eye(m), unit) @ w)
+                            for m, w in winvs).reshape(-1)
+    delta = np.linalg.solve(schur, rhs.reshape(-1)).reshape(d, d)
+    return 0.5 * (delta + delta.conj().T)
 
 
-class TestRealFormNewtonStep:
+class TestSchurDirection:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 5),
            mults=st.lists(st.integers(1, 3), min_size=1, max_size=4),
-           mu=st.floats(1e-6, 1.0))
-    def test_matches_complex_solve(self, seed, d, mults, mu):
-        from qextract.entropy import _SdpKernel
+           corrector=st.booleans())
+    def test_matches_complex_solve(self, seed, d, mults, corrector):
+        from qextract.entropy import _ptrace, _SdpKernel
 
         r = np.random.default_rng(seed)
         sigma = rand_psd(r, d, float(d))
@@ -269,12 +284,30 @@ class TestRealFormNewtonStep:
         blocks = [(m, np.kron(np.eye(m), sigma)
                    - (rand_psd(r, m * d, float(m * d)) + 0.1 * np.eye(m * d)))
                   for m in mults]
+        # dual blocks that are positive definite but not dual feasible
+        zs = [rand_psd(r, m * d, float(m)) + 0.1 * np.eye(m * d) for m in mults]
         kernel = _SdpKernel(blocks, d)
-        delta, desc = kernel.newton_step(sigma, mu)
-        expect, grad = _newton_oracle(blocks, sigma, mu)
-        assert np.abs(delta - delta.conj().T).max() == 0.0
-        assert np.linalg.norm(delta - expect) <= 1e-9 * np.linalg.norm(expect)
-        assert desc == pytest.approx(float(np.vdot(grad, expect).real), rel=1e-9)
+        # the kernel's groups: every multiplicity-1 block stacked, then the rest
+        order = [i for i, m in enumerate(mults) if m == 1] \
+            + [i for i, m in enumerate(mults) if m > 1]
+        z = ([np.stack([zs[i] for i in order if mults[i] == 1])] if 1 in mults else []) \
+            + [zs[i][None] for i in order if mults[i] > 1]
+        scal = kernel.scaling(sigma, z)
+        shift = None
+        rhs = -np.eye(d, dtype=complex)
+        if corrector:
+            shift = [rand_herm(r, g.shape[-1]) * np.ones((len(g), 1, 1)) for g in z]
+            for (m, _), (gi, _, _), sh in zip(kernel.groups, scal, shift):
+                rhs += _ptrace(m, d, gi.conj().swapaxes(-1, -2) @ sh @ gi)
+        dsigma, dirs = kernel.direction(scal, kernel.schur(scal), shift)
+        expect = _nt_oracle([blocks[i] for i in order], sigma, [zs[i] for i in order], rhs)
+        assert np.abs(dsigma - dsigma.conj().T).max() == 0.0
+        assert np.linalg.norm(dsigma - expect) <= 1e-9 * np.linalg.norm(expect)
+        # the dual step G^H dZ~ G restores sum_x tr_A Z_x = 1
+        residual = np.eye(d) - sum(_ptrace(m, d, zg) for (m, _), zg in zip(kernel.groups, z))
+        moved = sum(_ptrace(m, d, gi.conj().swapaxes(-1, -2) @ dz @ gi)
+                    for (m, _), (gi, _, _), (_, dz) in zip(kernel.groups, scal, dirs))
+        assert np.linalg.norm(moved - residual) <= 1e-9 * np.linalg.norm(residual)
 
 
 class TestPGuess:

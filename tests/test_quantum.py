@@ -87,6 +87,38 @@ class TestValidation:
             CqState((System("A", 2),), np.eye(2) / 2)
 
 
+class TestDerivedOperators:
+    """permute_systems and partial_trace skip the constructor's checks;
+    the public constructor and the JSON boundary keep them."""
+
+    def test_derived_results_pass_the_public_checks(self, rng):
+        x, a, b = System("X", 3, classical=True), System("A", 2), System("B", 2)
+        for _ in range(10):
+            rho = CqState.from_blocks(x, (a, b), [rand_psd(rng, 4, 1.0 / 3) for _ in range(3)])
+            for out in (permute_systems(rho, ["B", "X", "A"]), partial_trace(rho, ["A"]),
+                        partial_trace(rho, ["X", "B"])):
+                checked = DensityOperator(out.systems, out.matrix)
+                assert np.array_equal(checked.matrix, out.matrix)
+                assert not out.matrix.flags.writeable
+
+    def test_malformed_state_fails_at_both_boundaries(self):
+        bad = {"not PSD": np.diag([1.2, -0.2]),
+               "not Hermitian": np.array([[0.5, 0.3], [0.0, 0.5]]),
+               "trace above one": np.eye(2),
+               "classical off-diagonal": np.array([[0.5, 0.1], [0.1, 0.5]])}
+        for what, mat in bad.items():
+            systems = (System("A", 2, classical=what == "classical off-diagonal"),)
+            with pytest.raises(ValueError):
+                DensityOperator(systems, mat)
+            doc = {"systems": [{"name": "A", "dim": 2, "classical": systems[0].classical}],
+                   "matrix": [[[float(v.real), float(v.imag)] for v in row]
+                              for row in np.asarray(mat, dtype=complex)]}
+            with pytest.raises(ValueError):
+                state_from_json(doc)
+        with pytest.raises(ValueError, match="rows"):
+            state_from_json({"systems": [{"name": "A", "dim": 2}], "matrix": [[1]]})
+
+
 class TestTensorPartialTrace:
     def test_round_trip(self, rng):
         rho = DensityOperator((System("A", 3),), rand_psd(rng, 3))

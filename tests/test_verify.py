@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qextract.entropy import h_min_blocks
 from qextract.extractor import DEOR, IP, ExtractorSpec
-from qextract.gf2 import BitMatrix, MatrixFamily
-from qextract.quantum import CqState, DensityOperator, Instrument, System
+from qextract.gf2 import BitMatrix, MatrixFamily, build_circulant_family, build_field_family
+from qextract.quantum import CqState, DensityOperator, Instrument, System, trace_norm
 from qextract.verify import (
     MARKOV_COUNTEREXAMPLE_HMIN,
     MARKOV_EXTENSION_HMIN,
     ScenarioInstance,
+    _branch_blocks,
     alt_model_roundtrip_error,
     build_eta_nu,
     check_deor_bound,
@@ -82,6 +85,64 @@ class TestMeasuredEpsilon:
                 inst.rho_ab, _trace_out_side(inst.m_inst), inst.n_inst,
                 inst.ext, strong=False)
             assert measured_epsilon(dropped) <= measured_epsilon(inst) + 1e-9
+
+
+def loop_epsilon(inst: ScenarioInstance) -> float:
+    """Loop oracle for ``measured_epsilon``: one einsum per (x, y, Kraus
+    operator), one ``apply_ints`` call per (x, y), one trace norm per
+    output value."""
+    tau = _branch_blocks(inst.m_inst, inst.rho_ab)  # on (S, B)
+    d_s = inst.m_inst.output_dim
+    d_b = inst.n_inst.input_dim
+    d_t = inst.n_inst.output_dim
+    blocks = {}
+    for x, tx in enumerate(tau):
+        t4 = tx.reshape(d_s, d_b, d_s, d_b)
+        for y, ops in enumerate(inst.n_inst.kraus):
+            b = np.zeros((d_s * d_t, d_s * d_t), dtype=complex)
+            for k in ops:
+                kt = np.einsum("ai,risj,bj->rasb", k, t4, k.conj())
+                b += kt.reshape(d_s * d_t, d_s * d_t)
+            blocks[x, y] = b
+    n_vals = 2 ** inst.ext.n
+    m_vals = 2 ** inst.ext.m
+    d = d_s * d_t
+    total = 0.0
+    if inst.strong:
+        for y in range(n_vals):
+            az = np.zeros((m_vals, d, d), dtype=complex)
+            for x in range(n_vals):
+                az[inst.ext.apply_ints(x, y)] += blocks[x, y]
+            marg = az.sum(axis=0)
+            for z in range(m_vals):
+                total += trace_norm(az[z] - marg / m_vals)
+    else:
+        az = np.zeros((m_vals, d, d), dtype=complex)
+        for (x, y), b in blocks.items():
+            az[inst.ext.apply_ints(x, y)] += b
+        marg = az.sum(axis=0)
+        for z in range(m_vals):
+            total += trace_norm(az[z] - marg / m_vals)
+    return 0.5 * total
+
+
+FAMILIES = [build_field_family(2, 1), build_field_family(2, 2), build_field_family(3, 1),
+            build_field_family(3, 2), build_circulant_family(3, 1),
+            build_circulant_family(3, 2)]
+
+
+class TestBatchedEpsilon:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), family=st.sampled_from([None] + FAMILIES),
+           n_bits=st.integers(1, 3), strong=st.booleans(), split_kraus=st.booleans())
+    def test_matches_loop_oracle(self, seed, family, n_bits, strong, split_kraus):
+        ext = None if family is None else ExtractorSpec(DEOR, family.n, family.m, family)
+        inst = gen_random_instance(seed, n_bits=n_bits, ext=ext, strong=strong)
+        if split_kraus:
+            # several Kraus operators per outcome y
+            inst = ScenarioInstance(inst.rho_ab, inst.m_inst, _trace_out_side(inst.n_inst),
+                                    inst.ext, strong=strong)
+        assert measured_epsilon(inst) == pytest.approx(loop_epsilon(inst), abs=1e-12)
 
 
 def _trace_out_side(inst: Instrument) -> Instrument:
