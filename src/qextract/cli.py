@@ -96,7 +96,7 @@ def _load_input(path: str, build):
         data = json.load(f)
     try:
         return build(data)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise BadInputError(f"{path}: {exc}") from exc
 
 
@@ -313,6 +313,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    except RuntimeError as exc:
+        # a solver failure outside cmd_entropy, which prints its bracket;
+        # entropy is imported here only, as extract never needs it
+        from .entropy import SolverConvergenceError
+
+        if not isinstance(exc, SolverConvergenceError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -121,23 +121,15 @@ def simulate_sv_exact(spec: SvSourceSpec, max_bits: int = 8) -> CqState:
         raise ValueError(f"exact mode supports at most {max_bits} steps")
     init = spec.initial_blocks()
     d_e = init[0].shape[0]
-    # state[prefix] has shape (d_r, d_e, d_e)
-    state = {0: np.stack(init)}
-    for i, step in enumerate(spec.steps):
-        nxt = {}
-        for prefix, arr in state.items():
-            # arr[r, :, :] -> kernel[x, r', r] arr[r]
-            moved = np.einsum("xsr,rab->xsab", step.kernel, arr)
-            for x in (0, 1):
-                nxt[(prefix << 1) | x] = moved[x]
-        state = nxt
-    n = spec.n
-    # the accumulator key holds bit i at position n-1-i; the register index
-    # packs bit i of the string at position i, so look up the bit-reverse
-    blocks = [state[int(f"{v:0{n}b}"[::-1], 2) if n > 1 else v].sum(axis=0)
-              for v in range(2 ** n)]
-    return CqState.from_blocks(System("Xn", 2 ** n, classical=True),
-                               (System("E", d_e),), blocks)
+    # state[v] has shape (d_r, d_e, d_e) for the emitted prefix v, bit i
+    # of the string at bit i of v: each step's bit x becomes the high bit
+    state = np.stack(init)[None]
+    for step in spec.steps:
+        # kernel[x, r', r] state[v, r] -> state[x 2^i + v, r']
+        state = np.einsum("xsr,vrab->xvsab", step.kernel, state).reshape(
+            -1, step.d_out, d_e, d_e)
+    return CqState.from_blocks(System("Xn", 2 ** spec.n, classical=True),
+                               (System("E", d_e),), state.sum(axis=1))
 
 
 def exact_bit_marginal(spec: SvSourceSpec) -> np.ndarray:

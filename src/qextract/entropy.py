@@ -497,6 +497,11 @@ def _solve_hmin(blocks, d_b: int, gap: float) -> EntropyResult:
     raise SolverConvergenceError(best)
 
 
+def _check_gap(gap: float) -> None:
+    if not gap > 0:  # NaN too
+        raise ValueError(f"gap must be positive, got {gap!r}")
+
+
 def h_min(rho: DensityOperator, target, condition=(), gap: float = DEFAULT_GAP) -> EntropyResult:
     """Conditional min-entropy via SDP with a certified bracket.
 
@@ -504,8 +509,7 @@ def h_min(rho: DensityOperator, target, condition=(), gap: float = DEFAULT_GAP) 
     on the true entropy); ``upper`` comes from the dual witness and
     ``upper - lower <= gap`` on successful solves.
     """
-    if gap <= 0:
-        raise ValueError("gap must be positive")
+    _check_gap(gap)
     rho, n_t = _partition(rho, target, condition)
     blocks, d_b = _blocks(rho, n_t)
     if d_b == 1:
@@ -523,6 +527,7 @@ def h_min_blocks(blocks, gap: float = DEFAULT_GAP) -> EntropyResult:
     space for target value x.  This is the entry point used by the
     verification oracles, which assemble states blockwise.
     """
+    _check_gap(gap)
     blocks = [np.asarray(b, dtype=complex) for b in blocks]
     d_b = blocks[0].shape[0]
     if d_b == 1:

@@ -204,8 +204,8 @@ def row_table(family: MatrixFamily) -> np.ndarray:
     ``T[p, v, i]`` is the XOR, over the set bits j of the 4-bit value v, of
     row 4p + j of K_i, as ceil(n/64) little-endian words; rows past n are
     zero.  So ``K_i^T x`` is the XOR over p of ``T[p, nibble p of x, i]``.
-    Shape ``(ceil(n/4), 16, m, ceil(n/64))``, about n^2 m / 2 bytes: half
-    the size of the family's JSON text, which spells out every entry.
+    Shape ``(ceil(n/4), 16, m, ceil(n/64))``, about n^2 m / 2 bytes, which
+    ``gf2.MAX_FAMILY_ENTRIES`` caps at 1 GiB.
     """
     n, m = family.n, family.m
     nw, nibbles = -(-n // 64), -(-n // 4)

@@ -321,6 +321,8 @@ class MatrixFamily:
     matrices: tuple[BitMatrix, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
+        if self.n < 1 or self.m < 1:
+            raise ValueError(f"family needs n >= 1 and m >= 1, got n={self.n}, m={self.m}")
         if self.m != len(self.matrices):
             raise ValueError("family size does not match matrix count")
         for k in self.matrices:
@@ -352,27 +354,32 @@ class MatrixFamily:
         return all(rank_gf2(self.span(s)) >= self.n - self.r for s in selectors)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "r": self.r,
-            "construction": self.construction,
-            "matrices": [["".join(str((row >> j) & 1) for j in range(k.cols))
-                          for row in k.row_bits] for k in self.matrices],
-        }
+        """The family's name: the loader rebuilds the matrices from it."""
+        return {"n": self.n, "m": self.m, "r": self.r, "construction": self.construction}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MatrixFamily":
-        n = d["n"]
-        if not isinstance(n, int):
-            raise ValueError(f"family size n must be an integer, got {n!r}")
-        mats = []
-        for rows in d["matrices"]:
-            # length checks only: this runs on every extraction
-            if not isinstance(rows, list) or len(rows) != n or set(map(len, rows)) != {n}:
-                raise ValueError(f"family matrices must be lists of {n} rows of {n} bits")
-            mats.append(BitMatrix(n, n, tuple(int(row[::-1], 2) for row in rows)))
-        return cls(n, d["m"], d["r"], d["construction"], tuple(mats))
+        """The family that ``d`` names, rebuilt by :func:`build_family`.
+
+        A file lists no matrices: the construction is the rank proof.
+        """
+        if not isinstance(d, dict) or set(d) != {"n", "m", "r", "construction"}:
+            raise ValueError("a family file has exactly the keys n, m, r and construction "
+                             "(regenerate a file that lists matrices with gen-family)")
+        n, m, r, construction = d["n"], d["m"], d["r"], d["construction"]
+        if any(type(v) is not int for v in (n, m, r)) or not isinstance(construction, str):
+            raise ValueError(f"family n, m, r must be integers and its construction a "
+                             f"string, got {n!r}, {m!r}, {r!r}, {construction!r}")
+        fam = build_family(n, m, r)
+        if construction != fam.construction:
+            raise ValueError(f"construction {construction!r} is not the r={r} "
+                             f"construction {fam.construction!r}")
+        return fam
+
+
+# largest n * n * m that build_family accepts: the extractor's row table
+# takes about n^2 m / 2 bytes, so this caps it at 1 GiB
+MAX_FAMILY_ENTRIES = 2 ** 31
 
 
 def build_field_family(n: int, m: int) -> MatrixFamily:
@@ -395,27 +402,18 @@ def build_field_family(n: int, m: int) -> MatrixFamily:
         if (a >> n) & 1:
             a ^= mod
         powers.append(a)
-    mats = []
-    for i in range(m):
-        # column j of K_i holds the coordinates of alpha^(i+j)
-        rows = [0] * n
-        for j in range(n):
-            col = powers[i + j]
-            for k in range(n):
-                rows[k] |= ((col >> k) & 1) << j
-        mats.append(BitMatrix(n, n, tuple(rows)))
-    return MatrixFamily(n, m, 0, "field-mult", tuple(mats))
+    # Column j of K_i holds alpha^(i+j), so entry (k, j) of K_i is bit i+j
+    # of hankel[k], whose bit t is bit k of alpha^t.
+    digits = [format(a, f"0{n}b") for a in reversed(powers)]
+    hankel = [int("".join(bits), 2) for bits in zip(*digits)][::-1]
+    mask = (1 << n) - 1
+    mats = tuple(BitMatrix(n, n, tuple((h >> i) & mask for h in hankel))
+                 for i in range(m))
+    return MatrixFamily(n, m, 0, "field-mult", mats)
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def is_primitive_root_2(n: int) -> bool:
@@ -424,11 +422,8 @@ def is_primitive_root_2(n: int) -> bool:
         raise ValueError("need n >= 2")
     if not is_prime(n) or n == 2:
         return False
-    order, v = 1, 2 % n
-    while v != 1:
-        v = (v * 2) % n
-        order += 1
-    return order == n - 1
+    # the order of 2 divides n - 1; it is n - 1 unless it divides (n - 1) / q
+    return all(pow(2, (n - 1) // q, n) != 1 for q in _prime_factors(n - 1))
 
 
 def build_circulant_family(n: int, m: int) -> MatrixFamily:
@@ -448,16 +443,20 @@ def build_circulant_family(n: int, m: int) -> MatrixFamily:
     if not 1 <= m <= n - 1:
         raise FamilyConstructionError(
             f"need 1 <= m <= n-1 for the rank certificate, got m={m}, n={n}")
-    mats = []
-    for i in range(m):
-        # row k of C^i has its single 1 at column (k + i) mod n
-        rows = tuple(1 << ((k + i) % n) for k in range(n))
-        mats.append(BitMatrix(n, n, rows))
-    return MatrixFamily(n, m, 1, "circulant", tuple(mats))
+    # row k of C^i has its single 1 at column (k + i) mod n
+    mats = tuple(BitMatrix(n, n, tuple(1 << ((k + i) % n) for k in range(n)))
+                 for i in range(m))
+    return MatrixFamily(n, m, 1, "circulant", mats)
 
 
 def build_family(n: int, m: int, r: int) -> MatrixFamily:
-    """Dispatch on the requested rank deficiency r in {0, 1}."""
+    """Dispatch on the requested rank deficiency r in {0, 1}; sizes over
+    ``MAX_FAMILY_ENTRIES`` are rejected before any work that grows with n."""
+    # max(m, 1): an m <= 0 must not let a huge n through to is_prime
+    if n * n * max(m, 1) > MAX_FAMILY_ENTRIES:
+        raise FamilyConstructionError(
+            f"family of {m} {n}x{n} matrices exceeds the cap of "
+            f"{MAX_FAMILY_ENTRIES} entries")
     if r == 0:
         return build_field_family(n, m)
     if r == 1:

@@ -17,6 +17,7 @@ only (eigenvalues below 1e-12 of the largest are treated as zero).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,8 @@ class System:
     classical: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"system name must be a string, got {self.name!r}")
         if self.dim < 1:
             raise ValueError(f"system {self.name!r} needs dimension >= 1")
 
@@ -110,8 +113,8 @@ class DensityOperator:
         names = [s.name for s in systems]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate system names in {names}")
-        dim = int(np.prod([s.dim for s in systems], dtype=np.int64))
-        qdim = int(np.prod([s.dim for s in systems if not s.classical], dtype=np.int64))
+        dim = _dim(systems)
+        qdim = _dim(s for s in systems if not s.classical)
         if qdim > QUANTUM_DIM_CAP:
             raise DimensionCapError(
                 f"quantum dimension {qdim} exceeds the cap of {QUANTUM_DIM_CAP}")
@@ -292,6 +295,9 @@ class Instrument:
         object.__setattr__(self, "output_systems", tuple(self.output_systems))
         d_in = self.input_dim
         d_out = self.output_dim
+        if max(d_in, d_out) > TOTAL_DIM_CAP:
+            raise DimensionCapError(f"instrument dimension {max(d_in, d_out)} exceeds "
+                                    f"the cap of {TOTAL_DIM_CAP}")
         if not self.kraus:
             raise ValueError("instrument needs at least one outcome")
         frozen = []
@@ -317,11 +323,11 @@ class Instrument:
 
     @property
     def input_dim(self) -> int:
-        return int(np.prod([s.dim for s in self.input_systems], dtype=np.int64))
+        return _dim(self.input_systems)
 
     @property
     def output_dim(self) -> int:
-        return int(np.prod([s.dim for s in self.output_systems], dtype=np.int64) or 1)
+        return _dim(self.output_systems)
 
     @property
     def num_outcomes(self) -> int:
@@ -463,7 +469,8 @@ def _systems_from_json(items) -> tuple[System, ...]:
 
 
 def _dim(systems) -> int:
-    return int(np.prod([s.dim for s in systems], dtype=np.int64))
+    """Exact product of the dimensions (a fixed-width product could wrap)."""
+    return math.prod(s.dim for s in systems)
 
 
 def state_to_json(rho: DensityOperator) -> dict:

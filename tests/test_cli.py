@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qextract.cli import main
 
@@ -23,8 +29,8 @@ class TestGenFamily:
         payload = json.loads(stdout)
         assert payload["construction"] == "field-mult"
         fam = json.load(open(out))
-        assert fam["n"] == 8 and len(fam["matrices"]) == 8
-        assert list(fam) == ["n", "m", "r", "construction", "matrices"]
+        assert fam == {"n": 8, "m": 8, "r": 0, "construction": "field-mult"}
+        assert list(fam) == ["n", "m", "r", "construction"]
 
     def test_circulant(self, capsys, tmp_path):
         out = tmp_path / "fam.json"
@@ -39,6 +45,14 @@ class TestGenFamily:
                            "--r", "1", "--out", str(out))
         assert code == 2
         assert "not prime" in err
+        assert not out.exists()
+
+    def test_over_size_cap_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "fam.json"
+        code, _, err = run(capsys, "gen-family", "--n", "1000000007", "--m", "1",
+                           "--r", "1", "--out", str(out))
+        assert code == 2
+        assert "cap" in err
         assert not out.exists()
 
 
@@ -184,6 +198,14 @@ class TestEntropy:
         assert code == 0
         assert json.loads(stdout)["requested_gap"] == 1e-4
 
+    def test_nan_gap_from_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("QEXTRACT_GAP", "nan")
+        for kind in ("hmin", "pguess"):
+            code, stdout, err = run(capsys, "entropy", "--kind", kind,
+                                    "--state", f"{FIXTURES}/counterexample_eta.json")
+            assert code == 2, kind
+            assert stdout == "" and "gap must be positive" in err
+
     def test_plain_output(self, capsys):
         code, stdout, _ = run(capsys, "--plain", "entropy", "--kind", "hinf",
                               "--state", f"{FIXTURES}/maximally_entangled.json",
@@ -226,6 +248,24 @@ class TestVerifySuites:
             checks = json.loads(stdout)
             assert len(checks) == 4
             assert all(c.get("passed", c.get("holds")) for c in checks)
+
+    def test_bad_gap_exits_2(self, capsys):
+        for gap in ("0", "-1e-6", "nan"):
+            code, stdout, err = run(capsys, "verify", "--suite", "ip-bound",
+                                    "--count", "1", f"--gap={gap}")
+            assert code == 2, gap
+            assert stdout == "" and err.startswith("error: gap must be positive")
+
+    def test_solver_failure_exits_4(self, capsys, monkeypatch):
+        import qextract.entropy as ent
+
+        monkeypatch.setattr(ent, "MAX_OUTER", 3)
+        code, stdout, err = run(capsys, "verify", "--suite", "ip-bound",
+                                "--count", "1", "--gap", "1e-10")
+        assert code == 4
+        assert stdout == ""
+        assert err.startswith("error: solver reached gap")
+        assert len(err.strip().splitlines()) == 1
 
     def test_deterministic_given_seed(self, capsys):
         _, first, _ = run(capsys, "verify", "--suite", "xor", "--count", "6",
@@ -366,6 +406,20 @@ class TestMalformedJsonShapes:
                                {"systems": [{"name": "A", "dim": 2}], "matrix": matrix})
             self.check(capsys, "entropy", "--kind", "hinf", "--state", state)
 
+    def test_state_system_name_not_a_string(self, capsys, tmp_path):
+        state = self.write(tmp_path, "s.json", {
+            "systems": [{"name": None, "dim": 1}, {"name": "B", "dim": 1}],
+            "matrix": [[[1.0, 0.0]]]})
+        self.check(capsys, "entropy", "--kind", "hmin", "--state", state)
+
+    def test_state_numbers_out_of_range(self, capsys, tmp_path):
+        # int(inf) and float(10**400) raise OverflowError, not ValueError
+        for system, entry in (({"name": "A", "dim": float("inf")}, 1.0),
+                              ({"name": "A", "dim": 1}, 10 ** 400)):
+            state = self.write(tmp_path, "s.json",
+                               {"systems": [system], "matrix": [[[entry, 0.0]]]})
+            self.check(capsys, "entropy", "--kind", "hinf", "--state", state)
+
     def test_state_not_positive(self, capsys, tmp_path):
         state = self.write(tmp_path, "s.json", {"systems": [{"name": "A", "dim": 1}],
                                                 "matrix": [[[-1.0, 0.0]]]})
@@ -378,16 +432,103 @@ class TestMalformedJsonShapes:
         self.check(capsys, "entropy", "--kind", "k2",
                    "--state", f"{FIXTURES}/maximally_entangled.json", "--instrument", inst)
 
-    def test_family_empty_row_list(self, capsys, tmp_path):
+    def test_family_without_a_construction(self, capsys, tmp_path):
         x = tmp_path / "x.bin"
         x.write_bytes(b"\x00" * 8)
-        for matrices in ([[]], [["101", "01", "110"]], [["101", "011"]], [[[1, 0, 1]] * 3]):
-            fam = self.write(tmp_path, "f.json", {"n": 3, "m": 1, "r": 0,
-                                                  "construction": "field-mult",
-                                                  "matrices": matrices})
+        field = {"n": 3, "m": 1, "r": 0, "construction": "field-mult"}
+        for doc in (dict(field, matrices=[["000", "000", "000"]]),
+                    dict(field, matrices=[["1_0", "10+", " 11"]]),
+                    dict(field, matrices=[[]]),
+                    dict(field, construction="nonsense"),
+                    dict(field, m=0),
+                    dict(field, n="3"),
+                    {"n": 1000000007, "m": 1, "r": 1, "construction": "circulant"}):
+            fam = self.write(tmp_path, "f.json", doc)
             self.check(capsys, "extract", "--family", fam, "--x", str(x), "--y", str(x),
                        "--blocks", "1", "--out", str(tmp_path / "out.bin"))
         assert not (tmp_path / "out.bin").exists()
+
+    def test_instrument_over_dimension_cap(self, capsys, tmp_path):
+        # rejected before the d_in x d_in accumulator (14.6 TiB) is allocated
+        inst = self.write(tmp_path, "i.json", {
+            "input_systems": [{"name": "B", "dim": 1000000}], "output_systems": [],
+            "outcomes": [{"label": 0, "kraus": []}]})
+        self.check(capsys, "entropy", "--kind", "k2",
+                   "--state", f"{FIXTURES}/maximally_entangled.json", "--instrument", inst)
+
+
+LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.floats(-2, 2), st.text(max_size=3),
+    # huge dimensions and sizes, which the caps reject before any work
+    st.sampled_from([10 ** 6, 1000000007, 2 ** 63, 10 ** 30, 1e308,
+                     float("inf"), float("nan")]))
+JUNK = st.recursive(LEAF, lambda kids: st.lists(kids, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+                    max_leaves=6)
+# a basis measurement on the 4-dimensional maximally_entangled.json state
+MEASURE = {"input_systems": [{"name": "AB", "dim": 4}], "output_systems": [],
+           "outcomes": [{"label": x, "kraus": [[[[float(j == x), 0.0] for j in range(4)]]]}
+                        for x in range(4)]}
+
+
+def _paths(doc, prefix=()):
+    """Every place in a JSON document, the whole document first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, how, junk):
+    """``doc`` with the value at ``path`` replaced or deleted, or with an
+    extra entry next to it."""
+    if not path:
+        return junk
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "delete":
+        del parent[path[-1]]
+    elif how == "extra" and isinstance(parent, dict):
+        parent["extra"] = junk
+    elif how == "extra":
+        parent.append(junk)
+    else:
+        parent[path[-1]] = junk
+    return doc
+
+
+class TestMalformedJsonFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["family", "state", "instrument"]))
+    def test_exit_code_never_a_traceback(self, data, kind):
+        with open(os.path.join(FIXTURES, "maximally_entangled.json")) as f:
+            state = json.load(f)
+        doc = {"family": {"n": 5, "m": 2, "r": 1, "construction": "circulant"},
+               "state": state, "instrument": MEASURE}[kind]
+        for _ in range(data.draw(st.integers(1, 2))):
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            doc = _mutate(doc, path, data.draw(st.sampled_from(["replace", "delete", "extra"])),
+                          data.draw(JUNK))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w") as f:
+                json.dump(doc, f)
+            bits = os.path.join(tmp, "x.bin")
+            with open(bits, "wb") as f:
+                f.write(bytes(256))
+            argv = {
+                "family": ["extract", "--family", path, "--x", bits, "--y", bits,
+                           "--blocks", "1", "--out", os.path.join(tmp, "out.bin")],
+                "state": ["entropy", "--kind", "hmin", "--state", path],
+                "instrument": ["entropy", "--kind", "k2", "--instrument", path, "--state",
+                               os.path.join(FIXTURES, "maximally_entangled.json")],
+            }[kind]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in (0, 2, 3), (code, doc)
 
 
 class TestFixtureFreshness:

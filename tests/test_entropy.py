@@ -152,6 +152,16 @@ class TestHMin:
         with pytest.raises(ValueError, match="gap"):
             h_min(rho, ["A"], ["B"], gap=0.0)
 
+    def test_gap_must_be_positive(self):
+        blocks = [np.eye(2) / 4, np.eye(2) / 4]
+        for gap in (0.0, -1e-6, float("nan")):
+            with pytest.raises(ValueError, match="gap must be positive"):
+                h_min(maximally_entangled(), ["A"], ["B"], gap=gap)
+            with pytest.raises(ValueError, match="gap must be positive"):
+                h_min_blocks(blocks, gap=gap)
+            with pytest.raises(ValueError, match="gap must be positive"):
+                h_min_blocks([np.eye(1) / 2] * 2, gap=gap)  # closed form too
+
     def test_iteration_cap_reports_bracket(self, monkeypatch):
         import qextract.entropy as ent
 

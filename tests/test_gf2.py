@@ -137,7 +137,7 @@ class TestPrimitiveRoot:
         assert not is_primitive_root_2(2)
 
     def test_brute_force_order_oracle(self):
-        for n in range(3, 60, 2):
+        for n in range(3, 600, 2):
             if any(n % d == 0 for d in range(2, n)):
                 continue
             seen = set()
@@ -168,6 +168,16 @@ class TestFieldFamily:
 
     def test_large_n_sampled(self):
         assert build_field_family(64, 20).certify(max_exhaustive_m=0, samples=50)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 13, 31, 32, 33, 63, 64])
+    def test_columns_are_alpha_powers(self, n):
+        # column j of K_i is alpha^(i+j), reduced by an independent polynomial mod
+        mod = Gf2Poly(IRREDUCIBLE_POLY[n])
+        for m in sorted({1, min(2, n), max(1, n // 2), n}):
+            fam = build_field_family(n, m)
+            for i, k in enumerate(fam.matrices):
+                want = tuple((Gf2Poly(1 << (i + j)) % mod).bits for j in range(n))
+                assert k.transpose().row_bits == want
 
     def test_bad_sizes(self):
         with pytest.raises(FamilyConstructionError):
@@ -214,13 +224,70 @@ class TestFamilySerialization:
 
         fam = build_circulant_family(5, 3)
         d = fam.to_json_dict()
-        assert list(d) == ["n", "m", "r", "construction", "matrices"]
+        assert d == {"n": 5, "m": 3, "r": 1, "construction": "circulant"}
+        assert list(d) == ["n", "m", "r", "construction"]
         back = MatrixFamily.from_json_dict(json.loads(json.dumps(d)))
         assert back.to_json_dict() == d
         assert json.dumps(back.to_json_dict()) == json.dumps(d)
 
+    @pytest.mark.parametrize("n,m,r", [(3, 2, 1), (8, 8, 0), (61, 32, 1), (64, 32, 0),
+                                       (64, 64, 0), (1019, 32, 1)])
+    def test_loader_rebuilds_the_same_matrices(self, n, m, r):
+        import json
+
+        fam = build_family(n, m, r)
+        text = json.dumps(fam.to_json_dict())
+        assert len(text) < 80
+        assert MatrixFamily.from_json_dict(json.loads(text)).matrices == fam.matrices
+
     def test_row_strings_column_order(self):
         fam = build_circulant_family(3, 2)
-        rows = fam.to_json_dict()["matrices"][1]  # the shift matrix
-        # row k of the shift has its 1 in column (k+1) mod 3
-        assert rows == ["010", "001", "100"]
+        # row k of the shift matrix has its 1 in column (k+1) mod 3
+        assert fam.matrices[1].to_lists() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+
+    @pytest.mark.parametrize("doc,match", [
+        ({"n": 3, "m": 1, "r": 0, "construction": "field-mult",
+          "matrices": [["000", "000", "000"]]}, "gen-family"),
+        ({"n": 3, "m": 1, "r": 0, "construction": "field-mult",
+          "matrices": [["1_0", "10+", " 11"]]}, "gen-family"),
+        ({"n": 3, "m": 1, "r": 0}, "exactly the keys"),
+        ({"n": 3, "m": 1, "r": 0, "construction": "field-mult", "x": 1}, "exactly the keys"),
+        ([3, 1, 0, "field-mult"], "exactly the keys"),
+        ({"n": 3, "m": 1, "r": 0, "construction": "nonsense"}, "not the r=0 construction"),
+        ({"n": 5, "m": 2, "r": 1, "construction": "field-mult"}, "not the r=1 construction"),
+        ({"n": True, "m": 1, "r": 0, "construction": "field-mult"}, "integers"),
+        ({"n": 3.0, "m": 1, "r": 0, "construction": "field-mult"}, "integers"),
+        ({"n": 3, "m": "1", "r": 0, "construction": "field-mult"}, "integers"),
+        ({"n": 3, "m": 1, "r": None, "construction": "field-mult"}, "integers"),
+        ({"n": 3, "m": 1, "r": 0, "construction": 0}, "string"),
+        ({"n": 3, "m": 0, "r": 0, "construction": "field-mult"}, "1 <= m"),
+        ({"n": 5, "m": -1, "r": 1, "construction": "circulant"}, "1 <= m"),
+        ({"n": 3, "m": 1, "r": 2, "construction": "field-mult"}, "rank deficiency"),
+        ({"n": 1000000007, "m": 1, "r": 1, "construction": "circulant"}, "cap"),
+    ])
+    def test_loader_rejects(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            MatrixFamily.from_json_dict(doc)
+
+
+class TestFamilyValidation:
+    def test_empty_family_rejected(self):
+        # extract_blocks divides by m, so m = 0 must never get that far
+        with pytest.raises(ValueError, match="m >= 1"):
+            MatrixFamily(3, 0, 0, "x", ())
+        with pytest.raises(ValueError, match="n >= 1"):
+            MatrixFamily(0, 1, 0, "x", (BitMatrix(0, 0, ()),))
+
+    def test_size_cap_before_any_work(self, monkeypatch):
+        import qextract.gf2 as gf2
+
+        def never(n):
+            raise AssertionError("primality test ran on an over-cap size")
+
+        monkeypatch.setattr(gf2, "is_prime", never)
+        for n, m, r in [(1000000007, 1, 1), (10 ** 18 + 9, 0, 1), (65536, 1, 0),
+                        (1020, 2100, 1)]:
+            with pytest.raises(FamilyConstructionError, match="cap"):
+                build_family(n, m, r)
+        # every valid m for the largest circulant size in the docs stays in
+        assert 1019 * 1019 * 1018 <= gf2.MAX_FAMILY_ENTRIES

@@ -77,6 +77,11 @@ class TestValidation:
         big = System("X", 2048, classical=True)
         with pytest.raises(DimensionCapError, match="total"):
             DensityOperator((big,), np.eye(2048) / 2048)
+        # checked before the d_in x d_in accumulator (14.6 TiB here) exists
+        with pytest.raises(DimensionCapError, match="instrument"):
+            Instrument((System("B", 1000000),), "Y", (), ((),))
+        with pytest.raises(DimensionCapError, match="instrument"):
+            Instrument((System("B", 2),), "Y", (System("T", 1000000),), ((),))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
