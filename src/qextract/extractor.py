@@ -16,17 +16,17 @@ where the y block is appended verbatim after the extractor output.
 The stream kernels work on little-endian uint64 words and
 ``np.bitwise_count``:
 
-* IP, any n: ``z = x & y`` once over the words of a chunk.  A block's
-  parity is that of a uint8 running sum of the word popcounts, which
-  wraps mod 256 and so keeps parity, plus the partial word at each block
-  boundary.  When n is a multiple of 64 the blocks are whole rows of
-  words and the popcounts are summed row by row instead.
+* IP, any n: ``z = x & y`` once over the words of a chunk.  One
+  ``bitwise_xor.reduceat`` XORs the whole words from the word where each
+  block starts up to the word where it ends; the low bits of those two
+  words, below each block boundary, are XORed in, and the block's bit is
+  the popcount parity of the result.
 * Matrix family, any construction: a row table (:func:`row_table`),
-  built once per call from the matrices, maps each 4-bit slice of x to
-  the XOR of the matching rows of every K_i.  ``K_i^T x`` is the XOR of
-  ceil(n/4) table entries, and output bit i is the parity of
-  ``popcount(y & K_i^T x)``.  The kernel reads only the matrices, so
-  every family gets ``deor_extract``'s bits.
+  built once per call from the family's row words, maps each 4-bit
+  slice of x to the XOR of the matching rows of every K_i.  ``K_i^T x``
+  is the XOR of ceil(n/4) table entries, and output bit i is the parity
+  of ``popcount(y & K_i^T x)``.  The kernel reads only the row words,
+  so every family gets ``deor_extract``'s bits.
 * Strong mode writes the extractor bits and the unpacked y bits into one
   array per chunk and packs it once.
 
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitVector, MatrixFamily, matvec_gf2
+from .gf2 import WORD, BitVector, MatrixFamily, matvec_gf2
 
 IP = "IP"
 DEOR = "DEOR"
@@ -155,13 +155,11 @@ CHUNK_BYTES = 1 << 20
 # 1.07-1.5x faster.
 MIN_CHUNKS_PER_THREAD = 12
 
-_WORD = np.dtype("<u8")
-
 
 def _words(span: np.ndarray) -> np.ndarray:
     """The bytes of a stream span as little-endian uint64 words, followed by
     one zero word so that a block may read one word past the span."""
-    words = np.empty(len(span) // 8 + 2, dtype=_WORD)
+    words = np.empty(len(span) // 8 + 2, dtype=WORD)
     words[-2:] = 0
     words.view(np.uint8)[:len(span)] = span
     return words
@@ -173,48 +171,46 @@ def _block_words(words: np.ndarray, n: int, count: int) -> np.ndarray:
     family kernel ignores them, since the rows of K_i have n bits and the
     row table is zero past row n."""
     t = np.arange(count)[:, None] * n + 64 * np.arange(-(-n // 64))
-    w, s = t >> 6, (t & 63).astype(_WORD)
+    w, s = t >> 6, (t & 63).astype(WORD)
     # numpy defines a shift by 64 as 0, so s = 0 takes no bits from w + 1
     return (words[w] >> s) | (words[w + 1] << (np.uint64(64) - s))
 
 
 def _ip_bits(xs: np.ndarray, ys: np.ndarray, count: int, n: int) -> np.ndarray:
     """Inner-product bit of each block of a byte-aligned span."""
-    z = np.empty(len(xs) // 8 + 2, dtype=_WORD)
+    z = np.empty(len(xs) // 8 + 2, dtype=WORD)
     z[-2:] = 0
     np.bitwise_and(xs, ys, out=z.view(np.uint8)[:len(xs)])
-    if n % 64 == 0:
-        ones = np.bitwise_count(z[:count * n // 64]).reshape(count, n // 64)
-        return ones.sum(axis=1, dtype=np.uint8) & 1
-    # F(t), the number of set bits of z below bit t, taken mod 256 (a uint8
-    # running sum wraps, which keeps parity); block b's parity is that of
-    # F((b + 1) n) - F(b n)
-    prefix = np.zeros(len(z) + 1, dtype=np.uint8)
-    np.cumsum(np.bitwise_count(z), dtype=np.uint8, out=prefix[1:])
+    # block b is bits [t_b, t_b+1) of z, t_b = b n: the whole words w_b up
+    # to w_b+1 = t_b+1 >> 6, less the bits of word w_b below t_b, plus the
+    # bits of word w_b+1 below t_b+1; a block inside one word takes no
+    # whole word
     t = np.arange(count + 1) * n
     w = t >> 6
-    below = (np.uint64(1) << (t & 63).astype(_WORD)) - np.uint64(1)
-    f = prefix[w] + np.bitwise_count(z[w] & below)
-    return (f[1:] ^ f[:-1]) & 1
+    below = z[w] & ((np.uint64(1) << (t & 63).astype(WORD)) - np.uint64(1))
+    acc = np.bitwise_xor.reduceat(z, w)[:-1]
+    acc[w[1:] == w[:-1]] = 0
+    acc ^= below[:-1]
+    acc ^= below[1:]
+    return np.bitwise_count(acc) & 1
 
 
 def row_table(family: MatrixFamily) -> np.ndarray:
     """Row table of a matrix family for the stream kernel.
 
     ``T[p, v, i]`` is the XOR, over the set bits j of the 4-bit value v, of
-    row 4p + j of K_i, as ceil(n/64) little-endian words; rows past n are
-    zero.  So ``K_i^T x`` is the XOR over p of ``T[p, nibble p of x, i]``.
-    Shape ``(ceil(n/4), 16, m, ceil(n/64))``, about n^2 m / 2 bytes, which
-    ``gf2.MAX_FAMILY_ENTRIES`` caps at 1 GiB.
+    row 4p + j of K_i, as ceil(n/64) little-endian words taken from
+    ``family.words``; rows past n are zero.  So ``K_i^T x`` is the XOR over
+    p of ``T[p, nibble p of x, i]``.  Shape ``(ceil(n/4), 16, m,
+    ceil(n/64))``, about n^2 m / 2 bytes, which ``gf2.MAX_FAMILY_ENTRIES``
+    caps at 1 GiB.
     """
     n, m = family.n, family.m
-    nw, nibbles = -(-n // 64), -(-n // 4)
-    raw = b"".join(row.to_bytes(8 * nw, "little")
-                   for k in family.matrices for row in k.row_bits)
-    rows = np.zeros((m, 4 * nibbles, nw), dtype=_WORD)
-    rows[:, :n] = np.frombuffer(raw, dtype=_WORD).reshape(m, n, nw)
+    nw, nibbles = family.words.shape[2], -(-n // 4)
+    rows = np.zeros((m, 4 * nibbles, nw), dtype=WORD)
+    rows[:, :n] = family.words
     rows = rows.reshape(m, nibbles, 4, nw).transpose(1, 2, 0, 3)
-    table = np.zeros((nibbles, 16, m, nw), dtype=_WORD)
+    table = np.zeros((nibbles, 16, m, nw), dtype=WORD)
     for v in range(1, 16):
         low = v & -v
         table[:, v] = table[:, v ^ low] ^ rows[:, low.bit_length() - 1]

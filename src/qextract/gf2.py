@@ -3,7 +3,10 @@
 Vectors and matrix rows are stored as Python integers interpreted as
 little-endian bit masks: bit j of a vector is ``(bits >> j) & 1``.  All
 public contracts are expressed in bits; the word-level packing is an
-implementation detail of the integer type.
+implementation detail of the integer type.  A matrix family is stored
+once, as the rows of its matrices in little-endian uint64 words, the
+form the extractor's stream kernel reads; its ``BitMatrix`` form is
+derived from those words for the exact oracles.
 
 Besides plain vector/matrix arithmetic, this module builds the matrix
 families used by the multi-bit parity extractor: collections
@@ -19,7 +22,13 @@ constructions are provided:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
+import numpy as np
+
+# one word of a packed matrix row: bit j of a row is bit j % 64 of word j // 64
+WORD = np.dtype("<u8")
 
 
 class FamilyConstructionError(ValueError):
@@ -306,28 +315,69 @@ IRREDUCIBLE_POLY: dict[int, int] = {
 # Matrix families
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixFamily:
     """Family of m n x n matrices with certified rank deficiency r.
 
     Invariant: for every nonzero s in {0,1}^m the GF(2) span
     ``sum_i s_i K_i`` has rank >= n - r.
+
+    ``words[i, k]`` is row k of K_i as ceil(n/64) words of type
+    :data:`WORD`, with entry (k, j) at bit j of the row and zeros past
+    bit n.  The array is read-only.
     """
 
     n: int
     m: int
     r: int
     construction: str
-    matrices: tuple[BitMatrix, ...] = field(repr=False)
+    words: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError(f"family needs n >= 1 and m >= 1, got n={self.n}, m={self.m}")
-        if self.m != len(self.matrices):
-            raise ValueError("family size does not match matrix count")
-        for k in self.matrices:
-            if (k.rows, k.cols) != (self.n, self.n):
-                raise ValueError(f"family matrices must be {self.n}x{self.n}")
+        shape = (self.m, self.n, -(-self.n // 64))
+        if self.words.dtype != WORD or self.words.shape != shape:
+            raise ValueError(f"family words must be an array of {shape} {WORD} words")
+        # the stream kernel ANDs whole words of K_i^T x with y, so the bits
+        # past n must be zero
+        if self.n % 64 and (self.words[..., -1] >> np.uint64(self.n % 64)).any():
+            raise ValueError(f"family rows have bits past column {self.n}")
+        self.words.flags.writeable = False
+
+    @classmethod
+    def from_matrices(cls, n: int, r: int, construction: str,
+                      matrices) -> "MatrixFamily":
+        """The family of the given n x n BitMatrix values, packed into words."""
+        if any((k.rows, k.cols) != (n, n) for k in matrices):
+            raise ValueError(f"family matrices must be {n}x{n}")
+        nw = -(-n // 64)
+        raw = b"".join(row.to_bytes(8 * nw, "little") for k in matrices for row in k.row_bits)
+        words = np.frombuffer(raw, dtype=WORD).reshape(len(matrices), n, nw)
+        return cls(n, len(matrices), r, construction, words)
+
+    @functools.cached_property
+    def matrices(self) -> tuple[BitMatrix, ...]:
+        """The family as BitMatrix values, derived from the words on first use."""
+        row_bytes = 8 * self.words.shape[2]
+        out = []
+        for k in self.words:
+            raw = k.tobytes()
+            out.append(BitMatrix(self.n, self.n, tuple(
+                int.from_bytes(raw[lo:lo + row_bytes], "little")
+                for lo in range(0, len(raw), row_bytes))))
+        return tuple(out)
+
+    def _key(self) -> tuple:
+        return self.n, self.m, self.r, self.construction
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(self.words, other.words)
+
+    def __hash__(self) -> int:
+        return hash((self._key(), self.words.tobytes()))
 
     def span(self, s: int) -> BitMatrix:
         """The combination sum over set bits of s of the family matrices."""
@@ -402,14 +452,15 @@ def build_field_family(n: int, m: int) -> MatrixFamily:
         if (a >> n) & 1:
             a ^= mod
         powers.append(a)
-    # Column j of K_i holds alpha^(i+j), so entry (k, j) of K_i is bit i+j
-    # of hankel[k], whose bit t is bit k of alpha^t.
-    digits = [format(a, f"0{n}b") for a in reversed(powers)]
-    hankel = [int("".join(bits), 2) for bits in zip(*digits)][::-1]
-    mask = (1 << n) - 1
-    mats = tuple(BitMatrix(n, n, tuple((h >> i) & mask for h in hankel))
-                 for i in range(m))
-    return MatrixFamily(n, m, 0, "field-mult", mats)
+    # hankel[k, t] is bit k of alpha^t.  Column j of K_i holds alpha^(i+j),
+    # so row k of K_i is hankel[k, i:i+n], a window of row k of hankel.
+    bits = np.unpackbits(np.array(powers, dtype=WORD).view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    hankel = np.ascontiguousarray(bits[:, :n].T)
+    windows = np.lib.stride_tricks.sliding_window_view(hankel, n, axis=1)
+    words = np.zeros((n, m, 8), dtype=np.uint8)
+    words[..., :-(-n // 8)] = np.packbits(windows, axis=2, bitorder="little")
+    return MatrixFamily(n, m, 0, "field-mult", words.transpose(1, 0, 2).copy().view(WORD))
 
 
 def is_prime(n: int) -> bool:
@@ -444,9 +495,11 @@ def build_circulant_family(n: int, m: int) -> MatrixFamily:
         raise FamilyConstructionError(
             f"need 1 <= m <= n-1 for the rank certificate, got m={m}, n={n}")
     # row k of C^i has its single 1 at column (k + i) mod n
-    mats = tuple(BitMatrix(n, n, tuple(1 << ((k + i) % n) for k in range(n)))
-                 for i in range(m))
-    return MatrixFamily(n, m, 1, "circulant", mats)
+    i, k = np.arange(m)[:, None], np.arange(n)
+    col = (i + k) % n
+    words = np.zeros((m, n, -(-n // 64)), dtype=WORD)
+    words[i, k, col >> 6] = np.uint64(1) << (col & 63).astype(WORD)
+    return MatrixFamily(n, m, 1, "circulant", words)
 
 
 def build_family(n: int, m: int, r: int) -> MatrixFamily:

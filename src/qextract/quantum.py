@@ -463,8 +463,17 @@ def _matrix_from_json(rows, shape: tuple[int, int]) -> np.ndarray:
     return pairs[..., 0] + 1j * pairs[..., 1]
 
 
+def _json_int(value, what: str) -> int:
+    """An integer read from a JSON document; a float, string or boolean is
+    not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _systems_from_json(items) -> tuple[System, ...]:
-    return tuple(System(s["name"], int(s["dim"]), bool(s.get("classical", False)))
+    return tuple(System(s["name"], _json_int(s["dim"], "system dimension"),
+                        bool(s.get("classical", False)))
                  for s in items)
 
 
@@ -505,7 +514,7 @@ def instrument_from_json(d: dict, outcome_name: str = "X") -> Instrument:
     outs = _systems_from_json(d["output_systems"])
     shape = (_dim(outs), _dim(ins))
     kraus = tuple(tuple(_matrix_from_json(k, shape) for k in o["kraus"]) for o in d["outcomes"])
-    labels = tuple(int(o["label"]) for o in d["outcomes"])
+    labels = tuple(_json_int(o["label"], "outcome label") for o in d["outcomes"])
     return Instrument(ins, outcome_name, outs, kraus, labels)
 
 

@@ -142,10 +142,9 @@ def _output_index(ext: ExtractorSpec) -> np.ndarray:
     if ext.kind == IP:
         return parity(vals[:, None] & vals[None, :])
     z = np.zeros((len(vals), len(vals)), dtype=np.int64)
-    for i, k in enumerate(ext.family.matrices):
-        rows = np.array(k.row_bits, dtype=np.uint64)
+    for i, rows in enumerate(ext.family.words[..., 0]):
         # K_i y for every y: bit r is the parity of row r and y
-        k_y = (parity(vals[:, None] & rows[None, :]) << np.arange(k.rows)).sum(axis=1)
+        k_y = (parity(vals[:, None] & rows[None, :]) << np.arange(ext.n)).sum(axis=1)
         z |= parity(vals[:, None] & k_y.astype(np.uint64)[None, :]) << i
     return z
 

@@ -6,10 +6,12 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qextract.cli import main
+from qextract.cli import build_parser, main
+from qextract.extractor import IP, ExtractionJob, ExtractorSpec, extract_blocks
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -206,12 +208,76 @@ class TestEntropy:
             assert code == 2, kind
             assert stdout == "" and "gap must be positive" in err
 
+    @pytest.mark.parametrize("dim,want", [(4, 0), (3, 3)])
+    def test_k2_instrument_must_fit_the_state(self, capsys, tmp_path, dim, want):
+        # both dimensions come from files, so a mismatch is bad input data
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps(measurement(dim)))
+        code, out, err = run(capsys, "entropy", "--kind", "k2", "--instrument", str(inst),
+                             "--state", f"{FIXTURES}/maximally_entangled.json")
+        assert code == want
+        if want:
+            assert err.startswith("error: bad input data:") and "does not match" in err
+        else:
+            assert json.loads(out)["quantity"] == "k2"
+
     def test_plain_output(self, capsys):
         code, stdout, _ = run(capsys, "--plain", "entropy", "--kind", "hinf",
                               "--state", f"{FIXTURES}/maximally_entangled.json",
                               "--target", "A", "--condition", "B")
         assert code == 0
         assert "value_bits:" in stdout
+
+
+class TestParserReuse:
+    """One parser serves every call in a process, and no call's flags
+    reach the next."""
+
+    @staticmethod
+    def ip_job(tmp_path, out):
+        rng = np.random.default_rng(3)
+        x, y = tmp_path / "x", tmp_path / "y"
+        x.write_bytes(rng.bytes(64))
+        y.write_bytes(rng.bytes(64))
+        return ["extract", "--n", "32", "--x", str(x), "--y", str(y), "--blocks", "16",
+                "--out", str(tmp_path / out)]
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_strong_does_not_carry_over(self, capsys, tmp_path):
+        code, _, _ = run(capsys, *self.ip_job(tmp_path, "strong"), "--strong")
+        assert code == 0
+        code, stdout, _ = run(capsys, *self.ip_job(tmp_path, "weak"))
+        assert code == 0 and json.loads(stdout)["strong"] is False
+        x, y = (tmp_path / "x").read_bytes(), (tmp_path / "y").read_bytes()
+        weak = extract_blocks(ExtractionJob(ExtractorSpec(IP, 32), 16), x, y)
+        assert (tmp_path / "weak").read_bytes() == weak
+        assert len((tmp_path / "strong").read_bytes()) == 16 * 33 // 8
+
+    def test_plain_does_not_carry_over(self, capsys, tmp_path):
+        code, stdout, _ = run(capsys, "--plain", *self.ip_job(tmp_path, "a"))
+        assert code == 0 and stdout.startswith("out: ")
+        code, stdout, _ = run(capsys, *self.ip_job(tmp_path, "b"))
+        assert code == 0 and json.loads(stdout)["kind"] == "IP"
+
+    def test_valid_call_after_a_rejected_one(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ip_job(tmp_path, "z") + ["--workers", "two"])
+        assert exc.value.code == 2
+        code, stdout, _ = run(capsys, *self.ip_job(tmp_path, "z"))
+        assert code == 0 and json.loads(stdout)["workers"] == 1
+
+    def test_ip_job_after_a_family_job(self, capsys, tmp_path):
+        fam = tmp_path / "fam.json"
+        run(capsys, "gen-family", "--n", "5", "--m", "3", "--r", "1", "--out", str(fam))
+        ip = self.ip_job(tmp_path, "ip")
+        code, stdout, _ = run(capsys, "extract", "--family", str(fam), *ip[3:9],
+                              "--out", str(tmp_path / "deor"))
+        assert code == 0 and json.loads(stdout)["m"] == 3
+        code, stdout, _ = run(capsys, *ip)
+        payload = json.loads(stdout)
+        assert code == 0 and (payload["kind"], payload["m"]) == ("IP", 1)
 
 
 class TestVerifySuites:
@@ -448,6 +514,20 @@ class TestMalformedJsonShapes:
                        "--blocks", "1", "--out", str(tmp_path / "out.bin"))
         assert not (tmp_path / "out.bin").exists()
 
+    def test_integers_not_coerced(self, capsys, tmp_path):
+        # int() once read "dim": 2.9 as 2, "2" as 2 and true as 1, and the
+        # command exited 0
+        for dim, size in ((2.9, 2), ("2", 2), (True, 1)):
+            matrix = [[[float(i == j == 0), 0.0] for j in range(size)] for i in range(size)]
+            state = self.write(tmp_path, "s.json",
+                               {"systems": [{"name": "A", "dim": dim}], "matrix": matrix})
+            self.check(capsys, "entropy", "--kind", "hinf", "--state", state)
+        doc = measurement(4)
+        doc["outcomes"][1]["label"] = 1.5
+        inst = self.write(tmp_path, "i.json", doc)
+        self.check(capsys, "entropy", "--kind", "k2",
+                   "--state", f"{FIXTURES}/maximally_entangled.json", "--instrument", inst)
+
     def test_instrument_over_dimension_cap(self, capsys, tmp_path):
         # rejected before the d_in x d_in accumulator (14.6 TiB) is allocated
         inst = self.write(tmp_path, "i.json", {
@@ -466,9 +546,14 @@ JUNK = st.recursive(LEAF, lambda kids: st.lists(kids, max_size=3)
                     | st.dictionaries(st.text(max_size=3), kids, max_size=3),
                     max_leaves=6)
 # a basis measurement on the 4-dimensional maximally_entangled.json state
-MEASURE = {"input_systems": [{"name": "AB", "dim": 4}], "output_systems": [],
-           "outcomes": [{"label": x, "kraus": [[[[float(j == x), 0.0] for j in range(4)]]]}
-                        for x in range(4)]}
+def measurement(dim):
+    """A computational-basis measurement instrument on one dim-dimensional system."""
+    return {"input_systems": [{"name": "AB", "dim": dim}], "output_systems": [],
+            "outcomes": [{"label": x, "kraus": [[[[float(j == x), 0.0] for j in range(dim)]]]}
+                         for x in range(dim)]}
+
+
+MEASURE = measurement(4)
 
 
 def _paths(doc, prefix=()):

@@ -42,7 +42,7 @@ def naive_deor_bit(k_lists, x_bits, y_bits):
 
 
 def identity_family(n):
-    return MatrixFamily(n, 1, 0, "explicit", (BitMatrix.identity(n),))
+    return MatrixFamily.from_matrices(n, 0, "explicit", (BitMatrix.identity(n),))
 
 
 class TestIpExtract:
@@ -363,7 +363,7 @@ def stream_specs(draw):
     else:
         n, m = draw(st.integers(1, 200)), draw(st.integers(1, 6))
         rng = random.Random(draw(st.integers(0, 2**32)))
-        fam = MatrixFamily(n, m, 0, "random", tuple(
+        fam = MatrixFamily.from_matrices(n, 0, "random", tuple(
             BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n))) for _ in range(m)))
     return ExtractorSpec(DEOR, fam.n, fam.m, fam)
 
@@ -398,6 +398,32 @@ class TestStreamDifferential:
         x, y = rng.randbytes(blocks * n // 8 + 1), rng.randbytes(blocks * n // 8 + 1)
         job = ExtractionJob(spec, blocks, strong=True)
         assert extract_blocks(job, x, y) == oracle_stream(job, x, y)
+
+
+def reference_row_table(fam):
+    """The row table built from the BitMatrix rows with Python ints:
+    entry [p, v, i] is the XOR of rows 4p + j of K_i over the set bits j
+    of v, as little-endian words."""
+    n, nw = fam.n, -(-fam.n // 64)
+    table = np.zeros((-(-n // 4), 16, fam.m, nw), dtype=np.uint64)
+    for p in range(len(table)):
+        for v in range(16):
+            for i, k in enumerate(fam.matrices):
+                acc = 0
+                for j in range(4):
+                    if v >> j & 1 and 4 * p + j < n:
+                        acc ^= k.row_bits[4 * p + j]
+                table[p, v, i] = np.frombuffer(acc.to_bytes(8 * nw, "little"), dtype="<u8")
+    return table
+
+
+class TestRowTable:
+    @pytest.mark.parametrize("n,m", [(1, 1), (5, 3), (63, 2), (64, 3), (65, 2), (130, 3)])
+    def test_explicit_family_matches_its_bitmatrix_rows(self, n, m):
+        rng = random.Random(n * 10 + m)
+        fam = MatrixFamily.from_matrices(n, 0, "random", tuple(
+            BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n))) for _ in range(m)))
+        assert np.array_equal(extractor.row_table(fam), reference_row_table(fam))
 
 
 class RecordingPool:

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qextract.gf2 import (
     IRREDUCIBLE_POLY,
+    WORD,
     BitMatrix,
     BitVector,
     FamilyConstructionError,
@@ -270,13 +272,69 @@ class TestFamilySerialization:
             MatrixFamily.from_json_dict(doc)
 
 
+FAMILY_SHAPES = [(3, 2, 1), (8, 8, 0), (61, 32, 1), (64, 32, 0), (64, 64, 0), (1019, 32, 1)]
+
+
+def word_rows(fam):
+    """Row k of K_i as an int, read straight from the family's words."""
+    return [[int.from_bytes(fam.words[i, k].tobytes(), "little") for k in range(fam.n)]
+            for i in range(fam.m)]
+
+
+class TestFamilyWords:
+    """The row words a family is built as, against independent constructions."""
+
+    @staticmethod
+    def independent_rows(n, m, r):
+        if r == 1:
+            # row k of the i-th shift power has its one at column (k + i) mod n
+            return [[1 << ((k + i) % n) for k in range(n)] for i in range(m)]
+        # K_i e_j = alpha^(i+j): bit k of column j is entry (k, j)
+        mod = Gf2Poly(IRREDUCIBLE_POLY[n])
+        cols = [(Gf2Poly(1 << t) % mod).bits for t in range(n + m - 1)]
+        return [[sum(((cols[i + j] >> k) & 1) << j for j in range(n)) for k in range(n)]
+                for i in range(m)]
+
+    @pytest.mark.parametrize("n,m,r", FAMILY_SHAPES)
+    def test_words_match_an_independent_construction(self, n, m, r):
+        fam = build_family(n, m, r)
+        assert fam.words.shape == (m, n, -(-n // 64))
+        assert not fam.words.flags.writeable
+        assert word_rows(fam) == self.independent_rows(n, m, r)
+
+    @pytest.mark.parametrize("n,m,r", FAMILY_SHAPES)
+    def test_matrices_round_trip(self, n, m, r):
+        fam = build_family(n, m, r)
+        assert [list(k.row_bits) for k in fam.matrices] == word_rows(fam)
+        back = MatrixFamily.from_matrices(n, r, fam.construction, fam.matrices)
+        assert back == fam and hash(back) == hash(fam)
+        assert back.matrices == fam.matrices
+
+    def test_equality_reads_every_field(self):
+        fam = build_circulant_family(5, 3)
+        assert fam == build_family(5, 3, 1)
+        assert fam != build_circulant_family(5, 2)
+        assert fam != MatrixFamily.from_matrices(5, 1, "other", fam.matrices)
+        flipped = list(fam.matrices)
+        flipped[2] = flipped[2] ^ BitMatrix.identity(5)
+        assert fam != MatrixFamily.from_matrices(5, 1, "circulant", flipped)
+
+    def test_bits_past_n_rejected(self):
+        words = np.zeros((1, 3, 1), dtype=WORD)
+        words[0, 1, 0] = 1 << 3
+        with pytest.raises(ValueError, match="past column 3"):
+            MatrixFamily(3, 1, 0, "x", words)
+        with pytest.raises(ValueError, match="words"):
+            MatrixFamily(3, 1, 0, "x", np.zeros((1, 3, 2), dtype=WORD))
+
+
 class TestFamilyValidation:
     def test_empty_family_rejected(self):
         # extract_blocks divides by m, so m = 0 must never get that far
         with pytest.raises(ValueError, match="m >= 1"):
-            MatrixFamily(3, 0, 0, "x", ())
+            MatrixFamily.from_matrices(3, 0, "x", ())
         with pytest.raises(ValueError, match="n >= 1"):
-            MatrixFamily(0, 1, 0, "x", (BitMatrix(0, 0, ()),))
+            MatrixFamily.from_matrices(0, 0, "x", (BitMatrix(0, 0, ()),))
 
     def test_size_cap_before_any_work(self, monkeypatch):
         import qextract.gf2 as gf2

@@ -206,7 +206,7 @@ class TestIpBound:
 
 class TestDeorBound:
     def test_identity_family_matches_ip_with_bookkeeping(self):
-        fam = MatrixFamily(2, 1, 0, "explicit", (BitMatrix.identity(2),))
+        fam = MatrixFamily.from_matrices(2, 0, "explicit", (BitMatrix.identity(2),))
         base = gen_random_instance(11, n_bits=2)
         deor_inst = ScenarioInstance(base.rho_ab, base.m_inst, base.n_inst,
                                      ExtractorSpec(DEOR, 2, 1, fam), strong=True)
