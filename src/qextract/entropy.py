@@ -35,6 +35,19 @@ Three quantities are computed for a bipartite sub-normalized state:
   the primal bound, so the value itself is always a certified lower
   bound on the entropy.
 
+  The iterations run on the support of the conditioning marginal
+  M = sum_x tr_A rho_x, the only space the blocks of a PSD state
+  occupy: with V the eigenvectors of M above the support rule of
+  ``quantum.support_projector``, on V^H rho_x V (on
+  (1 (x) V)^H rho_x (1 (x) V) for a quantum target), so every
+  factorization is r-sized for r = rank M.  Certificates still run on
+  the original blocks, at the reduced iterate lifted to the full space:
+  sigma gets a small multiple of the identity on the dropped
+  directions, paid for from a quarter of the gap, and each Z_x an equal
+  share of them, so the partial traces still sum to the identity.  A
+  lifted slack that failed Cholesky would send the solve back to the
+  full space.
+
 All entropies are in bits.  When the target registers are classical the
 constraint splits into one block per classical value and the solver
 works blockwise, which is what keeps n-bit targets cheap.
@@ -49,6 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantum import (
+    SUPPORT_RTOL,
     DensityOperator,
     Instrument,
     adjoint_apply,
@@ -286,7 +300,6 @@ class _SdpKernel:
         flat = [b for m, b in blocks if m == 1]
         self.groups = ([(1, np.stack(flat))] if flat else []) \
             + [(m, b[None]) for m, b in blocks if m > 1]
-        self.lam_max = max(float(herm_eig(b)[0].max(initial=0.0)) for _, b in blocks)
         self.count = sum(m for m, _ in blocks)
         # total slack dimension: the duality gap is mu * size
         self.size = self.count * d_b
@@ -296,7 +309,9 @@ class _SdpKernel:
     def start(self):
         """Strictly feasible primal and dual points: sigma = (1 + lambda_max) 1
         and Z_x = 1 / sum_x m_x, whose partial traces sum to 1."""
-        sigma = (1.0 + self.lam_max) * np.eye(self.d_b, dtype=complex)
+        lam_max = max(float(np.linalg.eigvalsh(_herm(rho))[:, -1].max())
+                      for _, rho in self.groups)
+        sigma = (1.0 + max(lam_max, 0.0)) * np.eye(self.d_b, dtype=complex)
         z = [np.broadcast_to(np.eye(rho.shape[-1], dtype=complex) / self.count,
                              rho.shape).copy() for _, rho in self.groups]
         return sigma, z
@@ -463,38 +478,95 @@ def _certify(kernel: _SdpKernel, sigma: np.ndarray, z, steps: int) -> EntropyRes
                          witness=tuple(witness) if witness is not None else None)
 
 
-def _solve_hmin(blocks, d_b: int, gap: float) -> EntropyResult:
-    kernel = _SdpKernel(blocks, d_b)
+def _support(kernel: _SdpKernel, gap: float):
+    """The problem restricted to the support of the conditioning marginal,
+    and the map that lifts its iterates back to the full space.
+
+    The marginal is M = sum_x tr_A rho_x.  A PSD rho_x has no weight on
+    a kernel vector of M, so the SDP only sees V^H rho_x V (with 1_m (x) V
+    for m > 1), where V holds the eigenvectors of M above the support
+    rule of ``quantum.support_projector``.  Dropping k eigenvectors U
+    leaves each block a weight w off V of at most their eigenvalues plus
+    the backward error of the eigensolver, d eps lambda_max(M) each.  A
+    reduced iterate lifts to sigma = V sigma_r V^H + delta U U^H and
+    Z_x = V Z'_x V^H + U U^H / sum_x m_x, whose partial traces still sum
+    to the identity.  delta spends a trace budget worth a quarter of the
+    gap in bits, measured against tr(sigma) >= max_x tr(rho_x) / m_x,
+    and an eigenvector is dropped only while delta stays at least 2 w.
+    Returns (kernel, None) when nothing is dropped.
+    """
+    d = kernel.d_b
+    marginal = sum(_ptrace(m, d, rho) for m, rho in kernel.groups)
+    vals, vecs = herm_eig(marginal)
+    top = max(float(vals[-1]), 0.0)
+    weight = np.cumsum(np.maximum(vals, 0.0) + d * np.finfo(float).eps * top)
+    floor = max(float(np.einsum("kii->k", rho).real.max()) / m for m, rho in kernel.groups)
+    budget = floor * math.expm1(0.25 * gap * math.log(2.0))
+    k = np.arange(1, d + 1)
+    drop = int(np.count_nonzero((vals <= SUPPORT_RTOL * top) & (2.0 * k * weight <= budget)))
+    if drop in (0, d):
+        return kernel, None
+    u, v = vecs[:, :drop], vecs[:, drop:]
+    comp = _herm(u @ _ct(u))
+    delta, share = budget / drop, 1.0 / kernel.count
+    isos = [_lift(m, v) for m, _ in kernel.groups]
+    reduced = _SdpKernel([(m, b) for (m, rho), iso in zip(kernel.groups, isos)
+                          for b in _herm(_ct(iso) @ rho @ iso)], d - drop)
+
+    def lift(sigma, z):
+        return (_herm(v @ sigma @ _ct(v)) + delta * comp,
+                [_herm(iso @ zg @ _ct(iso)) + share * _lift(m, comp)
+                 for (m, _), iso, zg in zip(kernel.groups, isos, z)])
+    return reduced, lift
+
+
+def _primal_dual(kernel: _SdpKernel, gap: float, certify) -> EntropyResult:
+    """Predictor-corrector iterations on ``kernel`` until ``certify``
+    (iterate, steps) -> EntropyResult brackets the entropy within gap."""
     sigma, z = kernel.start()
     # the last iterate whose slacks and Z_x all passed Cholesky; the
     # start is strictly feasible by construction
     last = (sigma, z, 0)
     best: EntropyResult | None = None
-    try:
-        for it in range(MAX_OUTER + 1):
+    for it in range(MAX_OUTER + 1):
+        try:
+            if it:
+                sigma, z = kernel.iterate(sigma, z, scal)
             scal = kernel.scaling(sigma, z)
-            last = (sigma, z, it)
-            # the duality gap is real at every iterate, so the
-            # extended-precision certificate runs once it meets the request
-            dual = kernel.dual_value(z)
-            if dual > 0 and math.log2(float(sigma.trace().real) / dual) <= 0.5 * gap:
-                result = _certify(kernel, sigma, z, it)
-                if best is None or result.gap < best.gap:
-                    best = result
-                if best.gap <= gap:
-                    return best
-            if it == MAX_OUTER:
-                break
-            sigma, z = kernel.iterate(sigma, z, scal)
-    except np.linalg.LinAlgError:
-        pass  # a slack or Z_x failed Cholesky; certify the last iterate that passed
+        except np.linalg.LinAlgError:
+            break  # a slack or Z_x failed Cholesky; certify the last iterate that passed
+        last = (sigma, z, it)
+        # the duality gap is real at every iterate, so the
+        # extended-precision certificate runs once it meets the request
+        dual = kernel.dual_value(z)
+        if dual > 0 and math.log2(float(sigma.trace().real) / dual) <= 0.5 * gap:
+            result = certify(sigma, z, it)
+            if best is None or result.gap < best.gap:
+                best = result
+            if best.gap <= gap:
+                return best
     if best is None or best.iterations < last[2]:
-        result = _certify(kernel, *last)
+        result = certify(*last)
         if best is None or result.gap < best.gap:
             best = result
     if best.gap <= gap:
         return best
     raise SolverConvergenceError(best)
+
+
+def _solve_hmin(blocks, d_b: int, gap: float) -> EntropyResult:
+    """Solve on the support of the conditioning marginal and certify the
+    lifted iterate on the original blocks; solve in the full space only
+    if nothing is dropped or a lifted slack fails Cholesky."""
+    full = _SdpKernel(blocks, d_b)
+    reduced, lift = _support(full, gap)
+    if lift is not None:
+        try:
+            return _primal_dual(reduced, gap,
+                                lambda sigma, z, it: _certify(full, *lift(sigma, z), it))
+        except np.linalg.LinAlgError:
+            pass  # a lifted slack failed Cholesky
+    return _primal_dual(full, gap, functools.partial(_certify, full))
 
 
 def _check_gap(gap: float) -> None:

@@ -471,9 +471,17 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_bool(value, what: str) -> bool:
+    """A boolean read from a JSON document; a number, string or null is
+    not coerced."""
+    if type(value) is not bool:
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _systems_from_json(items) -> tuple[System, ...]:
     return tuple(System(s["name"], _json_int(s["dim"], "system dimension"),
-                        bool(s.get("classical", False)))
+                        _json_bool(s.get("classical", False), "classical flag"))
                  for s in items)
 
 

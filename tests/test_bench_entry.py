@@ -1,10 +1,13 @@
-"""The benchmark's extract-bits smoke run, as tier-1 sees it.
+"""The benchmark's smoke runs, as tier-1 sees them.
 
-Both runs check every output block against the exact oracles and exit
-nonzero on any miss.  The traced run (``--trace 1``) goes through every
-entry point the benchmark wraps (``gf2.build_family``,
+Both runs check every output against the exact oracles and exit nonzero
+on any miss.  For extract-bits the traced run (``--trace 1``) goes
+through every entry point the benchmark wraps (``gf2.build_family``,
 ``MatrixFamily.from_json_dict``, ``extractor.extract_blocks``); only the
-untraced run compares each job's output with its recorded digest.
+untraced run compares each job's output with its recorded digest.  For
+certify-scenario both runs check every bracket against the requested
+gap and every measured epsilon against its bound, so they guard the
+min-entropy solver on the scenario's rank-deficient blocks.
 """
 
 import os
@@ -16,10 +19,19 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_extract_bits_smoke_run(trace):
+def smoke_run(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "extract-bits", "--smoke",
+        [sys.executable, "bench/run.py", "--workload", workload, "--smoke",
          "--seed", "0", "--seconds", "0.3", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_extract_bits_smoke_run(trace):
+    smoke_run("extract-bits", trace)
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_certify_scenario_smoke_run(trace):
+    smoke_run("certify-scenario", trace)

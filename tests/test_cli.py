@@ -528,6 +528,28 @@ class TestMalformedJsonShapes:
         self.check(capsys, "entropy", "--kind", "k2",
                    "--state", f"{FIXTURES}/maximally_entangled.json", "--instrument", inst)
 
+    def flagged_runs(self, tmp_path, flag):
+        """Commands reading a cq state and two instruments, each with one
+        system whose "classical" entry is flag; all exit 0 for False."""
+        state = {"systems": [{"name": "X", "dim": 2, "classical": flag}, {"name": "B", "dim": 1}],
+                 "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+        yield ("entropy", "--kind", "hinf", "--state", self.write(tmp_path, "s.json", state),
+               "--target", "X", "--condition", "B")
+        inst_in, inst_out = measurement(4), measurement(4)
+        inst_in["input_systems"][0]["classical"] = flag
+        inst_out["output_systems"] = [{"name": "T", "dim": 1, "classical": flag}]
+        for i, doc in enumerate((inst_in, inst_out)):
+            yield ("entropy", "--kind", "k2", "--state", f"{FIXTURES}/maximally_entangled.json",
+                   "--instrument", self.write(tmp_path, f"i{i}.json", doc))
+
+    def test_classical_flag_not_coerced(self, capsys, tmp_path):
+        # bool() once read "classical": "no" as true, and the command exited 0
+        for argv in self.flagged_runs(tmp_path, False):
+            assert run(capsys, *argv)[0] == 0
+        for flag in ("no", 1, None):
+            for argv in self.flagged_runs(tmp_path, flag):
+                self.check(capsys, *argv)
+
     def test_instrument_over_dimension_cap(self, capsys, tmp_path):
         # rejected before the d_in x d_in accumulator (14.6 TiB) is allocated
         inst = self.write(tmp_path, "i.json", {

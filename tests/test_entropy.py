@@ -215,6 +215,40 @@ def _solver_cases():
     return cases
 
 
+def _random_isometry(rng, rows, cols):
+    g = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return np.linalg.qr(g)[0]
+
+
+def _pure_rank_blocks(rng, d, rank, count):
+    """count sub-normalized blocks of the given rank on C^d, summing to
+    trace 1."""
+    blocks = []
+    for p in rng.dirichlet([1.0] * count):
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        b = g @ g.conj().T
+        blocks.append(p * b / b.trace().real)
+    return blocks
+
+
+def _reduced_cases():
+    """(state, target, condition) whose conditioning marginal is
+    rank-deficient: product pure states with a quantum target, and cq
+    states whose blocks share a two-dimensional support."""
+    cases = []
+    for seed in range(3):
+        r = np.random.default_rng(100 + seed)
+        a, b = _random_isometry(r, 3, 1)[:, 0], _random_isometry(r, 5, 1)[:, 0]
+        psi = np.kron(a, b)
+        cases.append((DensityOperator((System("A", 3), System("B", 5)), np.outer(psi, psi.conj())),
+                      ["A"], ["B"]))
+        iso = _random_isometry(r, 6, 2)
+        blocks = [iso @ blk @ iso.conj().T for blk in _pure_rank_blocks(r, 2, 1, 4)]
+        cases.append((CqState.from_blocks(System("Z", 4, classical=True), (System("E", 6),),
+                                          blocks), ["Z"], ["E"]))
+    return cases
+
+
 class TestSolverSchedule:
     """The certificate runs once the duality gap of the iterate meets the
     request, so a converged solve certifies once, or twice after a miss."""
@@ -231,7 +265,7 @@ class TestSolverSchedule:
             return real(self, sigma, z)
 
         monkeypatch.setattr(ent._SdpKernel, "certificates", counting)
-        for rho, target, condition in _solver_cases():
+        for rho, target, condition in _solver_cases() + _reduced_cases():
             calls.clear()
             res = h_min(rho, target, condition, gap=gap)
             assert len(calls) <= 2
@@ -243,10 +277,139 @@ class TestSolverSchedule:
             assert abs(res.value - tight.value) <= gap
 
     def test_every_case_converges_at_gap_1e_10(self):
-        for rho, target, condition in _solver_cases():
+        for rho, target, condition in _solver_cases() + _reduced_cases():
             res = h_min(rho, target, condition, gap=1e-10)
             assert res.lower <= res.value <= res.upper
             assert res.gap <= 1e-10
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10])
+    def test_reduced_solve_certifies_in_the_full_space(self, monkeypatch, gap):
+        import qextract.entropy as ent
+
+        real = ent._SdpKernel.scaling
+        sizes = []
+
+        def recording(self, sigma, z):
+            sizes.append(sigma.shape[0])
+            return real(self, sigma, z)
+
+        monkeypatch.setattr(ent._SdpKernel, "scaling", recording)
+        cases = []
+        for rho, target, condition in _solver_cases() + _reduced_cases():
+            d_t = int(np.prod([s.dim for s in rho.systems if s.name in target]))
+            rank = np.linalg.matrix_rank(partial_trace(rho, target).matrix, tol=1e-9)
+            if rank < rho.dim // d_t:
+                cases.append((rho, target, condition, d_t, rank))
+        # the two counterexample fixtures and every case of _reduced_cases
+        assert len(cases) == 8
+        for rho, target, condition, d_t, rank in cases:
+            d_b = rho.dim // d_t
+            sizes.clear()
+            res = h_min(rho, target, condition, gap=gap)
+            # every iteration runs on the support, and only there
+            assert set(sizes) == {rank}
+            assert res.gap <= gap
+            assert res.sigma.shape == (d_b, d_b)
+            m = 1 if rho.systems[0].classical else d_t
+            assert len(res.witness) == d_t // m
+            for w in res.witness:
+                assert w.shape == (m * d_b, m * d_b)
+                np.linalg.cholesky(w)
+            blocks = rho.blocks() if m == 1 else [rho.matrix]
+            for blk in blocks:
+                np.linalg.cholesky(np.kron(np.eye(m), res.sigma) - blk)
+
+
+class TestSupportReduction:
+    """Solves on the support of the conditioning marginal, certified on
+    the original blocks."""
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_helstrom_closed_form_in_bracket(self, rank):
+        # 2^-Hmin = (tr b0 + tr b1 + ||b0 - b1||_1) / 2 for two blocks
+        for d in (2, 3, 4, 8, 12, 16):
+            r = np.random.default_rng(1000 * rank + d)
+            for _ in range(3):
+                b0, b1 = _pure_rank_blocks(r, d, rank, 2)
+                res = h_min_blocks([b0, b1], gap=1e-9)
+                expect = -math.log2(helstrom_p_guess(b0, b1))
+                assert res.lower <= expect <= res.upper
+                assert res.gap <= 1e-9
+                assert res.sigma.shape == (d, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(1, 4), extra=st.integers(1, 4),
+           count=st.integers(2, 5), zero=st.booleans())
+    def test_embedding_invariance(self, seed, r, extra, count, zero):
+        rng = np.random.default_rng(seed)
+        blocks = [rand_psd(rng, r, p) for p in rng.dirichlet([1.0] * count)]
+        if zero:
+            blocks[0] = np.zeros((r, r), dtype=complex)
+        iso = _random_isometry(rng, r + extra, r)
+        small = h_min_blocks(blocks, gap=1e-8)
+        big = h_min_blocks([iso @ b @ iso.conj().T for b in blocks], gap=1e-8)
+        assert small.gap <= 1e-8 and big.gap <= 1e-8
+        assert max(small.lower, big.lower) <= min(small.upper, big.upper)
+        assert big.sigma.shape == (r + extra, r + extra)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d_a=st.integers(2, 3), d_c=st.integers(1, 3),
+           extra=st.integers(1, 4))
+    def test_quantum_target_embedding_invariance(self, seed, d_a, d_c, extra):
+        rng = np.random.default_rng(seed)
+        rho = rand_psd(rng, d_a * d_c, float(rng.uniform(0.5, 1.0)))
+        iso = np.kron(np.eye(d_a), _random_isometry(rng, d_c + extra, d_c))
+        a, c, b = System("A", d_a), System("C", d_c), System("B", d_c + extra)
+        small = h_min(DensityOperator((a, c), rho), ["A"], ["C"], gap=1e-8)
+        big = h_min(DensityOperator((a, b), iso @ rho @ iso.conj().T), ["A"], ["B"], gap=1e-8)
+        assert small.gap <= 1e-8 and big.gap <= 1e-8
+        assert max(small.lower, big.lower) <= min(small.upper, big.upper)
+        assert big.sigma.shape == (d_c + extra, d_c + extra)
+
+    def test_failed_lift_solves_in_the_full_space(self, monkeypatch):
+        import qextract.entropy as ent
+
+        real_scaling, real_certificates = ent._SdpKernel.scaling, ent._SdpKernel.certificates
+        sizes, certified = [], []
+
+        def recording(self, sigma, z):
+            sizes.append(sigma.shape[0])
+            return real_scaling(self, sigma, z)
+
+        def failing_once(self, sigma, z):
+            certified.append(1)
+            if len(certified) == 1:
+                raise np.linalg.LinAlgError("lifted slack is not positive definite")
+            return real_certificates(self, sigma, z)
+
+        monkeypatch.setattr(ent._SdpKernel, "scaling", recording)
+        monkeypatch.setattr(ent._SdpKernel, "certificates", failing_once)
+        r = np.random.default_rng(3)
+        iso = _random_isometry(r, 6, 2)
+        blocks = [iso @ b @ iso.conj().T for b in _pure_rank_blocks(r, 2, 1, 3)]
+        res = h_min_blocks(blocks, gap=1e-8)
+        assert res.gap <= 1e-8
+        assert sizes[0] == 2 and sizes[-1] == 6
+        expect = h_min_blocks([iso.conj().T @ b @ iso for b in blocks], gap=1e-8)
+        assert max(res.lower, expect.lower) <= min(res.upper, expect.upper)
+
+    def test_coherent_tilt_off_the_support(self):
+        # pure blocks tilted out of a plane by 1e-7 leave eigenvalues of the
+        # marginal near 1e-14 that are dropped, with cross terms to the plane
+        # that the lifted slack may not cover; either way the bracket holds
+        for seed in range(6):
+            r = np.random.default_rng(seed)
+            plane = _random_isometry(r, 6, 2)
+            blocks = []
+            for p in r.dirichlet([1.0] * 3):
+                v = plane @ (r.normal(size=2) + 1j * r.normal(size=2)) \
+                    + 1e-7 * (r.normal(size=6) + 1j * r.normal(size=6))
+                blocks.append(p * np.outer(v, v.conj()) / np.vdot(v, v).real)
+            for gap in (1e-6, 1e-8):
+                res = h_min_blocks(blocks, gap=gap)
+                assert res.lower <= res.value <= res.upper and res.gap <= gap
+                for b in blocks:
+                    np.linalg.cholesky(res.sigma - b)
 
 
 def _nt_oracle(blocks, sigma, zs, rhs):
