@@ -177,6 +177,8 @@ def cmd_verify(args) -> int:
     from . import dira, verify
 
     gap = args.gap if args.gap is not None else 1e-6
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     checks: list[dict]
     if args.suite == "ip-bound":
         checks = [r.to_json_dict() for r in

@@ -248,6 +248,9 @@ class DiraParams:
     privatized: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("h", "eps", "eps_s", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n < 1:
             raise ValueError("need at least one round")
         if self.h < 0:

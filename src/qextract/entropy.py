@@ -38,19 +38,20 @@ Three quantities are computed for a bipartite sub-normalized state:
   The iterations run on the support of the conditioning marginal
   M = sum_x tr_A rho_x, the only space the blocks of a PSD state
   occupy: with V the eigenvectors of M above the support rule of
-  ``quantum.support_projector``, on V^H rho_x V (on
-  (1 (x) V)^H rho_x (1 (x) V) for a quantum target), so every
-  factorization is r-sized for r = rank M.  Certificates still run on
-  the original blocks, at the reduced iterate lifted to the full space:
-  sigma gets a small multiple of the identity on the dropped
-  directions, paid for from a quarter of the gap, and each Z_x an equal
-  share of them, so the partial traces still sum to the identity.  A
-  lifted slack that failed Cholesky would send the solve back to the
-  full space.
+  ``quantum.support_projector``, on (1_m (x) V)^H rho_x (1_m (x) V),
+  so every factorization is r-sized for r = rank M.  Certificates
+  still run on the original blocks, at the reduced iterate lifted to
+  the full space: sigma gets a small multiple of the identity on the
+  dropped directions, paid for from a quarter of the gap, and each Z_x
+  an equal share of them, so the partial traces still sum to the
+  identity.  A lifted slack that failed Cholesky would send the solve
+  back to the full space.
 
-All entropies are in bits.  When the target registers are classical the
-constraint splits into one block per classical value and the solver
-works blockwise, which is what keeps n-bit targets cheap.
+All entropies are in bits.  Every quantity works on one stack of
+blocks of one multiplicity m: when the target registers are classical
+the constraint splits into one d_b x d_b block per classical value
+(m = 1), which is what keeps n-bit targets cheap; otherwise the whole
+operator is one block of multiplicity m = dim(target).
 """
 
 from __future__ import annotations
@@ -127,71 +128,54 @@ def _partition(rho: DensityOperator, target, condition):
 
 
 def _blocks(rho: DensityOperator, n_target: int):
-    """Split into (multiplicity, block) pairs over classical target values.
+    """Split into one multiplicity and one stack of blocks.
 
-    Returns (blocks, d_b).  When every target system is classical the
-    state is block-diagonal over the joint target index and each block
-    carries multiplicity 1; otherwise a single block of multiplicity
-    dim(target) is returned.
+    Returns (m, stack, d_b).  When every target system is classical the
+    state is block-diagonal over the joint target index, and the stack
+    holds one d_b x d_b block per value with m = 1; otherwise it holds
+    the whole operator, of multiplicity m = dim(target).
     """
     d_b = int(np.prod([s.dim for s in rho.systems[n_target:]], dtype=np.int64))
     d_a = rho.dim // d_b
     if all(s.classical for s in rho.systems[:n_target]):
-        mat = rho.matrix
-        out = []
-        for x in range(d_a):
-            out.append((1, np.array(mat[x * d_b:(x + 1) * d_b, x * d_b:(x + 1) * d_b])))
-        return out, d_b
-    return [(d_a, np.array(rho.matrix))], d_b
+        x = np.arange(d_a)
+        return 1, rho.matrix.reshape(d_a, d_b, d_a, d_b)[x, :, x, :], d_b
+    return d_a, np.array(rho.matrix)[None], d_b
 
 
-def _conditioner_power(rho: DensityOperator, n_target: int, power: float):
-    rho_b = partial_trace(rho, [s.name for s in rho.systems[:n_target]])
-    return frac_power(rho_b.matrix, power), rho_b.matrix
+def _check_support(stack: np.ndarray, proj: np.ndarray, tol: float = 1e-9) -> None:
+    residual = float(np.abs(stack - proj @ stack @ proj).max(initial=0.0))
+    if residual > tol:
+        raise SupportError(
+            f"state has weight {residual:.3e} outside the "
+            "support of the conditioning marginal")
 
 
-def _check_support(blocks, proj: np.ndarray, tol: float = 1e-9) -> None:
-    for mult, blk in blocks:
-        p = np.kron(np.eye(mult), proj)
-        residual = blk - p @ blk @ p
-        if np.abs(residual).max(initial=0.0) > tol:
-            raise SupportError(
-                f"state has weight {np.abs(residual).max():.3e} outside the "
-                "support of the conditioning marginal")
+def _conditioned(rho: DensityOperator, target, condition, power: float) -> np.ndarray:
+    """The blocks of rho sandwiched by 1_m (x) rho_B^power, once they are
+    checked to lie on the support of rho_B.  For a trivial B the blocks
+    are returned as they are."""
+    rho, n_t = _partition(rho, target, condition)
+    m, stack, d_b = _blocks(rho, n_t)
+    if d_b == 1:
+        return stack
+    rho_b = partial_trace(rho, [s.name for s in rho.systems[:n_t]]).matrix
+    _check_support(stack, _lift(m, support_projector(rho_b)))
+    s = _lift(m, frac_power(rho_b, power))
+    return s @ stack @ s
 
 
 def h_inf_down(rho: DensityOperator, target, condition=()) -> EntropyResult:
     """Non-optimized conditional entropy of order infinity, closed form."""
-    rho, n_t = _partition(rho, target, condition)
-    blocks, d_b = _blocks(rho, n_t)
-    if d_b == 1:
-        lam = max(float(herm_eig(blk)[0].max()) for _, blk in blocks)
-    else:
-        inv_root, rho_b = _conditioner_power(rho, n_t, -0.5)
-        _check_support(blocks, support_projector(rho_b))
-        lam = 0.0
-        for mult, blk in blocks:
-            s = np.kron(np.eye(mult), inv_root)
-            lam = max(lam, float(herm_eig(s @ blk @ s)[0].max()))
-    value = -math.log2(lam)
+    g = _conditioned(rho, target, condition, -0.5)
+    value = -math.log2(float(np.linalg.eigvalsh(_herm(g))[:, -1].max()))
     return EntropyResult(value, value, value, CLOSED_FORM)
 
 
 def h2_down(rho: DensityOperator, target, condition=()) -> EntropyResult:
     """Collision-type conditional entropy of order 2, closed form."""
-    rho, n_t = _partition(rho, target, condition)
-    blocks, d_b = _blocks(rho, n_t)
-    if d_b == 1:
-        total = sum(float(np.vdot(blk, blk).real) for _, blk in blocks)
-    else:
-        inv_quarter, rho_b = _conditioner_power(rho, n_t, -0.25)
-        _check_support(blocks, support_projector(rho_b))
-        total = 0.0
-        for mult, blk in blocks:
-            s = np.kron(np.eye(mult), inv_quarter)
-            g = s @ blk @ s
-            total += float(np.vdot(g, g).real)
-    value = -math.log2(total)
+    g = _conditioned(rho, target, condition, -0.25)
+    value = -math.log2(float(np.vdot(g, g).real))
     return EntropyResult(value, value, value, CLOSED_FORM)
 
 
@@ -282,12 +266,11 @@ class _SdpKernel:
     """Batched primal-dual computations for the min-entropy SDP.
 
     The primal variable is sigma with slacks S_x = 1_m (x) sigma - rho_x;
-    the dual variables are the Z_x >= 0 with sum_x tr_A Z_x = 1.  Blocks
-    are kept in groups of one multiplicity m: every multiplicity-1 block
-    (the classical-target case) in one stacked (count, d_b, d_b) array,
-    so Cholesky factors, SVDs, eigenvalues and the Schur complement run
-    as batched LAPACK calls, and each block with a quantum target
-    (m > 1) as a group of its own.
+    the dual variables are the Z_x >= 0 with sum_x tr_A Z_x = 1.  The
+    blocks rho_x share one multiplicity m and are held in one stacked
+    (count, m d_b, m d_b) array, as are the slacks, the Z_x and every
+    scaling and direction, so Cholesky factors, SVDs, eigenvalues and
+    the Schur complement run as batched LAPACK calls.
 
     Schur systems are solved for the d_b^2 real coordinates of a
     Hermitian direction in the orthonormal basis E_ii, then
@@ -295,12 +278,9 @@ class _SdpKernel:
     Schur complement is a real symmetric matrix.
     """
 
-    def __init__(self, blocks, d_b: int):
-        self.d_b = d_b
-        flat = [b for m, b in blocks if m == 1]
-        self.groups = ([(1, np.stack(flat))] if flat else []) \
-            + [(m, b[None]) for m, b in blocks if m > 1]
-        self.count = sum(m for m, _ in blocks)
+    def __init__(self, m: int, rho: np.ndarray, d_b: int):
+        self.m, self.rho, self.d_b = m, rho, d_b
+        self.count = m * len(rho)
         # total slack dimension: the duality gap is mu * size
         self.size = self.count * d_b
         self._iu, self._ju = np.triu_indices(d_b, 1)
@@ -308,21 +288,21 @@ class _SdpKernel:
 
     def start(self):
         """Strictly feasible primal and dual points: sigma = (1 + lambda_max) 1
-        and Z_x = 1 / sum_x m_x, whose partial traces sum to 1."""
-        lam_max = max(float(np.linalg.eigvalsh(_herm(rho))[:, -1].max())
-                      for _, rho in self.groups)
+        and Z_x = 1 / (m times the block count), whose partial traces sum
+        to 1."""
+        lam_max = float(np.linalg.eigvalsh(_herm(self.rho))[:, -1].max())
         sigma = (1.0 + max(lam_max, 0.0)) * np.eye(self.d_b, dtype=complex)
-        z = [np.broadcast_to(np.eye(rho.shape[-1], dtype=complex) / self.count,
-                             rho.shape).copy() for _, rho in self.groups]
+        z = np.broadcast_to(np.eye(self.m * self.d_b, dtype=complex) / self.count,
+                            self.rho.shape).copy()
         return sigma, z
 
-    def slacks(self, sigma: np.ndarray):
-        return [_lift(m, sigma)[None] - rho for m, rho in self.groups]
+    def slacks(self, sigma: np.ndarray) -> np.ndarray:
+        return _lift(self.m, sigma)[None] - self.rho
 
-    def dual_value(self, z) -> float:
-        return float(sum(np.vdot(zg, rho).real for zg, (_, rho) in zip(z, self.groups)))
+    def dual_value(self, z: np.ndarray) -> float:
+        return float(np.vdot(z, self.rho).real)
 
-    def scaling(self, sigma: np.ndarray, z):
+    def scaling(self, sigma: np.ndarray, z: np.ndarray):
         """Nesterov-Todd scaling of every block at (sigma; Z).
 
         With S = L L^H and Z = R R^H (Cholesky) and R^H L = U Lam V^H
@@ -330,17 +310,13 @@ class _SdpKernel:
         diagonal Lam: G^-1 S G^-H = G^H Z G = Lam.  The scaling point
         W^-1 = G^-H G^-1 satisfies W^-1 S W^-1 = Z, and is made exactly
         Hermitian for the Schur gather.  Raises LinAlgError unless every
-        slack and every Z_x passes Cholesky.  Returns (G^-1, lam, W^-1)
-        per group.
+        slack and every Z_x passes Cholesky.  Returns (G^-1, lam, W^-1).
         """
-        out = []
-        for s, zg in zip(self.slacks(sigma), z):
-            low = np.linalg.cholesky(s)
-            r = np.linalg.cholesky(zg)
-            u, lam, _ = np.linalg.svd(_ct(r) @ low)
-            gi = _ct(r @ u) / np.sqrt(lam)[..., None]
-            out.append((gi, lam, _herm(_ct(gi) @ gi)))
-        return out
+        low = np.linalg.cholesky(self.slacks(sigma))
+        r = np.linalg.cholesky(z)
+        u, lam, _ = np.linalg.svd(_ct(r) @ low)
+        gi = _ct(r @ u) / np.sqrt(lam)[..., None]
+        return gi, lam, _herm(_ct(gi) @ gi)
 
     def schur(self, scal) -> np.ndarray:
         """Schur complement D -> sum_x tr_A[W_x^-1 (1 (x) D) W_x^-1] in the
@@ -352,14 +328,11 @@ class _SdpKernel:
         U_x = W_x^-1, and each entry is then a weighted real or imaginary
         part of two entries of C.
         """
-        d = self.d_b
-        c = np.zeros((d * d, d * d), dtype=complex)
-        for (m, _), (_, _, winv) in zip(self.groups, scal):
-            u5 = winv.reshape(-1, m, d, m, d)
-            left = u5.transpose(0, 1, 3, 2, 4).reshape(-1, d * d)
-            right = u5.transpose(0, 3, 1, 2, 4).reshape(-1, d * d)
-            c += left.T @ right
-        parts = c.reshape(-1).view(np.float64)
+        d, m = self.d_b, self.m
+        u5 = scal[2].reshape(-1, m, d, m, d)
+        left = u5.transpose(0, 1, 3, 2, 4).reshape(-1, d * d)
+        right = u5.transpose(0, 3, 1, 2, 4).reshape(-1, d * d)
+        parts = (left.T @ right).reshape(-1).view(np.float64)
         (idx1, w1), (idx2, w2) = self._gather
         return w1 * parts[idx1] + w2 * parts[idx2]
 
@@ -383,61 +356,51 @@ class _SdpKernel:
         dual step dZ = G^H dZ~ G restores sum_x tr_A (Z_x + dZ_x) = 1.
         Since G^H Lam G = Z, dsigma solves the Schur system with right
         side -1 + sum_x tr_A[G^H shift_x G]: just -1 for the predictor,
-        whose shift is zero.  Returns dsigma and (dS~, dZ~) per group.
+        whose shift is zero.  Returns dsigma and (dS~, dZ~).
         """
-        d = self.d_b
+        d, m = self.d_b, self.m
+        gi, lam, _ = scal
         rhs = -np.eye(d, dtype=complex)
         if shift is not None:
-            for (m, _), (gi, _, _), sh in zip(self.groups, scal, shift):
-                rhs += _ptrace(m, d, _ct(gi) @ sh @ gi)
+            rhs += _ptrace(m, d, _ct(gi) @ shift @ gi)
         dsigma = self.solve(schur, _herm(rhs))
-        dirs = []
-        for k, ((m, _), (gi, lam, _)) in enumerate(zip(self.groups, scal)):
-            ds = _herm(gi @ _lift(m, dsigma) @ _ct(gi))
-            dz = -ds - _diag(lam)
-            if shift is not None:
-                dz += shift[k]
-            dirs.append((ds, dz))
-        return dsigma, dirs
+        ds = _herm(gi @ _lift(m, dsigma) @ _ct(gi))
+        dz = -ds - _diag(lam)
+        if shift is not None:
+            dz += shift
+        return dsigma, (ds, dz)
 
     @staticmethod
     def max_steps(scal, dirs):
         """Largest primal and dual steps t with Lam + t dS~ >= 0 and
         Lam + t dZ~ >= 0, from one eigvalsh of every block scaled by
         Lam^-1/2 on both sides."""
-        steps = [math.inf, math.inf]
-        for (_, lam, _), (ds, dz) in zip(scal, dirs):
-            r = 1.0 / np.sqrt(lam)
-            w = r[..., :, None] * r[..., None, :]
-            low = np.linalg.eigvalsh(np.concatenate([ds * w, dz * w]))[:, 0]
-            for i, part in enumerate((low[:len(lam)], low[len(lam):])):
-                worst = float(part.min())
-                if worst < 0.0:
-                    steps[i] = min(steps[i], -1.0 / worst)
-        return steps
+        lam, (ds, dz) = scal[1], dirs
+        r = 1.0 / np.sqrt(lam)
+        w = r[..., :, None] * r[..., None, :]
+        low = np.linalg.eigvalsh(np.concatenate([ds * w, dz * w]))[:, 0]
+        worst = (float(low[:len(lam)].min()), float(low[len(lam):].min()))
+        return [-1.0 / t if t < 0.0 else math.inf for t in worst]
 
-    def iterate(self, sigma: np.ndarray, z, scal):
+    def iterate(self, sigma: np.ndarray, z: np.ndarray, scal):
         """One Mehrotra predictor-corrector step from (sigma; Z) with its
         scaling.  Both Schur solves share one Schur matrix."""
+        gi, lam, _ = scal
         schur = self.schur(scal)
-        _, dirs = self.direction(scal, schur)
-        tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(scal, dirs))
-        mu = sum(float((lam ** 2).sum()) for _, lam, _ in scal) / self.size
-        mu_aff = sum(float(np.vdot(_diag(lam) + tp * ds, _diag(lam) + td * dz).real)
-                     for (_, lam, _), (ds, dz) in zip(scal, dirs)) / self.size
+        _, (ds, dz) = self.direction(scal, schur)
+        tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(scal, (ds, dz)))
+        mu = float((lam ** 2).sum()) / self.size
+        mu_aff = float(np.vdot(_diag(lam) + tp * ds, _diag(lam) + td * dz).real) / self.size
         target = min(1.0, max(mu_aff, 0.0) / mu) ** 3 * mu
-        shift = []
-        for (_, lam, _), (ds, dz) in zip(scal, dirs):
-            cross = ds @ dz
-            shift.append(_diag(target / lam)
-                         - (cross + _ct(cross)) / (lam[..., :, None] + lam[..., None, :]))
+        cross = ds @ dz
+        shift = (_diag(target / lam)
+                 - (cross + _ct(cross)) / (lam[..., :, None] + lam[..., None, :]))
         dsigma, dirs = self.direction(scal, schur, shift)
         tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(scal, dirs))
-        z = [_herm(zg + td * (_ct(gi) @ dz @ gi))
-             for zg, (gi, _, _), (_, dz) in zip(z, scal, dirs)]
+        z = _herm(z + td * (_ct(gi) @ dirs[1] @ gi))
         return sigma + tp * dsigma, z
 
-    def certificates(self, sigma: np.ndarray, z):
+    def certificates(self, sigma: np.ndarray, z: np.ndarray):
         """Primal and dual bounds at (sigma; Z).
 
         The primal bound tr(sigma) stands once every slack passes
@@ -448,26 +411,22 @@ class _SdpKernel:
         duality needs.  Each witness block must pass Cholesky; if one
         does not there is no dual bound, reported as zero.
         """
-        d = self.d_b
-        for s in self.slacks(sigma):
-            np.linalg.cholesky(s)
-        mults = [m for m, _ in self.groups]
-        zs = [zg.astype(np.clongdouble) for zg in z]
-        t_m12 = _inv_sqrt_ld(sum(_ptrace(m, d, zl) for m, zl in zip(mults, zs)))
-        witness = [_herm(_lift(m, t_m12) @ zl @ _lift(m, t_m12)) for m, zl in zip(mults, zs)]
-        t_check = sum(_ptrace(m, d, w) for m, w in zip(mults, witness))
+        d, m = self.d_b, self.m
+        np.linalg.cholesky(self.slacks(sigma))
+        zl = z.astype(np.clongdouble)
+        t_m12 = _lift(m, _inv_sqrt_ld(_ptrace(m, d, zl)))
+        witness = _herm(t_m12 @ zl @ t_m12)
+        t_check = _ptrace(m, d, witness)
         top = float(np.linalg.eigvalsh(_herm(t_check).astype(complex)).max())
         scale = max(1.0, top + 1e-14 * max(1.0, abs(top)))
-        witness = [w / scale for w in witness]
-        dual = float(sum((w.conj() * rho.astype(np.clongdouble)).sum().real
-                         for w, (_, rho) in zip(witness, self.groups)))
-        witness = [w.astype(complex) for w in witness]
+        witness = witness / scale
+        dual = float((witness.conj() * self.rho.astype(np.clongdouble)).sum().real)
+        witness = witness.astype(complex)
         try:
-            for w in witness:
-                np.linalg.cholesky(w)
+            np.linalg.cholesky(witness)
         except np.linalg.LinAlgError:
             return float(sigma.trace().real), 0.0, None
-        return float(sigma.trace().real), dual, [blk for w in witness for blk in w]
+        return float(sigma.trace().real), dual, witness
 
 
 def _certify(kernel: _SdpKernel, sigma: np.ndarray, z, steps: int) -> EntropyResult:
@@ -483,24 +442,24 @@ def _support(kernel: _SdpKernel, gap: float):
     and the map that lifts its iterates back to the full space.
 
     The marginal is M = sum_x tr_A rho_x.  A PSD rho_x has no weight on
-    a kernel vector of M, so the SDP only sees V^H rho_x V (with 1_m (x) V
-    for m > 1), where V holds the eigenvectors of M above the support
+    a kernel vector of M, so the SDP only sees I^H rho_x I with
+    I = 1_m (x) V, where V holds the eigenvectors of M above the support
     rule of ``quantum.support_projector``.  Dropping k eigenvectors U
     leaves each block a weight w off V of at most their eigenvalues plus
     the backward error of the eigensolver, d eps lambda_max(M) each.  A
     reduced iterate lifts to sigma = V sigma_r V^H + delta U U^H and
-    Z_x = V Z'_x V^H + U U^H / sum_x m_x, whose partial traces still sum
-    to the identity.  delta spends a trace budget worth a quarter of the
-    gap in bits, measured against tr(sigma) >= max_x tr(rho_x) / m_x,
-    and an eigenvector is dropped only while delta stays at least 2 w.
+    Z_x = I Z'_x I^H + 1_m (x) U U^H / (m times the block count), whose
+    partial traces still sum to the identity.  delta spends a trace
+    budget worth a quarter of the gap in bits, measured against
+    tr(sigma) >= max_x tr(rho_x) / m, and an eigenvector is dropped only
+    while delta stays at least 2 w.
     Returns (kernel, None) when nothing is dropped.
     """
-    d = kernel.d_b
-    marginal = sum(_ptrace(m, d, rho) for m, rho in kernel.groups)
-    vals, vecs = herm_eig(marginal)
+    d, m = kernel.d_b, kernel.m
+    vals, vecs = herm_eig(_ptrace(m, d, kernel.rho))
     top = max(float(vals[-1]), 0.0)
     weight = np.cumsum(np.maximum(vals, 0.0) + d * np.finfo(float).eps * top)
-    floor = max(float(np.einsum("kii->k", rho).real.max()) / m for m, rho in kernel.groups)
+    floor = float(np.einsum("kii->k", kernel.rho).real.max()) / m
     budget = floor * math.expm1(0.25 * gap * math.log(2.0))
     k = np.arange(1, d + 1)
     drop = int(np.count_nonzero((vals <= SUPPORT_RTOL * top) & (2.0 * k * weight <= budget)))
@@ -509,14 +468,12 @@ def _support(kernel: _SdpKernel, gap: float):
     u, v = vecs[:, :drop], vecs[:, drop:]
     comp = _herm(u @ _ct(u))
     delta, share = budget / drop, 1.0 / kernel.count
-    isos = [_lift(m, v) for m, _ in kernel.groups]
-    reduced = _SdpKernel([(m, b) for (m, rho), iso in zip(kernel.groups, isos)
-                          for b in _herm(_ct(iso) @ rho @ iso)], d - drop)
+    iso = _lift(m, v)
+    reduced = _SdpKernel(m, _herm(_ct(iso) @ kernel.rho @ iso), d - drop)
 
     def lift(sigma, z):
         return (_herm(v @ sigma @ _ct(v)) + delta * comp,
-                [_herm(iso @ zg @ _ct(iso)) + share * _lift(m, comp)
-                 for (m, _), iso, zg in zip(kernel.groups, isos, z)])
+                _herm(iso @ z @ _ct(iso)) + share * _lift(m, comp))
     return reduced, lift
 
 
@@ -554,11 +511,19 @@ def _primal_dual(kernel: _SdpKernel, gap: float, certify) -> EntropyResult:
     raise SolverConvergenceError(best)
 
 
-def _solve_hmin(blocks, d_b: int, gap: float) -> EntropyResult:
-    """Solve on the support of the conditioning marginal and certify the
+def _solve_hmin(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
+    """Min-entropy of the blocks rho of multiplicity m on C^d_b.
+
+    For d_b = 1, -log2 of the largest eigenvalue of any block.  Otherwise
+    solve on the support of the conditioning marginal and certify the
     lifted iterate on the original blocks; solve in the full space only
     if nothing is dropped or a lifted slack fails Cholesky."""
-    full = _SdpKernel(blocks, d_b)
+    if d_b == 1:
+        lam = float(np.linalg.eigvalsh(_herm(rho))[:, -1].max())
+        value = -math.log2(lam)
+        return EntropyResult(value, value, value, CLOSED_FORM,
+                             sigma=np.array([[lam]], dtype=complex))
+    full = _SdpKernel(m, rho, d_b)
     reduced, lift = _support(full, gap)
     if lift is not None:
         try:
@@ -570,8 +535,8 @@ def _solve_hmin(blocks, d_b: int, gap: float) -> EntropyResult:
 
 
 def _check_gap(gap: float) -> None:
-    if not gap > 0:  # NaN too
-        raise ValueError(f"gap must be positive, got {gap!r}")
+    if not 0 < gap < math.inf:  # NaN too
+        raise ValueError(f"gap must be positive and finite, got {gap!r}")
 
 
 def h_min(rho: DensityOperator, target, condition=(), gap: float = DEFAULT_GAP) -> EntropyResult:
@@ -583,13 +548,7 @@ def h_min(rho: DensityOperator, target, condition=(), gap: float = DEFAULT_GAP) 
     """
     _check_gap(gap)
     rho, n_t = _partition(rho, target, condition)
-    blocks, d_b = _blocks(rho, n_t)
-    if d_b == 1:
-        lam = max(float(herm_eig(blk)[0].max()) for _, blk in blocks)
-        value = -math.log2(lam)
-        return EntropyResult(value, value, value, CLOSED_FORM,
-                             sigma=np.array([[lam]], dtype=complex))
-    return _solve_hmin(blocks, d_b, gap)
+    return _solve_hmin(*_blocks(rho, n_t), gap)
 
 
 def h_min_blocks(blocks, gap: float = DEFAULT_GAP) -> EntropyResult:
@@ -600,14 +559,8 @@ def h_min_blocks(blocks, gap: float = DEFAULT_GAP) -> EntropyResult:
     verification oracles, which assemble states blockwise.
     """
     _check_gap(gap)
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    d_b = blocks[0].shape[0]
-    if d_b == 1:
-        lam = max(float(b[0, 0].real) for b in blocks)
-        value = -math.log2(lam)
-        return EntropyResult(value, value, value, CLOSED_FORM,
-                             sigma=np.array([[lam]], dtype=complex))
-    return _solve_hmin([(1, b) for b in blocks], d_b, gap)
+    rho = np.array(blocks, dtype=complex)
+    return _solve_hmin(1, rho, rho.shape[-1], gap)
 
 
 def p_guess(rho: DensityOperator, gap: float = DEFAULT_GAP) -> EntropyResult:

@@ -201,12 +201,13 @@ class TestEntropy:
         assert json.loads(stdout)["requested_gap"] == 1e-4
 
     def test_nan_gap_from_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("QEXTRACT_GAP", "nan")
-        for kind in ("hmin", "pguess"):
-            code, stdout, err = run(capsys, "entropy", "--kind", kind,
-                                    "--state", f"{FIXTURES}/counterexample_eta.json")
-            assert code == 2, kind
-            assert stdout == "" and "gap must be positive" in err
+        for gap in ("nan", "inf"):
+            monkeypatch.setenv("QEXTRACT_GAP", gap)
+            for kind in ("hmin", "pguess"):
+                code, stdout, err = run(capsys, "entropy", "--kind", kind,
+                                        "--state", f"{FIXTURES}/counterexample_eta.json")
+                assert code == 2, (gap, kind)
+                assert stdout == "" and "gap must be positive" in err
 
     @pytest.mark.parametrize("dim,want", [(4, 0), (3, 3)])
     def test_k2_instrument_must_fit_the_state(self, capsys, tmp_path, dim, want):
@@ -316,11 +317,18 @@ class TestVerifySuites:
             assert all(c.get("passed", c.get("holds")) for c in checks)
 
     def test_bad_gap_exits_2(self, capsys):
-        for gap in ("0", "-1e-6", "nan"):
+        for gap in ("0", "-1e-6", "nan", "inf"):
             code, stdout, err = run(capsys, "verify", "--suite", "ip-bound",
                                     "--count", "1", f"--gap={gap}")
             assert code == 2, gap
             assert stdout == "" and err.startswith("error: gap must be positive")
+
+    def test_count_below_one_exits_2(self, capsys):
+        # an empty suite would be a vacuous pass
+        for suite, count in (("chaining", "-3"), ("ip-bound", "0"), ("xor", "0")):
+            code, stdout, err = run(capsys, "verify", "--suite", suite, "--count", count)
+            assert code == 2, suite
+            assert stdout == "" and err.startswith("error: --count must be at least 1")
 
     def test_solver_failure_exits_4(self, capsys, monkeypatch):
         import qextract.entropy as ent
@@ -364,6 +372,17 @@ class TestDiraRate:
         code, _, err = run(capsys, "dira-rate", "--n", "10", "--h", "1.0",
                            "--mu", "0.6", "--eps", "1e-6", "--eps-s", "1e-9")
         assert code == 2
+
+    @pytest.mark.parametrize("field,flag,value", [
+        ("h", "--h", "inf"), ("h", "--h", "nan"), ("eps", "--eps", "inf"),
+        ("eps_s", "--eps-s", "nan"), ("c", "--c", "inf")])
+    def test_non_finite_params_exit_2(self, capsys, field, flag, value):
+        args = {"--n": "10", "--h": "1.0", "--mu": "0.1", "--eps": "0.1",
+                "--eps-s": "0.01", "--c": "0"}
+        args[flag] = value
+        code, stdout, err = run(capsys, "dira-rate", *(t for kv in args.items() for t in kv))
+        assert code == 2
+        assert stdout == "" and err.startswith(f"error: {field} must be finite")
 
     def test_privatized_flag_changes_no_numbers(self, capsys):
         base = ("dira-rate", "--n", "10000", "--h", "1.2", "--mu", "0.1",

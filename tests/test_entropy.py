@@ -11,6 +11,7 @@ from qextract.entropy import (
     CLOSED_FORM,
     SDP,
     SolverConvergenceError,
+    SupportError,
     h2_down,
     h_inf_down,
     h_min,
@@ -92,12 +93,46 @@ class TestH2Down:
             assert hm.value <= h2.value + 1e-8
 
 
+class TestSupportCheck:
+    """Weight off the support of rho_B leaves the down entropies undefined."""
+
+    @pytest.mark.parametrize("entropy", [h_inf_down, h2_down])
+    @pytest.mark.parametrize("classical", [True, False])
+    def test_weight_off_the_marginal_support(self, entropy, classical):
+        # block 0 passes the PSD tolerance, but rho_B = [[1, 1e-6], [1e-6, 0]]
+        # has support rank 1 and block 0 keeps weight 1e-6 off it
+        blocks = [np.array([[0.5, 1e-6], [1e-6, 0.0]]), np.diag([0.5, 0.0])]
+        x = System("X", 2, classical=classical)
+        rho = DensityOperator((x, System("B", 2)), np.kron(np.diag([1.0, 0.0]), blocks[0])
+                              + np.kron(np.diag([0.0, 1.0]), blocks[1]))
+        with pytest.raises(SupportError, match="outside the support"):
+            entropy(rho, ["X"], ["B"])
+
+
 class TestHMin:
     def test_uniform_bit(self):
         x = System("X", 2, classical=True)
         rho = DensityOperator((x,), np.eye(2) / 2)
         res = h_min(rho, ["X"], [])
         assert res.value == 1.0 and res.kind == CLOSED_FORM
+
+    def test_trivial_condition_closed_form(self, rng):
+        # a quantum target on a one-dimensional conditioner: -log2 lambda_max
+        mat = rand_psd(rng, 3, 0.8)
+        rho = DensityOperator((System("A", 3), System("B", 1)), mat)
+        lam = np.linalg.eigvalsh(mat).max()
+        for condition in (["B"], []):
+            target = ["A"] if condition else ["A", "B"]
+            res = h_min(rho, target, condition)
+            assert res.kind == CLOSED_FORM and res.iterations == 0
+            assert res.value == pytest.approx(-math.log2(lam), abs=1e-12)
+            assert res.sigma.shape == (1, 1)
+        # 1x1 blocks of a classical target: -log2 max_x rho_x
+        probs = rng.dirichlet([1.0] * 5)
+        res = h_min_blocks([np.array([[p]]) for p in probs])
+        assert res.kind == CLOSED_FORM
+        assert res.value == -math.log2(probs.max())
+        assert res.sigma[0, 0] == probs.max()
 
     def test_maximally_entangled(self):
         res = h_min(maximally_entangled(), ["A"], ["B"])
@@ -154,7 +189,7 @@ class TestHMin:
 
     def test_gap_must_be_positive(self):
         blocks = [np.eye(2) / 4, np.eye(2) / 4]
-        for gap in (0.0, -1e-6, float("nan")):
+        for gap in (0.0, -1e-6, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="gap must be positive"):
                 h_min(maximally_entangled(), ["A"], ["B"], gap=gap)
             with pytest.raises(ValueError, match="gap must be positive"):
@@ -445,41 +480,35 @@ def _nt_oracle(blocks, sigma, zs, rhs):
 
 class TestSchurDirection:
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 5),
-           mults=st.lists(st.integers(1, 3), min_size=1, max_size=4),
-           corrector=st.booleans())
-    def test_matches_complex_solve(self, seed, d, mults, corrector):
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 5), m=st.integers(1, 3),
+           count=st.integers(1, 4), corrector=st.booleans())
+    def test_matches_complex_solve(self, seed, d, m, count, corrector):
         from qextract.entropy import _ptrace, _SdpKernel
 
         r = np.random.default_rng(seed)
         sigma = rand_psd(r, d, float(d))
         # slack blocks kron(1_m, sigma) - b that are positive definite
-        blocks = [(m, np.kron(np.eye(m), sigma)
-                   - (rand_psd(r, m * d, float(m * d)) + 0.1 * np.eye(m * d)))
-                  for m in mults]
+        blocks = np.stack([np.kron(np.eye(m), sigma)
+                           - (rand_psd(r, m * d, float(m * d)) + 0.1 * np.eye(m * d))
+                           for _ in range(count)])
         # dual blocks that are positive definite but not dual feasible
-        zs = [rand_psd(r, m * d, float(m)) + 0.1 * np.eye(m * d) for m in mults]
-        kernel = _SdpKernel(blocks, d)
-        # the kernel's groups: every multiplicity-1 block stacked, then the rest
-        order = [i for i, m in enumerate(mults) if m == 1] \
-            + [i for i, m in enumerate(mults) if m > 1]
-        z = ([np.stack([zs[i] for i in order if mults[i] == 1])] if 1 in mults else []) \
-            + [zs[i][None] for i in order if mults[i] > 1]
+        z = np.stack([rand_psd(r, m * d, float(m)) + 0.1 * np.eye(m * d) for _ in range(count)])
+        kernel = _SdpKernel(m, blocks, d)
         scal = kernel.scaling(sigma, z)
+        gi = scal[0]
+        gi_h = gi.conj().swapaxes(-1, -2)
         shift = None
         rhs = -np.eye(d, dtype=complex)
         if corrector:
-            shift = [rand_herm(r, g.shape[-1]) * np.ones((len(g), 1, 1)) for g in z]
-            for (m, _), (gi, _, _), sh in zip(kernel.groups, scal, shift):
-                rhs += _ptrace(m, d, gi.conj().swapaxes(-1, -2) @ sh @ gi)
-        dsigma, dirs = kernel.direction(scal, kernel.schur(scal), shift)
-        expect = _nt_oracle([blocks[i] for i in order], sigma, [zs[i] for i in order], rhs)
+            shift = rand_herm(r, m * d) * np.ones((count, 1, 1))
+            rhs += _ptrace(m, d, gi_h @ shift @ gi)
+        dsigma, (_, dz) = kernel.direction(scal, kernel.schur(scal), shift)
+        expect = _nt_oracle([(m, b) for b in blocks], sigma, z, rhs)
         assert np.abs(dsigma - dsigma.conj().T).max() == 0.0
         assert np.linalg.norm(dsigma - expect) <= 1e-9 * np.linalg.norm(expect)
         # the dual step G^H dZ~ G restores sum_x tr_A Z_x = 1
-        residual = np.eye(d) - sum(_ptrace(m, d, zg) for (m, _), zg in zip(kernel.groups, z))
-        moved = sum(_ptrace(m, d, gi.conj().swapaxes(-1, -2) @ dz @ gi)
-                    for (m, _), (gi, _, _), (_, dz) in zip(kernel.groups, scal, dirs))
+        residual = np.eye(d) - _ptrace(m, d, z)
+        moved = _ptrace(m, d, gi_h @ dz @ gi)
         assert np.linalg.norm(moved - residual) <= 1e-9 * np.linalg.norm(residual)
 
 
