@@ -47,6 +47,16 @@ Three quantities are computed for a bipartite sub-normalized state:
   identity.  A lifted slack that failed Cholesky would send the solve
   back to the full space.
 
+  A classical target is first offered one candidate from the
+  eigenbasis V of the same marginal: sigma = V diag(p) V^H + t 1 with
+  p_k = max_x <v_k|rho_x|v_k> and t bounding the off-diagonal part of
+  every V^H rho_x V, and the argmax measurement, mixed with a little
+  of the identity, as Z.  For commuting blocks (the min-entropy is
+  then classical) t is only rounding, and the unchanged certificate
+  meets the gap with no iteration.  A candidate whose t costs more than
+  half the gap, or whose certificate misses it, leaves the solve to the
+  iterations.
+
 All entropies are in bits.  Every quantity works on one stack of
 blocks of one multiplicity m: when the target registers are classical
 the constraint splits into one d_b x d_b block per classical value
@@ -69,7 +79,6 @@ from .quantum import (
     adjoint_apply,
     frac_power,
     herm_eig,
-    partial_trace,
     permute_systems,
     support_projector,
 )
@@ -153,13 +162,11 @@ def _check_support(stack: np.ndarray, proj: np.ndarray, tol: float = 1e-9) -> No
 
 def _conditioned(rho: DensityOperator, target, condition, power: float) -> np.ndarray:
     """The blocks of rho sandwiched by 1_m (x) rho_B^power, once they are
-    checked to lie on the support of rho_B.  For a trivial B the blocks
-    are returned as they are."""
+    checked to lie on the support of rho_B.  A trivial B is the 1x1
+    rho_B = tr(rho)."""
     rho, n_t = _partition(rho, target, condition)
     m, stack, d_b = _blocks(rho, n_t)
-    if d_b == 1:
-        return stack
-    rho_b = partial_trace(rho, [s.name for s in rho.systems[:n_t]]).matrix
+    rho_b = _ptrace(m, d_b, stack)
     _check_support(stack, _lift(m, support_projector(rho_b)))
     s = _lift(m, frac_power(rho_b, power))
     return s @ stack @ s
@@ -257,11 +264,6 @@ def _ptrace(m: int, d: int, stack: np.ndarray) -> np.ndarray:
     return np.einsum("kaiaj->ij", stack.reshape(-1, m, d, m, d))
 
 
-def _diag(lam: np.ndarray) -> np.ndarray:
-    """Stack of diagonal matrices from a stack of diagonals."""
-    return lam[..., None] * np.eye(lam.shape[-1])
-
-
 class _SdpKernel:
     """Batched primal-dual computations for the min-entropy SDP.
 
@@ -285,15 +287,21 @@ class _SdpKernel:
         self.size = self.count * d_b
         self._iu, self._ju = np.triu_indices(d_b, 1)
         self._gather = _hessian_gather(d_b)
+        self.eye_b = np.eye(d_b, dtype=complex)
+        self.eye = np.eye(m * d_b)
+
+    def diag(self, lam: np.ndarray) -> np.ndarray:
+        """Stack of diagonal (m d_b) x (m d_b) matrices from a stack of
+        diagonals."""
+        return lam[..., None] * self.eye
 
     def start(self):
         """Strictly feasible primal and dual points: sigma = (1 + lambda_max) 1
         and Z_x = 1 / (m times the block count), whose partial traces sum
         to 1."""
         lam_max = float(np.linalg.eigvalsh(_herm(self.rho))[:, -1].max())
-        sigma = (1.0 + max(lam_max, 0.0)) * np.eye(self.d_b, dtype=complex)
-        z = np.broadcast_to(np.eye(self.m * self.d_b, dtype=complex) / self.count,
-                            self.rho.shape).copy()
+        sigma = (1.0 + max(lam_max, 0.0)) * self.eye_b
+        z = np.broadcast_to((self.eye / self.count).astype(complex), self.rho.shape).copy()
         return sigma, z
 
     def slacks(self, sigma: np.ndarray) -> np.ndarray:
@@ -360,12 +368,12 @@ class _SdpKernel:
         """
         d, m = self.d_b, self.m
         gi, lam, _ = scal
-        rhs = -np.eye(d, dtype=complex)
+        rhs = -self.eye_b
         if shift is not None:
             rhs += _ptrace(m, d, _ct(gi) @ shift @ gi)
         dsigma = self.solve(schur, _herm(rhs))
         ds = _herm(gi @ _lift(m, dsigma) @ _ct(gi))
-        dz = -ds - _diag(lam)
+        dz = -ds - self.diag(lam)
         if shift is not None:
             dz += shift
         return dsigma, (ds, dz)
@@ -390,10 +398,11 @@ class _SdpKernel:
         _, (ds, dz) = self.direction(scal, schur)
         tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(scal, (ds, dz)))
         mu = float((lam ** 2).sum()) / self.size
-        mu_aff = float(np.vdot(_diag(lam) + tp * ds, _diag(lam) + td * dz).real) / self.size
+        lam_d = self.diag(lam)
+        mu_aff = float(np.vdot(lam_d + tp * ds, lam_d + td * dz).real) / self.size
         target = min(1.0, max(mu_aff, 0.0) / mu) ** 3 * mu
         cross = ds @ dz
-        shift = (_diag(target / lam)
+        shift = (self.diag(target / lam)
                  - (cross + _ct(cross)) / (lam[..., :, None] + lam[..., None, :]))
         dsigma, dirs = self.direction(scal, schur, shift)
         tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(scal, dirs))
@@ -437,7 +446,39 @@ def _certify(kernel: _SdpKernel, sigma: np.ndarray, z, steps: int) -> EntropyRes
                          witness=tuple(witness) if witness is not None else None)
 
 
-def _support(kernel: _SdpKernel, gap: float):
+def _commuting(kernel: _SdpKernel, eig, gap: float):
+    """A candidate (sigma; Z) for a classical target (m = 1) read off the
+    eigenbasis V of the marginal M = sum_x rho_x, optimal when the
+    blocks commute and M's nonzero eigenvalues are simple.
+
+    With D_x = V^H rho_x V and p_k = max_x Re(D_x)_kk,
+    sigma = V diag(p) V^H + t 1 covers every block once t bounds the
+    off-diagonal part of every D_x in norm: t is the largest Frobenius
+    norm of D_x minus its real diagonal, plus a rounding term.  The dual
+    is the argmax measurement, Z_x = (1 - s) V P_x V^H + (s / count) 1,
+    where P_x projects onto the k whose argmax is x; the mix with
+    s = gap / 8 keeps every Z_x positive definite for the certificate
+    and costs at most s / ln 2 bits.  Returns None when the shift t
+    costs more than half the gap in bits.
+    """
+    vals, vecs = eig
+    d, count = kernel.d_b, kernel.count
+    dx = _ct(vecs) @ kernel.rho @ vecs
+    dk = np.einsum("xkk->xk", dx).real
+    best = dk.argmax(axis=0)
+    p = dk.max(axis=0)
+    top = max(float(vals[-1]), 0.0)
+    t = (float(np.linalg.norm(dx - kernel.diag(dk), axis=(1, 2)).max())
+         + 8.0 * d * np.finfo(float).eps * top)
+    if d * t > float(p.sum()) * math.expm1(0.5 * gap * math.log(2.0)):
+        return None
+    s = gap / 8.0
+    sigma = _herm((vecs * p) @ _ct(vecs)) + t * kernel.eye_b
+    proj = (vecs * (best == np.arange(count)[:, None])[:, None, :]) @ _ct(vecs)
+    return sigma, _herm((1.0 - s) * proj) + (s / count) * kernel.eye
+
+
+def _support(kernel: _SdpKernel, gap: float, eig):
     """The problem restricted to the support of the conditioning marginal,
     and the map that lifts its iterates back to the full space.
 
@@ -453,10 +494,11 @@ def _support(kernel: _SdpKernel, gap: float):
     budget worth a quarter of the gap in bits, measured against
     tr(sigma) >= max_x tr(rho_x) / m, and an eigenvector is dropped only
     while delta stays at least 2 w.
-    Returns (kernel, None) when nothing is dropped.
+    ``eig`` is the eigendecomposition of M.  Returns (kernel, None) when
+    nothing is dropped.
     """
     d, m = kernel.d_b, kernel.m
-    vals, vecs = herm_eig(_ptrace(m, d, kernel.rho))
+    vals, vecs = eig
     top = max(float(vals[-1]), 0.0)
     weight = np.cumsum(np.maximum(vals, 0.0) + d * np.finfo(float).eps * top)
     floor = float(np.einsum("kii->k", kernel.rho).real.max()) / m
@@ -514,8 +556,10 @@ def _primal_dual(kernel: _SdpKernel, gap: float, certify) -> EntropyResult:
 def _solve_hmin(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
     """Min-entropy of the blocks rho of multiplicity m on C^d_b.
 
-    For d_b = 1, -log2 of the largest eigenvalue of any block.  Otherwise
-    solve on the support of the conditioning marginal and certify the
+    For d_b = 1, -log2 of the largest eigenvalue of any block.  For a
+    classical target, certify the candidate read off the eigenbasis of
+    the conditioning marginal first, and return it if it meets the gap.
+    Otherwise solve on the support of the marginal and certify the
     lifted iterate on the original blocks; solve in the full space only
     if nothing is dropped or a lifted slack fails Cholesky."""
     if d_b == 1:
@@ -524,7 +568,16 @@ def _solve_hmin(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
         return EntropyResult(value, value, value, CLOSED_FORM,
                              sigma=np.array([[lam]], dtype=complex))
     full = _SdpKernel(m, rho, d_b)
-    reduced, lift = _support(full, gap)
+    eig = herm_eig(_ptrace(m, d_b, rho))
+    candidate = _commuting(full, eig, gap) if m == 1 else None
+    if candidate is not None:
+        try:
+            result = _certify(full, *candidate, 0)
+            if result.gap <= gap:
+                return result
+        except np.linalg.LinAlgError:
+            pass  # a slack failed Cholesky
+    reduced, lift = _support(full, gap, eig)
     if lift is not None:
         try:
             return _primal_dual(reduced, gap,

@@ -7,7 +7,11 @@ through every entry point the benchmark wraps (``gf2.build_family``,
 untraced run compares each job's output with its recorded digest.  For
 certify-scenario both runs check every bracket against the requested
 gap and every measured epsilon against its bound, so they guard the
-min-entropy solver on the scenario's rank-deficient blocks.
+min-entropy solver on the scenario's rank-deficient blocks.  For
+certify-chain both runs check every bracket against the requested gap
+and every chaining bound against the certified upper bound; about a
+third of its block sets commute, so they guard the commuting candidate
+as well as the solver.
 """
 
 import os
@@ -35,3 +39,8 @@ def test_extract_bits_smoke_run(trace):
 @pytest.mark.parametrize("trace", ["0", "1"])
 def test_certify_scenario_smoke_run(trace):
     smoke_run("certify-scenario", trace)
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_certify_chain_smoke_run(trace):
+    smoke_run("certify-chain", trace)

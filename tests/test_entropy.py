@@ -1,9 +1,10 @@
+import functools
 import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_herm, rand_psd
@@ -91,6 +92,21 @@ class TestH2Down:
             hm = h_min(rho, ["Z"], ["E"])
             h2 = h2_down(rho, ["Z"], ["E"])
             assert hm.value <= h2.value + 1e-8
+
+
+class TestTrivialConditioner:
+    """A trivial conditioner is the 1x1 rho_B = tr(rho), so appending an
+    independent pure system leaves the down entropies unchanged."""
+
+    @pytest.mark.parametrize("entropy", [h_inf_down, h2_down])
+    @pytest.mark.parametrize("trace", [0.5, 1.0])
+    def test_appended_pure_system(self, rng, entropy, trace):
+        mat = rand_psd(rng, 3, trace)
+        pure = np.diag([1.0, 0.0])
+        alone = entropy(DensityOperator((System("A", 3),), mat), ["A"])
+        joint = entropy(DensityOperator((System("A", 3), System("B", 2)), np.kron(mat, pure)),
+                        ["A"], ["B"])
+        assert joint.value == pytest.approx(alone.value, abs=1e-12)
 
 
 class TestSupportCheck:
@@ -445,6 +461,83 @@ class TestSupportReduction:
                 assert res.lower <= res.value <= res.upper and res.gap <= gap
                 for b in blocks:
                     np.linalg.cholesky(res.sigma - b)
+
+
+def _commuting_blocks(seed, d, count, ties, zero, drop, proportional):
+    """Blocks V diag(d_x) V^H for a random unitary V, with the diagonals
+    d_x as a (count, d) array.  Each column k is scaled to sum to its own
+    weight, so the marginal's nonzero eigenvalues are simple.  ``ties``
+    draws small integers before scaling, so argmax ties are common;
+    ``zero`` zeroes the first block, ``drop`` zeroes that many columns
+    (a rank-deficient marginal), and ``proportional`` makes every block
+    c_x M."""
+    r = np.random.default_rng(seed)
+    v = _random_isometry(r, d, d)
+    if proportional:
+        raw = r.uniform(size=(count, 1)) * np.ones((1, d))
+    elif ties:
+        raw = r.integers(0, 3, size=(count, d)).astype(float)
+    else:
+        raw = r.uniform(size=(count, d))
+    if zero:
+        raw[0] = 0.0
+    raw[:, r.permutation(d)[:drop]] = 0.0
+    col = raw.sum(axis=0)
+    weight = r.permutation(np.arange(1.0, d + 1.0))
+    diags = np.where(col > 0, raw / np.where(col > 0, col, 1.0) * weight, 0.0)
+    diags /= max(diags.sum(), 1e-300) / float(r.uniform(0.5, 1.0))
+    return [(v * x) @ v.conj().T for x in diags], diags
+
+
+class TestCommutingBlocks:
+    """Blocks diagonal in the eigenbasis of their marginal are certified
+    from the argmax measurement, with no predictor-corrector iteration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 6), count=st.integers(2, 16),
+           ties=st.booleans(), zero=st.booleans(), drop=st.integers(0, 5),
+           proportional=st.booleans())
+    def test_certified_without_iterations(self, seed, d, count, ties, zero, drop, proportional):
+        import qextract.entropy as ent
+
+        blocks, diags = _commuting_blocks(seed, d, count, ties, zero, min(drop, d - 1),
+                                          proportional)
+        assume(diags.sum() > 0)
+        expect = -math.log2(diags.max(axis=0).sum())
+        kernel = ent._SdpKernel(1, np.array(blocks), d)
+        for gap in (1e-6, 1e-8, 1e-10):
+            res = h_min_blocks(blocks, gap=gap)
+            assert res.kind == SDP and res.iterations == 0
+            assert res.gap <= gap
+            assert res.lower - 1e-12 <= expect <= res.upper + 1e-12
+            sdp = ent._primal_dual(kernel, gap, functools.partial(ent._certify, kernel))
+            assert sdp.iterations > 0
+            assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_off_diagonals_fall_back_to_the_sdp(self, seed):
+        r = np.random.default_rng(seed)
+        d, count = 4, 3
+        v = _random_isometry(r, d, d)
+        blocks = []
+        for x in r.uniform(0.05, 0.3, size=(count, d)):
+            # diagonally dominant, so still positive semidefinite
+            off = 1e-3 * rand_herm(r, d)
+            np.fill_diagonal(off, 0.0)
+            blocks.append(v @ (np.diag(x) + off) @ v.conj().T)
+        for gap in (1e-6, 1e-8, 1e-10):
+            res = h_min_blocks(blocks, gap=gap)
+            assert res.iterations > 0
+            assert res.lower <= res.value <= res.upper and res.gap <= gap
+
+    def test_wide_gap_without_a_dual_witness(self):
+        # at gap 16 and 32 the mix s = gap / 8 exceeds 1 and leaves the
+        # argmax Z_x indefinite, so the candidate has no dual bound and the
+        # SDP answers
+        blocks, _ = _commuting_blocks(7, 4, 5, False, False, 0, False)
+        for gap in (16.0, 32.0):
+            res = h_min_blocks(blocks, gap=gap)
+            assert res.lower <= res.value <= res.upper and res.gap <= gap
 
 
 def _nt_oracle(blocks, sigma, zs, rhs):
