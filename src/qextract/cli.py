@@ -17,7 +17,7 @@ Output files are written to a temporary name and atomically renamed, so
 a failed command never leaves partial output behind.
 
 The environment variable ``QEXTRACT_GAP`` overrides the default
-certificate gap of the entropy solver.
+certificate gap of ``entropy`` only; ``verify`` keeps its default of 1e-6.
 """
 
 from __future__ import annotations
@@ -38,7 +38,13 @@ EXIT_SOLVER = 4
 
 
 def _default_gap() -> float:
-    return float(os.environ.get("QEXTRACT_GAP", "1e-8"))
+    from .entropy import DEFAULT_GAP
+
+    raw = os.environ.get("QEXTRACT_GAP")
+    try:
+        return DEFAULT_GAP if raw is None else float(raw)
+    except ValueError:
+        raise ValueError(f"QEXTRACT_GAP must be a number, got {raw!r}") from None
 
 
 def _emit(payload, plain: bool) -> None:
@@ -112,12 +118,10 @@ def cmd_extract(args) -> int:
 
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    if args.family:
+    if args.family is not None:
         fam = _load_family(args.family)
         spec = ExtractorSpec(DEOR, fam.n, fam.m, fam)
     else:
-        if args.n is None:
-            raise ValueError("--n is required for the inner product extractor")
         spec = ExtractorSpec(IP, args.n)
     job = ExtractionJob(spec, args.blocks, strong=args.strong)
     written = extract_file(job, args.x, args.y, args.out, workers=args.workers)
@@ -257,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_family)
 
     p = sub.add_parser("extract", help="run an extractor over bit files")
-    p.add_argument("--family", help="matrix family JSON (multi-bit extractor)")
-    p.add_argument("--n", type=int, help="block bits (inner product only)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", help="matrix family JSON (multi-bit extractor)")
+    source.add_argument("--n", type=int, help="block bits (inner product only)")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--blocks", type=int, required=True)

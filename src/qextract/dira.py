@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import DEFAULT_GAP, EntropyResult, h_min_blocks
-from .quantum import CqState, System
+from .quantum import CqState, System, random_cq_state
 
 BIAS_TOL = 1e-9
+MAX_EXACT_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class SvStep:
         k = np.asarray(self.kernel, dtype=float)
         if k.ndim != 3 or k.shape[0] != 2:
             raise ValueError("kernel must have shape (2, d_out, d_in)")
-        if k.min() < 0:
-            raise ValueError("kernel has negative entries")
+        if not (np.isfinite(k).all() and k.min() >= 0):
+            raise ValueError("kernel has negative or non-finite entries")
         col = k.sum(axis=(0, 1))
         if np.abs(col - 1.0).max() > 1e-12:
             raise ValueError("kernel columns must sum to one (trace preserving)")
@@ -104,45 +105,50 @@ class SvSourceSpec:
     def n(self) -> int:
         return len(self.steps)
 
-    def initial_blocks(self) -> list[np.ndarray]:
+    def initial_blocks(self) -> np.ndarray:
+        """Stack of the adversary's operators for each initial memory value."""
         if self.rho_init is not None:
             return self.rho_init.blocks()
         d = self.steps[0].d_in
-        return [np.array([[1.0 / d]], dtype=complex) for _ in range(d)]
+        return np.full((d, 1, 1), 1.0 / d, dtype=complex)
 
 
-def simulate_sv_exact(spec: SvSourceSpec, max_bits: int = 8) -> CqState:
+def _exact_blocks(spec: SvSourceSpec) -> np.ndarray:
+    """The adversary's operators for each emitted string, as one
+    (2^n, d_e, d_e) stack; bit i of the string is bit i of its index."""
+    if spec.n > MAX_EXACT_BITS:
+        raise ValueError(f"exact mode supports at most {MAX_EXACT_BITS} steps")
+    # state[v] has shape (d_r, d_e, d_e) for the emitted prefix v, bit i
+    # of the string at bit i of v: each step's bit x becomes the high bit
+    state = spec.initial_blocks()[None]
+    d_e = state.shape[-1]
+    for step in spec.steps:
+        # kernel[x, r', r] state[v, r] -> state[x 2^i + v, r']
+        state = np.einsum("xsr,vrab->xvsab", step.kernel, state).reshape(
+            -1, step.d_out, d_e, d_e)
+    return state.sum(axis=1)
+
+
+def simulate_sv_exact(spec: SvSourceSpec) -> CqState:
     """Exact joint state of all emitted bits and the adversary system.
 
     The memory register is traced out at the end.  Block bookkeeping
     keeps this linear in 2^n, so n is capped.
     """
-    if spec.n > max_bits:
-        raise ValueError(f"exact mode supports at most {max_bits} steps")
-    init = spec.initial_blocks()
-    d_e = init[0].shape[0]
-    # state[v] has shape (d_r, d_e, d_e) for the emitted prefix v, bit i
-    # of the string at bit i of v: each step's bit x becomes the high bit
-    state = np.stack(init)[None]
-    for step in spec.steps:
-        # kernel[x, r', r] state[v, r] -> state[x 2^i + v, r']
-        state = np.einsum("xsr,vrab->xvsab", step.kernel, state).reshape(
-            -1, step.d_out, d_e, d_e)
+    blocks = _exact_blocks(spec)
     return CqState.from_blocks(System("Xn", 2 ** spec.n, classical=True),
-                               (System("E", d_e),), state.sum(axis=1))
+                               (System("E", blocks.shape[-1]),), blocks)
 
 
 def exact_bit_marginal(spec: SvSourceSpec) -> np.ndarray:
     """P(x^n) of the exact output, little-endian bit packing."""
-    rho = simulate_sv_exact(spec)
-    return rho.probs()
+    return np.einsum("xii->x", _exact_blocks(spec)).real
 
 
 def simulate_sv_sample(spec: SvSourceSpec, count: int, seed: int) -> np.ndarray:
     """Monte Carlo trajectories, (count, n) bit array; side information ignored."""
     rng = np.random.default_rng(seed)
-    init = spec.initial_blocks()
-    p0 = np.array([b.trace().real for b in init])
+    p0 = np.einsum("xii->x", spec.initial_blocks()).real
     p0 = p0 / p0.sum()
     out = np.zeros((count, spec.n), dtype=np.uint8)
     r = rng.choice(len(p0), size=count, p=p0)
@@ -178,8 +184,7 @@ class ChainingReport:
 
 def check_chaining(spec: SvSourceSpec, gap: float = DEFAULT_GAP) -> ChainingReport:
     """Verify the exact output satisfies the per-step entropy accumulation."""
-    rho = simulate_sv_exact(spec)
-    h = h_min_blocks(rho.blocks(), gap=gap)
+    h = h_min_blocks(_exact_blocks(spec), gap=gap)
     bound = -spec.n * math.log2(0.5 + spec.mu)
     return ChainingReport(h, bound)
 
@@ -210,15 +215,8 @@ def gen_random_sv_spec(seed: int, n: int | None = None,
                 kernel[x, :, r] = px * split
         steps.append(SvStep(kernel))
         d_in = d_out
-    blocks = []
     d_e = int(rng.integers(1, 5))
-    weights = rng.dirichlet(np.ones(d_r))
-    for w in weights:
-        g = rng.normal(size=(d_e, d_e)) + 1j * rng.normal(size=(d_e, d_e))
-        m = g @ g.conj().T
-        blocks.append(w * m / m.trace().real)
-    rho_init = CqState.from_blocks(System("R0", d_r, classical=True),
-                                   (System("E", d_e),), blocks)
+    rho_init = random_cq_state(rng, d_r, d_e, cl_name="R0", q_name="E")
     return SvSourceSpec(mu, tuple(steps), rho_init)
 
 

@@ -76,7 +76,7 @@ from .quantum import (
     SUPPORT_RTOL,
     DensityOperator,
     Instrument,
-    adjoint_apply,
+    diagonal_blocks,
     frac_power,
     herm_eig,
     permute_systems,
@@ -147,8 +147,7 @@ def _blocks(rho: DensityOperator, n_target: int):
     d_b = int(np.prod([s.dim for s in rho.systems[n_target:]], dtype=np.int64))
     d_a = rho.dim // d_b
     if all(s.classical for s in rho.systems[:n_target]):
-        x = np.arange(d_a)
-        return 1, rho.matrix.reshape(d_a, d_b, d_a, d_b)[x, :, x, :], d_b
+        return 1, diagonal_blocks(rho.matrix, d_a), d_b
     return d_a, np.array(rho.matrix)[None], d_b
 
 
@@ -648,12 +647,10 @@ def k2_functional(inst: Instrument, sigma_b: DensityOperator | np.ndarray) -> fl
             f"reference state dimension {mat.shape[0]} does not match "
             f"instrument input {inst.input_dim}")
     quarter = frac_power(mat, 0.25)
-    eye_t = np.eye(inst.output_dim)
-    total = 0.0
-    for y in range(inst.num_outcomes):
-        g = quarter @ adjoint_apply(inst, y, eye_t) @ quarter
-        total += float(np.vdot(g, g).real)
-    return -math.log2(total)
+    ops = inst.kraus_stack
+    # N_y*[1] = sum of K* K over the Kraus operators K of outcome y
+    g = quarter @ inst.outcome_sums(np.einsum("kai,kaj->kij", ops.conj(), ops)) @ quarter
+    return -math.log2(float(np.vdot(g, g).real))
 
 
 def smoothing_penalty(eps: float, trace: float = 1.0) -> float:

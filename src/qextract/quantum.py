@@ -5,7 +5,10 @@ tensor factors.  Traces in (0, 1] are allowed throughout; a "state" here
 is any PSD operator with positive trace at most one (up to tolerance).
 Classical systems are flagged as such and must be diagonal in the
 computational basis; the basis index of a classical n-bit register is
-the little-endian integer value of the bitstring.
+the little-endian integer value of the bitstring.  A cq state's
+conditional operators, and an instrument's outputs, are one (count, d, d)
+stack of blocks; an instrument's Kraus operators are one (K, d_out, d_in)
+stack with the outcome of each, and every map and sum runs on the stacks.
 
 Deliberate scale limits: the product of quantum (non-classical)
 dimensions is capped at 64 and the total dimension at 1024.  Everything
@@ -282,6 +285,10 @@ class Instrument:
     The whole map must be trace non-increasing:
     sum over outcomes and Kraus terms of K* K <= identity (tolerance
     1e-10); it is flagged trace-preserving when equality holds.
+
+    ``kraus`` keeps the per-outcome lists of the constructor and the JSON
+    files; computations read ``kraus_stack``, all K Kraus operators as one
+    read-only (K, d_out, d_in) array, and ``kraus_outcome``, their outcomes.
     """
 
     input_systems: tuple[System, ...]
@@ -300,26 +307,29 @@ class Instrument:
                                     f"the cap of {TOTAL_DIM_CAP}")
         if not self.kraus:
             raise ValueError("instrument needs at least one outcome")
-        frozen = []
-        acc = np.zeros((d_in, d_in), dtype=complex)
-        for ops in self.kraus:
-            ops = tuple(np.array(k, dtype=complex) for k in ops)
-            for k in ops:
-                if k.shape != (d_out, d_in):
-                    raise ValueError(
-                        f"Kraus operator shape {k.shape} != ({d_out}, {d_in})")
-                k.setflags(write=False)
-                acc += k.conj().T @ k
-            frozen.append(ops)
-        object.__setattr__(self, "kraus", tuple(frozen))
+        flat = [k for ops in self.kraus for k in ops]
+        wrong = {np.shape(k) for k in flat} - {(d_out, d_in)}
+        if wrong:
+            raise ValueError(f"Kraus operator shape {wrong.pop()} != ({d_out}, {d_in})")
+        stack = np.array(flat or np.zeros((0, d_out, d_in)), dtype=complex)
+        if not np.isfinite(stack).all():
+            raise ValueError("Kraus operators have non-finite entries")
+        acc = np.einsum("kai,kaj->ij", stack.conj(), stack)
         top = np.linalg.eigvalsh(0.5 * (acc + acc.conj().T)).max()
-        if top > 1.0 + PSD_TOL:
+        if not top <= 1.0 + PSD_TOL:
             raise ValueError(f"instrument is not trace non-increasing: sum K*K has "
                              f"eigenvalue {top:.6f}")
-        tp = bool(np.allclose(acc, np.eye(d_in), atol=PSD_TOL))
-        object.__setattr__(self, "_tp", tp)
         if self.labels is not None and len(self.labels) != len(self.kraus):
             raise ValueError("label count does not match outcome count")
+        counts = [len(ops) for ops in self.kraus]
+        owner = np.repeat(np.arange(len(counts)), counts)
+        for frozen in (stack, owner):
+            frozen.setflags(write=False)
+        object.__setattr__(self, "kraus_stack", stack)
+        object.__setattr__(self, "kraus_outcome", owner)
+        object.__setattr__(self, "kraus", tuple(
+            tuple(part) for part in np.split(stack, np.cumsum(counts)[:-1])))
+        object.__setattr__(self, "_tp", bool(np.allclose(acc, np.eye(d_in), atol=PSD_TOL)))
 
     @property
     def input_dim(self) -> int:
@@ -341,9 +351,24 @@ class Instrument:
     def outcome_system(self) -> System:
         return System(self.outcome_name, self.num_outcomes, classical=True)
 
+    def outcome_sums(self, per_kraus: np.ndarray) -> np.ndarray:
+        """Sum a stack whose first axis runs over ``kraus_stack`` over the
+        Kraus operators of each outcome: a (num_outcomes, ...) stack."""
+        onehot = self.kraus_outcome == np.arange(self.num_outcomes)[:, None]
+        return np.tensordot(onehot.astype(float), per_kraus, axes=1)
+
+    def branches(self, t: np.ndarray) -> np.ndarray:
+        """Each outcome's sum over its Kraus operators K of (K (x) 1) t (K (x) 1)*,
+        acting on the first factor of each operator in ``t``, of shape
+        (..., d_in, r, d_in, r): a (num_outcomes, ..., d_out, r, d_out, r) stack."""
+        ops = self.kraus_stack
+        half = np.einsum("kai,...irjs->k...arjs", ops, t)
+        return self.outcome_sums(np.einsum("k...arjs,kbj->k...arbs", half, ops.conj()))
+
     def outcome_map(self, x: int, mat: np.ndarray) -> np.ndarray:
         """Apply the (sub-normalized) branch for outcome x to a bare matrix."""
-        return sum(k @ mat @ k.conj().T for k in self.kraus[x])
+        ops = self.kraus_stack[self.kraus_outcome == range(self.num_outcomes)[x]]
+        return np.einsum("kai,ij,kbj->ab", ops, mat, ops.conj())
 
 
 def adjoint_apply(inst: Instrument, outcome: int, op: np.ndarray) -> np.ndarray:
@@ -356,14 +381,20 @@ def adjoint_apply(inst: Instrument, outcome: int, op: np.ndarray) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape != (d_out, d_out):
         raise ValueError(f"operator shape {op.shape} != ({d_out}, {d_out})")
-    acc = np.zeros((inst.input_dim, inst.input_dim), dtype=complex)
-    for k in inst.kraus[outcome]:
-        acc += k.conj().T @ op @ k
-    return acc
+    # indexing a range raises IndexError for an outcome that does not exist
+    ops = inst.kraus_stack[inst.kraus_outcome == range(inst.num_outcomes)[outcome]]
+    return np.einsum("kai,ab,kbj->ij", ops.conj(), op, ops)
+
+
+def diagonal_blocks(mat: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` diagonal blocks of a square matrix, as a new (count, d, d) stack."""
+    d = mat.shape[0] // count
+    x = np.arange(count)
+    return mat.reshape(count, d, count, d)[x, :, x, :]
 
 
 class CqState(DensityOperator):
-    """State whose first system is classical; exposes conditional blocks."""
+    """State whose first system is classical; its blocks form one stack."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -378,28 +409,25 @@ class CqState(DensityOperator):
     def block_dim(self) -> int:
         return self.dim // self.num_classical
 
-    def conditional_block(self, x: int) -> np.ndarray:
-        """Sub-normalized conditional operator on the remaining systems."""
-        d = self.block_dim
-        return np.array(self.matrix[x * d:(x + 1) * d, x * d:(x + 1) * d])
-
-    def blocks(self) -> list[np.ndarray]:
-        return [self.conditional_block(x) for x in range(self.num_classical)]
+    def blocks(self) -> np.ndarray:
+        """Sub-normalized conditional operators on the remaining systems,
+        one per classical value, as a (num_classical, d, d) stack."""
+        return diagonal_blocks(self.matrix, self.num_classical)
 
     def probs(self) -> np.ndarray:
-        return np.array([b.trace().real for b in self.blocks()])
+        c, d = self.num_classical, self.block_dim
+        return np.einsum("xixi->x", self.matrix.reshape(c, d, c, d)).real
 
     @classmethod
     def from_blocks(cls, outcome: System, rest: tuple[System, ...],
                     blocks) -> "CqState":
-        blocks = [np.asarray(b, dtype=complex) for b in blocks]
-        if len(blocks) != outcome.dim:
-            raise ValueError("block count does not match outcome dimension")
-        d = blocks[0].shape[0]
-        mat = np.zeros((outcome.dim * d, outcome.dim * d), dtype=complex)
-        for x, b in enumerate(blocks):
-            mat[x * d:(x + 1) * d, x * d:(x + 1) * d] = b
-        return cls((outcome,) + tuple(rest), mat)
+        blocks = np.asarray(blocks, dtype=complex)
+        c, d = outcome.dim, blocks.shape[-1]
+        if blocks.shape != (c, d, d):
+            raise ValueError(f"blocks of shape {blocks.shape} are not {c} square blocks")
+        mat = np.zeros((c, d, c, d), dtype=complex)
+        mat[np.arange(c), :, np.arange(c), :] = blocks
+        return cls((outcome,) + tuple(rest), mat.reshape(c * d, c * d))
 
 
 def apply_instrument(inst: Instrument, rho: DensityOperator) -> CqState:
@@ -427,24 +455,32 @@ def apply_instrument(inst: Instrument, rho: DensityOperator) -> CqState:
                                instrument_blocks(inst, rho))
 
 
-def instrument_blocks(inst: Instrument, rho: DensityOperator) -> list[np.ndarray]:
-    """Per-outcome sub-normalized operators on (instrument outputs (x) rest).
+def instrument_blocks(inst: Instrument, rho: DensityOperator) -> np.ndarray:
+    """Per-outcome sub-normalized operators on (instrument outputs (x) rest),
+    as one (num_outcomes, d, d) stack.
 
     The leading systems of ``rho`` must be the instrument's inputs, in
     order; the rest stay as they are.
     """
     d_in = inst.input_dim
     d_rest = rho.dim // d_in
+    d = inst.output_dim * d_rest
     t = rho.matrix.reshape(d_in, d_rest, d_in, d_rest)
-    d_out = inst.output_dim
+    return inst.branches(t).reshape(-1, d, d)
+
+
+def random_cq_state(rng: np.random.Generator, n_classical: int, d_q: int,
+                    cl_name: str = "Z", q_name: str = "E",
+                    trace: float = 1.0) -> CqState:
+    """Seeded cq state: Dirichlet weights times ``trace`` on normalized Wishart blocks."""
     blocks = []
-    for ops in inst.kraus:
-        b = np.zeros((d_out * d_rest, d_out * d_rest), dtype=complex)
-        for k in ops:
-            kt = np.einsum("ai,irjs,bj->arbs", k, t, k.conj())
-            b += kt.reshape(d_out * d_rest, d_out * d_rest)
-        blocks.append(b)
-    return blocks
+    weights = rng.dirichlet(np.ones(n_classical)) * trace
+    for w in weights:
+        g = rng.normal(size=(d_q, d_q)) + 1j * rng.normal(size=(d_q, d_q))
+        m = g @ g.conj().T
+        blocks.append(w * m / m.trace().real)
+    return CqState.from_blocks(System(cl_name, n_classical, classical=True),
+                               (System(q_name, d_q),), blocks)
 
 
 # ---------------------------------------------------------------------------

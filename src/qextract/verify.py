@@ -33,10 +33,12 @@ from .quantum import (
     DensityOperator,
     Instrument,
     System,
+    apply_instrument,
     frac_power,
     instrument_blocks,
     permute_systems,
     purify,
+    random_cq_state,
     trace_norm,
 )
 
@@ -105,8 +107,8 @@ class BoundReport:
         }
 
 
-def _branch_blocks(inst: Instrument, rho: DensityOperator):
-    """Per-outcome sub-normalized operators on (instrument outputs (x) rest)."""
+def _branch_blocks(inst: Instrument, rho: DensityOperator) -> np.ndarray:
+    """Stack of per-outcome sub-normalized operators on (outputs (x) rest)."""
     acted = [s.name for s in inst.input_systems]
     rest = [nm for nm in rho.names() if nm not in acted]
     return instrument_blocks(inst, permute_systems(rho, acted + rest))
@@ -115,19 +117,12 @@ def _branch_blocks(inst: Instrument, rho: DensityOperator):
 def _scenario_blocks(inst: ScenarioInstance) -> np.ndarray:
     """Exact output blocks rho_{ST and X=x, Y=y} of the scenario, as one
     (2^n, 2^n, d_s d_t, d_s d_t) array indexed by [x, y]."""
-    tau = np.stack(_branch_blocks(inst.m_inst, inst.rho_ab))  # x -> on (S, B)
-    d_s = inst.m_inst.output_dim
-    d_b = inst.n_inst.input_dim
-    d_t = inst.n_inst.output_dim
-    kraus = np.array([k for ops in inst.n_inst.kraus for k in ops]).reshape(-1, d_t, d_b)
-    owner = np.array([y for y, ops in enumerate(inst.n_inst.kraus) for _ in ops], dtype=int)
-    t5 = tau.reshape(-1, d_s, d_b, d_s, d_b)
-    half = np.einsum("kai,xrisj->xkrasj", kraus, t5)
-    per_kraus = np.einsum("xkrasj,kbj->xkrasb", half, kraus.conj())
-    # sum the Kraus terms of each outcome y
-    onehot = (owner[:, None] == np.arange(inst.n_inst.num_outcomes)).astype(float)
-    d = d_s * d_t
-    blocks = np.einsum("xkq,ky->xyq", per_kraus.reshape(len(tau), len(owner), d * d), onehot)
+    tau = _branch_blocks(inst.m_inst, inst.rho_ab)  # x -> on (S, B)
+    d_s, d_b = inst.m_inst.output_dim, inst.n_inst.input_dim
+    d = d_s * inst.n_inst.output_dim
+    # the branches act on the first factor: B in (B, S), then T in (T, S)
+    t5 = tau.reshape(-1, d_s, d_b, d_s, d_b).transpose(0, 2, 1, 4, 3)
+    blocks = inst.n_inst.branches(t5).transpose(1, 0, 3, 2, 5, 4)  # [y, x] -> [x, y]
     return blocks.reshape(len(tau), -1, d, d)
 
 
@@ -178,8 +173,8 @@ def scenario_entropies(inst: ScenarioInstance, gap: float = DEFAULT_GAP):
     omega = _branch_blocks(inst.n_inst, inst.rho_ab)  # on (T, A)
     if inst.strong:
         d_t = inst.n_inst.output_dim
-        d_a = omega[0].shape[0] // d_t
-        omega = [np.einsum("iaib->ab", w.reshape(d_t, d_a, d_t, d_a)) for w in omega]
+        d_a = omega.shape[-1] // d_t
+        omega = np.einsum("yiaib->yab", omega.reshape(-1, d_t, d_a, d_t, d_a))
     k2 = h_min_blocks(omega, gap=gap)
     return k1, k2
 
@@ -233,13 +228,12 @@ def check_xor_lemma(rho_ze: CqState, m: int) -> XorReport:
     if rho_ze.num_classical != 2 ** m:
         raise ValueError(f"first register must hold {2 ** m} values")
     blocks = rho_ze.blocks()
-    rho_e = sum(blocks)
-    lhs = sum(trace_norm(b - rho_e / 2 ** m) for b in blocks) ** 2
-    rhs = 0.0
-    for s in range(1, 2 ** m):
-        signed = sum(b if (s & z).bit_count() % 2 == 0 else -b
-                     for z, b in enumerate(blocks))
-        rhs += trace_norm(signed) ** 2
+    uniform = blocks.sum(axis=0) / 2 ** m
+    lhs = sum(trace_norm(b - uniform) for b in blocks) ** 2
+    # signs[s, z] = (-1)^(s . z), the parity character s at output value z
+    z = np.arange(2 ** m)
+    signs = 1 - 2 * (np.bitwise_count(z[:, None] & z[None, :]) & 1)
+    rhs = sum(trace_norm(t) ** 2 for t in np.einsum("sz,zab->sab", signs[1:], blocks))
     return XorReport(float(lhs), float(2 ** m * rhs))
 
 
@@ -249,12 +243,8 @@ def check_xor_lemma(rho_ze: CqState, m: int) -> XorReport:
 
 def measurement_instrument(system: System, outcome_name: str = "X") -> Instrument:
     """Computational basis measurement with no quantum output."""
-    kraus = []
-    for x in range(system.dim):
-        k = np.zeros((1, system.dim), dtype=complex)
-        k[0, x] = 1.0
-        kraus.append((k,))
-    return Instrument((system,), outcome_name, (), tuple(kraus))
+    kraus = tuple((row[None],) for row in np.eye(system.dim, dtype=complex))
+    return Instrument((system,), outcome_name, (), kraus)
 
 
 def preparation_instrument(system: System, probs, outcome_name: str) -> Instrument:
@@ -362,14 +352,10 @@ def build_eta_nu(p: np.ndarray) -> tuple[CqState, CqState]:
 
     def cq(table: np.ndarray, cl_name: str, q_name: str) -> CqState:
         rows, cols = table.shape
-        blocks = []
-        for v in range(rows):
-            mass = table[v].sum()
-            if mass <= 0:
-                blocks.append(np.zeros((cols, cols), dtype=complex))
-                continue
-            amp = np.sqrt(table[v] / mass)
-            blocks.append(mass * np.outer(amp, amp))
+        mass = table.sum(axis=1)
+        # a row of zero mass has zero amplitudes and a zero block
+        amp = np.sqrt(table / np.where(mass > 0, mass, 1.0)[:, None])
+        blocks = mass[:, None, None] * (amp[:, :, None] * amp[:, None, :])
         return CqState.from_blocks(System(cl_name, rows, classical=True),
                                    (System(q_name, cols),), blocks)
 
@@ -385,33 +371,23 @@ def alt_model_channel(rho_xb: CqState, outcome_name: str = "X") -> Instrument:
     purification of the marginal they reproduce the cq state exactly.
     """
     blocks = rho_xb.blocks()
-    rho_b = sum(blocks)
+    rho_b = blocks.sum(axis=0)
     white = frac_power(rho_b, -0.5)
-    kraus = []
-    for blk in blocks:
-        f = (white @ blk @ white).T
-        root = frac_power(0.5 * (f + f.conj().T), 0.5)
-        kraus.append(tuple(root[j:j + 1, :] for j in range(root.shape[0])))
-    d = rho_b.shape[0]
-    ref = System("ref", d)
-    return Instrument((ref,), outcome_name, (), tuple(kraus))
+    f = (white @ blocks @ white).swapaxes(1, 2)
+    # the rows of the square root of each POVM element are its Kraus operators
+    kraus = tuple(tuple(frac_power(0.5 * (e + e.conj().T), 0.5)[:, None]) for e in f)
+    return Instrument((System("ref", len(rho_b)),), outcome_name, (), kraus)
 
 
 def alt_model_roundtrip_error(rho_xb: CqState) -> float:
     """Max deviation of the reconstructed cq state from the original."""
-    from .quantum import apply_instrument
-
-    rho_b = sum(rho_xb.blocks())
+    rho_b = rho_xb.blocks().sum(axis=0)
     b_sys = rho_xb.systems[1:]
     marginal = DensityOperator(b_sys, rho_b)
     pure = purify(marginal)  # systems (B..., ref)
     rebuilt = apply_instrument(alt_model_channel(rho_xb), pure)
     # rebuilt is (X, B...); compare blockwise against the original
-    err = 0.0
-    for x in range(rho_xb.num_classical):
-        err = max(err, float(np.abs(rebuilt.conditional_block(x)
-                                    - rho_xb.conditional_block(x)).max()))
-    return err
+    return float(np.abs(rebuilt.blocks() - rho_xb.blocks()).max())
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +444,6 @@ def gen_random_instance(seed: int, n_bits: int | None = None, max_dim: int = 4,
     m_inst = random_instrument(rng, a, n_bits, d_s, "X", "S", scale_m)
     n_inst = random_instrument(rng, b, n_bits, d_t, "Y", "T", scale_n)
     return ScenarioInstance(rho, m_inst, n_inst, ext, strong, seed=seed)
-
-
-def random_cq_state(rng: np.random.Generator, n_classical: int, d_q: int,
-                    cl_name: str = "Z", q_name: str = "E",
-                    trace: float = 1.0) -> CqState:
-    blocks = []
-    weights = rng.dirichlet(np.ones(n_classical)) * trace
-    for w in weights:
-        g = rng.normal(size=(d_q, d_q)) + 1j * rng.normal(size=(d_q, d_q))
-        m = g @ g.conj().T
-        blocks.append(w * m / m.trace().real)
-    return CqState.from_blocks(System(cl_name, n_classical, classical=True),
-                               (System(q_name, d_q),), blocks)
 
 
 # ---------------------------------------------------------------------------

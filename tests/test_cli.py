@@ -115,6 +115,20 @@ class TestExtract:
             assert "--workers" in err
         assert not out.exists()
 
+    def test_family_and_n_together_exit_2(self, capsys, tmp_path):
+        fam = tmp_path / "fam.json"
+        run(capsys, "gen-family", "--n", "5", "--m", "3", "--r", "1", "--out", str(fam))
+        data = tmp_path / "data"
+        data.write_bytes(b"\x00" * 64)
+        io_args = ["--x", str(data), "--y", str(data), "--blocks", "8",
+                   "--out", str(tmp_path / "z")]
+        for source in (["--family", str(fam), "--n", "64"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(["extract", *source, *io_args])
+            assert exc.value.code == 2
+            assert "--n" in capsys.readouterr().err
+        assert not (tmp_path / "z").exists()
+
     def test_missing_input_exits_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "extract", "--n", "8",
                            "--x", str(tmp_path / "nope"), "--y", str(tmp_path / "nope"),
@@ -208,6 +222,13 @@ class TestEntropy:
                                         "--state", f"{FIXTURES}/counterexample_eta.json")
                 assert code == 2, (gap, kind)
                 assert stdout == "" and "gap must be positive" in err
+
+    def test_unparsable_gap_from_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("QEXTRACT_GAP", "abc")
+        code, stdout, err = run(capsys, "entropy", "--kind", "hmin",
+                                "--state", f"{FIXTURES}/counterexample_eta.json")
+        assert code == 2
+        assert stdout == "" and "QEXTRACT_GAP" in err and "'abc'" in err
 
     @pytest.mark.parametrize("dim,want", [(4, 0), (3, 3)])
     def test_k2_instrument_must_fit_the_state(self, capsys, tmp_path, dim, want):
@@ -516,6 +537,18 @@ class TestMalformedJsonShapes:
             "outcomes": [{"label": 0, "kraus": [[[[1.0, 0.0]]]]}]})
         self.check(capsys, "entropy", "--kind", "k2",
                    "--state", f"{FIXTURES}/maximally_entangled.json", "--instrument", inst)
+
+    def test_instrument_non_finite_kraus(self, capsys, tmp_path):
+        # on two dimensions a NaN entry gets past the eigenvalue test of sum K*K,
+        # so only the finiteness check rejects it
+        state = self.write(tmp_path, "s.json", {"systems": [{"name": "AB", "dim": 2}],
+                                                "matrix": [[[0.5, 0.0], [0.0, 0.0]],
+                                                           [[0.0, 0.0], [0.5, 0.0]]]})
+        for bad in (float("nan"), float("inf")):
+            doc = measurement(2)
+            doc["outcomes"][0]["kraus"][0][0][0] = [bad, 0.0]
+            inst = self.write(tmp_path, "i.json", doc)
+            self.check(capsys, "entropy", "--kind", "k2", "--state", state, "--instrument", inst)
 
     def test_family_without_a_construction(self, capsys, tmp_path):
         x = tmp_path / "x.bin"

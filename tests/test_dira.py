@@ -15,7 +15,7 @@ from qextract.dira import (
     simulate_sv_exact,
     simulate_sv_sample,
 )
-from qextract.entropy import h_inf_down
+from qextract.entropy import h_inf_down, h_min_blocks
 
 
 def classical_sv_chain(cond_probs):
@@ -62,6 +62,13 @@ class TestSvStep:
             SvStep(np.array([[[-0.1]], [[1.1]]]))
         with pytest.raises(ValueError, match="sum to one"):
             SvStep(np.array([[[0.3]], [[0.3]]]))
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                SvStep(np.full((2, 1, 1), bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            SvStep(np.array([[[0.5]], [[np.nan]]]))
 
     def test_bias_enforced(self):
         with pytest.raises(ValueError, match="leaks outcome probability"):
@@ -164,6 +171,15 @@ class TestChaining:
         for seed in range(8):
             rep = check_chaining(gen_random_sv_spec(seed), gap=1e-7)
             assert rep.holds, (seed, rep.to_json_dict())
+
+    def test_same_bracket_as_the_simulated_state(self):
+        # check_chaining solves on the simulated blocks without building
+        # the dense cq state; the bracket must not change
+        for seed in range(200):
+            spec = gen_random_sv_spec(seed)
+            rep = check_chaining(spec, gap=1e-6)
+            ref = h_min_blocks(simulate_sv_exact(spec).blocks(), gap=1e-6)
+            assert (rep.entropy.lower, rep.entropy.upper) == (ref.lower, ref.upper), seed
 
 
 class TestRateCalculator:

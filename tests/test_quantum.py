@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_herm, rand_psd
 from qextract.quantum import (
@@ -15,6 +17,7 @@ from qextract.quantum import (
     basis_state,
     fidelity_star,
     hermitian_split,
+    instrument_blocks,
     instrument_from_json,
     instrument_to_json,
     maximally_mixed,
@@ -91,6 +94,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="classical"):
             CqState((System("A", 2),), np.eye(2) / 2)
 
+    def test_from_blocks_needs_one_square_block_per_value(self):
+        x, b = System("X", 2, classical=True), System("B", 2)
+        # a (2, 1, 2) stack would broadcast into PSD 2x2 blocks
+        for blocks in (np.full((2, 1, 2), 0.25), np.full((3, 2, 2), 1 / 6)):
+            with pytest.raises(ValueError, match="square blocks"):
+                CqState.from_blocks(x, (b,), blocks)
+
 
 class TestDerivedOperators:
     """permute_systems and partial_trace skip the constructor's checks;
@@ -154,11 +164,65 @@ class TestTensorPartialTrace:
             partial_trace(rho, ["A"])
 
 
+def random_kraus_lists(rng, counts, d_out, d_in):
+    """Per-outcome Kraus lists with the given counts, scaled so that the
+    whole map is trace non-increasing."""
+    ops = rng.normal(size=(sum(counts), d_out, d_in)) \
+        + 1j * rng.normal(size=(sum(counts), d_out, d_in))
+    acc = sum(k.conj().T @ k for k in ops)
+    ops = ops * 0.9 / np.sqrt(np.linalg.eigvalsh(acc).max())
+    bounds = np.cumsum([0] + list(counts))
+    return tuple(tuple(ops[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
 class TestInstrument:
     def test_cptni_enforced(self):
         k = np.sqrt(1.2) * np.eye(2)
         with pytest.raises(ValueError, match="trace non-increasing"):
             Instrument((System("B", 2),), "Y", (System("T", 2),), ((k,),))
+
+    def test_kraus_shapes_checked(self):
+        b = System("B", 2)
+        for ops in (((0.5 * np.eye(2),),), ((0.5 * np.eye(2)[:1],), (0.5 * np.eye(2),))):
+            with pytest.raises(ValueError, match=r"Kraus operator shape \(2, 2\) != \(1, 2\)"):
+                Instrument((b,), "Y", (), ops)
+
+    def test_non_finite_kraus_rejected(self):
+        for bad in (np.nan, np.inf):
+            k = np.array([[0.5, bad]])
+            with pytest.raises(ValueError, match="non-finite"):
+                Instrument((System("B", 2),), "Y", (), ((k,), (0.5 * np.eye(2)[:1],)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), d_in=st.integers(1, 3), d_out=st.integers(1, 3),
+           d_rest=st.integers(1, 3), counts=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           empty_at=st.integers(0, 3))
+    def test_stack_kernels_match_per_kraus_loop(self, seed, d_in, d_out, d_rest, counts,
+                                                 empty_at):
+        rng = np.random.default_rng(seed)
+        counts.insert(min(empty_at, len(counts)), 0)  # one outcome with no Kraus operator
+        kraus = random_kraus_lists(rng, counts, d_out, d_in)
+        outs = (System("T", d_out),) if d_out > 1 else ()
+        inst = Instrument((System("A", d_in),), "Y", outs, kraus)
+        rho = DensityOperator((System("A", d_in), System("R", d_rest)),
+                              rand_psd(rng, d_in * d_rest))
+        blocks = instrument_blocks(inst, rho)
+        assert blocks.shape == (len(counts), d_out * d_rest, d_out * d_rest)
+        eye = np.eye(d_rest)
+        for y, ops in enumerate(kraus):
+            want = sum((np.kron(k, eye) @ rho.matrix @ np.kron(k, eye).conj().T for k in ops),
+                       np.zeros_like(blocks[y]))
+            assert np.allclose(blocks[y], want, rtol=0, atol=1e-12)
+            mat = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+            want = sum((k @ mat @ k.conj().T for k in ops), np.zeros((d_out, d_out)))
+            assert np.allclose(inst.outcome_map(y, mat), want, rtol=0, atol=1e-12)
+            op = rng.normal(size=(d_out, d_out)) + 1j * rng.normal(size=(d_out, d_out))
+            want = sum((k.conj().T @ op @ k for k in ops), np.zeros((d_in, d_in)))
+            assert np.allclose(adjoint_apply(inst, y, op), want, rtol=0, atol=1e-12)
+        with pytest.raises(IndexError):
+            inst.outcome_map(len(counts), mat)
+        with pytest.raises(IndexError):
+            adjoint_apply(inst, len(counts), op)
 
     def test_trace_preserving_flag(self):
         meas = measurement(System("B", 2))
