@@ -86,7 +86,7 @@ def cmd_gen_family(args) -> int:
     from .gf2 import build_family
 
     fam = build_family(args.n, args.m, args.r)
-    write_atomic(args.out, json.dumps(fam.to_json_dict()).encode())
+    write_atomic(args.out, [json.dumps(fam.to_json_dict()).encode()])
     _emit({"out": args.out, "n": fam.n, "m": fam.m, "r": fam.r,
            "construction": fam.construction}, args.plain)
     return EXIT_OK

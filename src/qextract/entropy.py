@@ -612,6 +612,8 @@ def h_min_blocks(blocks, gap: float = DEFAULT_GAP) -> EntropyResult:
     """
     _check_gap(gap)
     rho = np.array(blocks, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise ValueError("blocks must be finite")
     return _solve_hmin(1, rho, rho.shape[-1], gap)
 
 

@@ -36,20 +36,30 @@ count.  Each chunk's largest array is capped at ``CHUNK_BYTES``, so
 kernel memory does not grow with the stream.  Chunks run in a thread
 pool only when every thread gets at least ``MIN_CHUNKS_PER_THREAD`` of
 them; smaller jobs run in the calling thread, where they are faster.
+At most ``WINDOW_PER_THREAD`` chunks per thread are in flight.
 
-``extract_file`` memory-maps each input that is a regular, non-empty
-file, so the kernels read the page cache with no copy of the stream.
-Other inputs (empty files, FIFOs, ``/dev/stdin``), which cannot be
-mapped, are read whole.  As with any mmap reader, truncating a mapped
-input while extraction runs kills the process with SIGBUS.
+``extract_file`` streams.  It memory-maps each input that is a regular,
+non-empty file, so the kernels read the page cache with no copy of the
+stream, and it releases the mapped pages behind the oldest chunk in
+flight with ``madvise(MADV_DONTNEED)``, in spans of at least
+``4 * CHUNK_BYTES``.  Each chunk's output is written,
+in order, to the temporary output file as the chunk completes.  So its
+memory does not grow with the stream length.  The one exception is an
+input that cannot be mapped (an empty file, a FIFO, ``/dev/stdin``): it
+is read whole.  As with any mmap reader, truncating a mapped input while
+extraction runs kills the process with SIGBUS.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import mmap
 import os
 import stat
 import tempfile
+from collections import deque
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -154,6 +164,10 @@ CHUNK_BYTES = 1 << 20
 # chunk outweighed the second core.  From 24 chunks on, 2 threads were
 # 1.07-1.5x faster.
 MIN_CHUNKS_PER_THREAD = 12
+# Chunks in flight per thread: each thread has a chunk queued behind the one
+# it runs while the calling thread writes the oldest.  On 2 cores, windows
+# of 2 to 8 chunks per thread timed the same on IP and strong jobs.
+WINDOW_PER_THREAD = 2
 
 
 def _words(span: np.ndarray) -> np.ndarray:
@@ -267,33 +281,54 @@ def _check_stream(which: str, data: bytes, blocks: int, n: int) -> None:
         raise TruncatedStreamError(which, have_bits // n, need_bits, have_bits)
 
 
+def _chunks(job: ExtractionJob, x: bytes, y: bytes, workers: int) -> Iterator[tuple[int, bytes]]:
+    """Check the job against both streams, then return an iterator over the
+    chunks in stream order: the block where each chunk ends and the
+    chunk's output bytes.  No kernel work is done before the first chunk
+    is asked for."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_stream("x", x, job.blocks, job.spec.n)
+    _check_stream("y", y, job.blocks, job.spec.n)
+    return _run_chunks(job, x, y, workers)
+
+
+def _run_chunks(job: ExtractionJob, x: bytes, y: bytes,
+                workers: int) -> Iterator[tuple[int, bytes]]:
+    if job.blocks == 0:
+        return
+    table = row_table(job.spec.family) if job.spec.kind == DEOR else None
+    chunk = _chunk_blocks(job)
+    starts = range(0, job.blocks, chunk)
+
+    def run(start: int) -> tuple[int, bytes]:
+        end = min(start + chunk, job.blocks)
+        return end, _extract_chunk(job, table, x, y, start, end - start)
+
+    threads = min(workers, os.cpu_count() or 1, len(starts) // MIN_CHUNKS_PER_THREAD)
+    if threads <= 1:
+        yield from map(run, starts)
+        return
+    # at most WINDOW_PER_THREAD chunks per thread are in flight, so the
+    # chunks done but not yet taken, and the input they span, stay bounded
+    window = deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for start in starts:
+            if len(window) == WINDOW_PER_THREAD * threads:
+                yield window.popleft().result()
+            window.append(pool.submit(run, start))
+        while window:
+            yield window.popleft().result()
+
+
 def extract_blocks(job: ExtractionJob, x: bytes, y: bytes, workers: int = 1) -> bytes:
     """Run the extractor over all blocks of two bit streams.
 
     Deterministic: the result is bit-identical for any worker count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    _check_stream("x", x, job.blocks, job.spec.n)
-    _check_stream("y", y, job.blocks, job.spec.n)
-    if job.blocks == 0:
-        return b""
-    table = row_table(job.spec.family) if job.spec.kind == DEOR else None
-    chunk = _chunk_blocks(job)
-    starts = range(0, job.blocks, chunk)
-
-    def run(start: int) -> bytes:
-        return _extract_chunk(job, table, x, y, start, min(chunk, job.blocks - start))
-
-    threads = min(workers, os.cpu_count() or 1, len(starts) // MIN_CHUNKS_PER_THREAD)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(run, starts))
-    else:
-        pieces = [run(start) for start in starts]
     # every chunk but the last covers a multiple of 8 blocks, so each piece
     # but the last is a whole number of output bytes with no slack
-    return b"".join(pieces)
+    return b"".join(piece for _, piece in _chunks(job, x, y, workers))
 
 
 def _read_input(path: str) -> bytes | mmap.mmap:
@@ -306,42 +341,104 @@ def _read_input(path: str) -> bytes | mmap.mmap:
         return f.read()
 
 
+def _release(maps: list[mmap.mmap], lo: int, hi: int) -> int:
+    """Drop the whole pages of ``[lo, hi)`` from each read-only map, where
+    ``lo`` is page-aligned, once they span ``4 * CHUNK_BYTES``; return the
+    new page-aligned low end.  A dropped page is read again from the page
+    cache if it is touched later."""
+    hi -= hi % mmap.PAGESIZE
+    # each madvise flushes the TLB of every thread at work: on 2 cores, one
+    # call per 1 MiB chunk cost IP n=1024 jobs at 2 threads 4% of their
+    # time, one per 4 MiB at most 1.4%
+    if hi - lo < 4 * CHUNK_BYTES:
+        return lo
+    if hasattr(mmap, "MADV_DONTNEED"):
+        for m in maps:
+            m.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+    return hi
+
+
 class OutputError(OSError):
     """Writing an output file failed; ``filename`` is the output path."""
 
 
-def write_atomic(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file in the same
-    directory and one rename, so that a failure leaves no partial output.
-    An ``OSError`` is raised again as :class:`OutputError` naming ``path``
-    rather than the temporary file."""
-    tmp = None
+@contextlib.contextmanager
+def _output_errors(path: str) -> Iterator[None]:
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".qextract-")
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
+        yield
     except OSError as exc:
         raise OutputError(exc.errno, exc.strerror, path) from exc
+
+
+def write_atomic(path: str, pieces: Iterable[bytes]) -> int:
+    """Write the concatenation of ``pieces`` to ``path`` through a temporary
+    file in the same directory and one rename, so that a failure leaves no
+    partial output.  Returns the number of bytes written.
+
+    Each piece is written as it arrives.  The output is checked and the
+    temporary file made before the first piece is asked for.  An
+    ``OSError`` from the output side is raised again as
+    :class:`OutputError` naming ``path`` rather than the temporary file;
+    an error raised by ``pieces`` leaves as itself.
+    """
+    if os.path.isdir(path):
+        raise OutputError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = None
+    written = 0
+    try:
+        with _output_errors(path):
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".qextract-")
+            # a buffer larger than any chunk array: when it is freed, glibc
+            # raises its mmap threshold above the chunk arrays, which later
+            # calls then take from the heap.  Without it, an n=1024 strong
+            # job at 2 threads mapped fresh pages for each chunk and spent 3x
+            # the system time (2-vCPU VM).
+            f = os.fdopen(fd, "wb", buffering=2 * CHUNK_BYTES)
+        with f:
+            for piece in pieces:
+                with _output_errors(path):
+                    f.write(piece)
+                written += len(piece)
+            with _output_errors(path):
+                f.flush()
+        with _output_errors(path):
+            os.replace(tmp, path)
     finally:
         # the temporary file is left only if the rename did not happen
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+    return written
 
 
 def extract_file(job: ExtractionJob, x_path: str, y_path: str, out_path: str,
                  workers: int = 1) -> int:
     """File-to-file extraction with an atomic output write.
 
-    Returns the number of output bytes written.  The input maps are not
-    closed here: they unmap when their last reference goes.  On an error
-    that is the traceback, whose frames may hold numpy views of a map, and
-    closing a map with a live view raises ``BufferError`` in place of the
-    error.
+    Returns the number of output bytes written.  The streams are checked
+    before the output file is made, and the output before any kernel work.
+    Each chunk's output bytes are written as the chunk completes, and the
+    mapped pages of both inputs behind the oldest chunk in flight are
+    released, so memory does not grow with the stream length.  The one
+    exception is an input that cannot be mapped (an empty file, a FIFO,
+    ``/dev/stdin``), which is read whole.
+
+    The input maps are not closed here: they unmap when their last
+    reference goes.  On an error that is the traceback, whose frames may
+    hold numpy views of a map, and closing a map with a live view raises
+    ``BufferError`` in place of the error.
     """
     x = _read_input(x_path)
     y = _read_input(y_path)
-    out = extract_blocks(job, x, y, workers=workers)
-    write_atomic(out_path, out)
-    return len(out)
+    chunks = _chunks(job, x, y, workers)
+    maps = [data for data in (x, y) if isinstance(data, mmap.mmap)]
+
+    def pieces() -> Iterator[bytes]:
+        released = 0
+        for end, piece in chunks:
+            # no chunk still to come reads a byte below this one's end
+            released = _release(maps, released, end * job.spec.n // 8)
+            yield piece
+
+    with contextlib.closing(chunks):
+        return write_atomic(out_path, pieces())

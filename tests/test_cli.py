@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qextract import extractor
 from qextract.cli import build_parser, main
 from qextract.extractor import IP, ExtractionJob, ExtractorSpec, extract_blocks
 
@@ -155,6 +156,20 @@ class TestExtract:
                            "--y", str(data), "--blocks", "16", "--out", str(out))
         assert code == 2
         assert str(out) in err and ".qextract-" not in err
+
+    def test_unwritable_out_fails_before_kernel_work(self, capsys, tmp_path, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("kernel ran before the output was checked")
+
+        monkeypatch.setattr(extractor, "_extract_chunk", no_kernel)
+        data = tmp_path / "data"
+        data.write_bytes(b"\x00" * 16)
+        for out in (tmp_path / "nodir" / "z", tmp_path):
+            code, _, err = run(capsys, "extract", "--n", "8", "--x", str(data),
+                               "--y", str(data), "--blocks", "16", "--out", str(out))
+            assert code == 2, out
+            assert err.startswith("error: cannot write output:") and str(out) in err
+        assert not list(tmp_path.glob(".qextract-*"))
 
     def test_zero_blocks_empty_output(self, capsys, tmp_path):
         x, y = tmp_path / "x", tmp_path / "y"

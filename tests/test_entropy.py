@@ -213,6 +213,18 @@ class TestHMin:
             with pytest.raises(ValueError, match="gap must be positive"):
                 h_min_blocks([np.eye(1) / 2] * 2, gap=gap)  # closed form too
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("d_b", [1, 2])
+    def test_non_finite_blocks_rejected(self, value, d_b):
+        # d_b = 1 takes the closed form, d_b = 2 the solver
+        blocks = np.full((2, d_b, d_b), value)
+        with pytest.raises(ValueError, match="finite"):
+            h_min_blocks(blocks)
+        blocks = np.array([np.eye(d_b) / 4, np.eye(d_b) / 4])
+        blocks[1, 0, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            h_min_blocks(blocks)
+
     def test_iteration_cap_reports_bracket(self, monkeypatch):
         import qextract.entropy as ent
 

@@ -1,8 +1,12 @@
+import errno
 import mmap
 import os
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from qextract.extractor import (
     IP,
     ExtractionJob,
     ExtractorSpec,
+    OutputError,
     TruncatedStreamError,
     deor_extract,
     extract_blocks,
@@ -266,6 +271,38 @@ class TestExtractFileInputs:
         assert peak < 4 << 20
         assert op.read_bytes() == extract_blocks(job, x, y)
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_peak_memory_does_not_grow_with_stream(self, tmp_path, strong):
+        # IP n=1024 over 32 and 64 MiB per stream at --workers 2: both
+        # lengths are past 2 * MIN_CHUNKS_PER_THREAD chunks, so both run two
+        # threads, and only the stream length differs between the runs
+        size = 64 << 20
+        rng = random.Random(3)
+        for name in ("x", "y"):
+            with open(tmp_path / name, "wb") as f:
+                for _ in range(size // extractor.CHUNK_BYTES):
+                    f.write(rng.randbytes(extractor.CHUNK_BYTES))
+        child = ("import sys\nfrom qextract.cli import main\n"
+                 "assert main(sys.argv[1:]) == 0\n"
+                 "print(open('/proc/self/status').read())\n")
+        src = os.path.dirname(os.path.dirname(extractor.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        peaks = []
+        for stream_bytes in (size // 2, size):
+            argv = ["extract", "--n", "1024", "--blocks", str(stream_bytes * 8 // 1024),
+                    "--x", str(tmp_path / "x"), "--y", str(tmp_path / "y"),
+                    "--out", str(tmp_path / "z"), "--workers", "2"] + ["--strong"] * strong
+            proc = subprocess.run([sys.executable, "-c", child, *argv], env=env, check=True,
+                                  capture_output=True, text=True, timeout=120)
+            hwm = next(line for line in proc.stdout.splitlines() if line.startswith("VmHWM:"))
+            peaks.append(int(hwm.split()[1]) * 1024)
+        # a reader that keeps every mapped page and the whole output grows
+        # by 64 MiB (weak) and 128 MiB (strong) here; thread timing alone
+        # moved a peak by up to 4 MiB on a loaded 2-vCPU VM
+        assert abs(peaks[1] - peaks[0]) < 8 * extractor.CHUNK_BYTES, peaks
+
     def test_fifo_input_is_read(self, tmp_path):
         job = self.ip_job(13, 50)
         rng = random.Random(1)
@@ -311,20 +348,23 @@ class TestExtractFileInputs:
 
     def test_kernel_error_surfaces_as_itself(self, tmp_path, monkeypatch):
         # a numpy view of the map is alive in the traceback when the error
-        # leaves extract_file; closing the map then would raise BufferError
-        def failing_chunk(job, table, x, y, start, count):
-            assert isinstance(x, mmap.mmap)
-            view = np.frombuffer(x, dtype=np.uint8)  # noqa: F841
-            raise MemoryError("injected")
+        # leaves extract_file; closing the map then would raise BufferError.
+        # An OSError of the kernel is not one of the output file's.
+        for error in (MemoryError("injected"), OSError(errno.EIO, "injected")):
+            def failing_chunk(job, table, x, y, start, count):
+                assert isinstance(x, mmap.mmap)
+                view = np.frombuffer(x, dtype=np.uint8)  # noqa: F841
+                raise error
 
-        monkeypatch.setattr(extractor, "_extract_chunk", failing_chunk)
-        xp, yp, op = tmp_path / "x", tmp_path / "y", tmp_path / "z"
-        xp.write_bytes(b"\x01" * 8)
-        yp.write_bytes(b"\x01" * 8)
-        with pytest.raises(MemoryError, match="injected"):
-            extract_file(self.ip_job(8, 8), str(xp), str(yp), str(op))
-        assert not op.exists()
-        assert not list(tmp_path.glob(".qextract-*"))
+            monkeypatch.setattr(extractor, "_extract_chunk", failing_chunk)
+            xp, yp, op = tmp_path / "x", tmp_path / "y", tmp_path / "z"
+            xp.write_bytes(b"\x01" * 8)
+            yp.write_bytes(b"\x01" * 8)
+            with pytest.raises(type(error), match="injected") as exc:
+                extract_file(self.ip_job(8, 8), str(xp), str(yp), str(op))
+            assert not isinstance(exc.value, OutputError)
+            assert not op.exists()
+            assert not list(tmp_path.glob(".qextract-*"))
 
 
 CIRCULANT_N = [n for n in range(3, 201) if is_prime(n) and is_primitive_root_2(n)]
@@ -388,6 +428,38 @@ class TestStreamDifferential:
             mp.setattr(extractor, "MIN_CHUNKS_PER_THREAD", 1)
             assert extract_blocks(job, x, y, workers=workers) == oracle_stream(job, x, y)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_extract_file_matches_extract_blocks(self, tmp_path, monkeypatch, workers):
+        # chunks of 16 to 64 blocks: hundreds of chunks per job wrap
+        # the window of in-flight chunks many times and release many pages
+        monkeypatch.setattr(extractor, "CHUNK_BYTES", 512)
+        monkeypatch.setattr(extractor, "MIN_CHUNKS_PER_THREAD", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        released = []
+        release = extractor._release
+
+        def spy(maps, lo, hi):
+            released.append(release(maps, lo, hi))
+            return released[-1]
+
+        monkeypatch.setattr(extractor, "_release", spy)
+        rng = random.Random(workers)
+        xp, yp, op = tmp_path / "x", tmp_path / "y", tmp_path / "z"
+        for spec, blocks, strong in [(ExtractorSpec(IP, 64), 20_000, False),
+                                     (ExtractorSpec(IP, 13), 30_000, True),
+                                     (ExtractorSpec(DEOR, 61, 4, build_circulant_family(61, 4)),
+                                      3_000, False)]:
+            job = ExtractionJob(spec, blocks, strong)
+            x, y = (rng.randbytes((blocks * spec.n + 7) // 8 + 5) for _ in range(2))
+            xp.write_bytes(x)
+            yp.write_bytes(y)
+            released.clear()
+            written = extract_file(job, str(xp), str(yp), str(op), workers=workers)
+            want = extract_blocks(job, x, y, workers=workers)
+            assert op.read_bytes() == want and written == len(want)
+            assert released[-1] == blocks * spec.n // 8 // mmap.PAGESIZE * mmap.PAGESIZE
+            assert released == sorted(released)
+
     @pytest.mark.parametrize("n,m,r", [(61, 32, 1), (64, 32, 0), (1019, 3, 1)])
     def test_large_families(self, n, m, r):
         from qextract.gf2 import build_family
@@ -439,8 +511,10 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestWorkers:
