@@ -179,7 +179,7 @@ class ChainingReport:
     def to_json_dict(self) -> dict:
         return {"h_min": self.entropy.value, "lower": self.entropy.lower,
                 "upper": self.entropy.upper, "bound": self.bound,
-                "slack": self.slack, "holds": self.holds}
+                "slack": self.slack, "holds": self.holds, "passed": self.holds}
 
 
 def check_chaining(spec: SvSourceSpec, gap: float = DEFAULT_GAP) -> ChainingReport:
@@ -187,6 +187,12 @@ def check_chaining(spec: SvSourceSpec, gap: float = DEFAULT_GAP) -> ChainingRepo
     h = h_min_blocks(_exact_blocks(spec), gap=gap)
     bound = -spec.n * math.log2(0.5 + spec.mu)
     return ChainingReport(h, bound)
+
+
+def run_chaining_suite(count: int = 20, seed: int = 0, gap: float = 1e-6) -> list[dict]:
+    """Chaining checks of ``gen_random_sv_spec(seed + i)``, JSON-ready with their seeds."""
+    return [dict(check_chaining(gen_random_sv_spec(s), gap=gap).to_json_dict(), seed=s)
+            for s in range(seed, seed + count)]
 
 
 def gen_random_sv_spec(seed: int, n: int | None = None,

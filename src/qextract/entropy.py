@@ -76,8 +76,10 @@ from .quantum import (
     SUPPORT_RTOL,
     DensityOperator,
     Instrument,
+    ct,
     diagonal_blocks,
     frac_power,
+    herm,
     herm_eig,
     permute_systems,
     support_projector,
@@ -174,7 +176,7 @@ def _conditioned(rho: DensityOperator, target, condition, power: float) -> np.nd
 def h_inf_down(rho: DensityOperator, target, condition=()) -> EntropyResult:
     """Non-optimized conditional entropy of order infinity, closed form."""
     g = _conditioned(rho, target, condition, -0.5)
-    value = -math.log2(float(np.linalg.eigvalsh(_herm(g))[:, -1].max()))
+    value = -math.log2(float(np.linalg.eigvalsh(herm(g))[:, -1].max()))
     return EntropyResult(value, value, value, CLOSED_FORM)
 
 
@@ -192,14 +194,12 @@ def h2_down(rho: DensityOperator, target, condition=()) -> EntropyResult:
 def _inv_sqrt_ld(mat: np.ndarray) -> np.ndarray:
     """Inverse square root of a well-conditioned PD matrix, refined from a
     double precision seed by Newton-Schulz iterations in extended precision."""
-    md = mat.astype(complex)
-    seed = frac_power(0.5 * (md + md.conj().T), -0.5).astype(np.clongdouble)
+    y = frac_power(mat.astype(complex), -0.5).astype(np.clongdouble)
     a = mat.astype(np.clongdouble)
-    y = seed
     eye = np.eye(mat.shape[0], dtype=np.clongdouble)
     for _ in range(4):
         y = 0.5 * y @ (3.0 * eye - a @ (y @ y))
-        y = 0.5 * (y + y.conj().T)
+        y = herm(y)
     return y
 
 
@@ -240,16 +240,6 @@ def _hessian_gather(d: int):
         weight.setflags(write=False)
         tables.append((idx, weight))
     return tuple(tables)
-
-
-def _ct(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return a.conj().swapaxes(-1, -2)
-
-
-def _herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part of each matrix in a stack, exactly Hermitian."""
-    return 0.5 * (a + _ct(a))
 
 
 def _lift(m: int, x: np.ndarray) -> np.ndarray:
@@ -298,7 +288,7 @@ class _SdpKernel:
         """Strictly feasible primal and dual points: sigma = (1 + lambda_max) 1
         and Z_x = 1 / (m times the block count), whose partial traces sum
         to 1."""
-        lam_max = float(np.linalg.eigvalsh(_herm(self.rho))[:, -1].max())
+        lam_max = float(np.linalg.eigvalsh(herm(self.rho))[:, -1].max())
         sigma = (1.0 + max(lam_max, 0.0)) * self.eye_b
         z = np.broadcast_to((self.eye / self.count).astype(complex), self.rho.shape).copy()
         return sigma, z
@@ -321,9 +311,9 @@ class _SdpKernel:
         """
         low = np.linalg.cholesky(self.slacks(sigma))
         r = np.linalg.cholesky(z)
-        u, lam, _ = np.linalg.svd(_ct(r) @ low)
-        gi = _ct(r @ u) / np.sqrt(lam)[..., None]
-        return gi, lam, _herm(_ct(gi) @ gi)
+        u, lam, _ = np.linalg.svd(ct(r) @ low)
+        gi = ct(r @ u) / np.sqrt(lam)[..., None]
+        return gi, lam, herm(ct(gi) @ gi)
 
     def schur(self, scal) -> np.ndarray:
         """Schur complement D -> sum_x tr_A[W_x^-1 (1 (x) D) W_x^-1] in the
@@ -369,9 +359,9 @@ class _SdpKernel:
         gi, lam, _ = scal
         rhs = -self.eye_b
         if shift is not None:
-            rhs += _ptrace(m, d, _ct(gi) @ shift @ gi)
-        dsigma = self.solve(schur, _herm(rhs))
-        ds = _herm(gi @ _lift(m, dsigma) @ _ct(gi))
+            rhs += _ptrace(m, d, ct(gi) @ shift @ gi)
+        dsigma = self.solve(schur, herm(rhs))
+        ds = herm(gi @ _lift(m, dsigma) @ ct(gi))
         dz = -ds - self.diag(lam)
         if shift is not None:
             dz += shift
@@ -402,10 +392,10 @@ class _SdpKernel:
         target = min(1.0, max(mu_aff, 0.0) / mu) ** 3 * mu
         cross = ds @ dz
         shift = (self.diag(target / lam)
-                 - (cross + _ct(cross)) / (lam[..., :, None] + lam[..., None, :]))
+                 - (cross + ct(cross)) / (lam[..., :, None] + lam[..., None, :]))
         dsigma, dirs = self.direction(scal, schur, shift)
         tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(scal, dirs))
-        z = _herm(z + td * (_ct(gi) @ dirs[1] @ gi))
+        z = herm(z + td * (ct(gi) @ dirs[1] @ gi))
         return sigma + tp * dsigma, z
 
     def certificates(self, sigma: np.ndarray, z: np.ndarray):
@@ -423,9 +413,9 @@ class _SdpKernel:
         np.linalg.cholesky(self.slacks(sigma))
         zl = z.astype(np.clongdouble)
         t_m12 = _lift(m, _inv_sqrt_ld(_ptrace(m, d, zl)))
-        witness = _herm(t_m12 @ zl @ t_m12)
+        witness = herm(t_m12 @ zl @ t_m12)
         t_check = _ptrace(m, d, witness)
-        top = float(np.linalg.eigvalsh(_herm(t_check).astype(complex)).max())
+        top = float(np.linalg.eigvalsh(herm(t_check).astype(complex)).max())
         scale = max(1.0, top + 1e-14 * max(1.0, abs(top)))
         witness = witness / scale
         dual = float((witness.conj() * self.rho.astype(np.clongdouble)).sum().real)
@@ -462,7 +452,7 @@ def _commuting(kernel: _SdpKernel, eig, gap: float):
     """
     vals, vecs = eig
     d, count = kernel.d_b, kernel.count
-    dx = _ct(vecs) @ kernel.rho @ vecs
+    dx = ct(vecs) @ kernel.rho @ vecs
     dk = np.einsum("xkk->xk", dx).real
     best = dk.argmax(axis=0)
     p = dk.max(axis=0)
@@ -472,9 +462,9 @@ def _commuting(kernel: _SdpKernel, eig, gap: float):
     if d * t > float(p.sum()) * math.expm1(0.5 * gap * math.log(2.0)):
         return None
     s = gap / 8.0
-    sigma = _herm((vecs * p) @ _ct(vecs)) + t * kernel.eye_b
-    proj = (vecs * (best == np.arange(count)[:, None])[:, None, :]) @ _ct(vecs)
-    return sigma, _herm((1.0 - s) * proj) + (s / count) * kernel.eye
+    sigma = herm((vecs * p) @ ct(vecs)) + t * kernel.eye_b
+    proj = (vecs * (best == np.arange(count)[:, None])[:, None, :]) @ ct(vecs)
+    return sigma, herm((1.0 - s) * proj) + (s / count) * kernel.eye
 
 
 def _support(kernel: _SdpKernel, gap: float, eig):
@@ -507,14 +497,14 @@ def _support(kernel: _SdpKernel, gap: float, eig):
     if drop in (0, d):
         return kernel, None
     u, v = vecs[:, :drop], vecs[:, drop:]
-    comp = _herm(u @ _ct(u))
+    comp = herm(u @ ct(u))
     delta, share = budget / drop, 1.0 / kernel.count
     iso = _lift(m, v)
-    reduced = _SdpKernel(m, _herm(_ct(iso) @ kernel.rho @ iso), d - drop)
+    reduced = _SdpKernel(m, herm(ct(iso) @ kernel.rho @ iso), d - drop)
 
     def lift(sigma, z):
-        return (_herm(v @ sigma @ _ct(v)) + delta * comp,
-                _herm(iso @ z @ _ct(iso)) + share * _lift(m, comp))
+        return (herm(v @ sigma @ ct(v)) + delta * comp,
+                herm(iso @ z @ ct(iso)) + share * _lift(m, comp))
     return reduced, lift
 
 
@@ -562,7 +552,7 @@ def _solve_hmin(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
     lifted iterate on the original blocks; solve in the full space only
     if nothing is dropped or a lifted slack fails Cholesky."""
     if d_b == 1:
-        lam = float(np.linalg.eigvalsh(_herm(rho))[:, -1].max())
+        lam = float(np.linalg.eigvalsh(herm(rho))[:, -1].max())
         value = -math.log2(lam)
         return EntropyResult(value, value, value, CLOSED_FORM,
                              sigma=np.array([[lam]], dtype=complex))
@@ -586,7 +576,8 @@ def _solve_hmin(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
     return _primal_dual(full, gap, functools.partial(_certify, full))
 
 
-def _check_gap(gap: float) -> None:
+def check_gap(gap: float) -> None:
+    """The rule for every requested certificate gap."""
     if not 0 < gap < math.inf:  # NaN too
         raise ValueError(f"gap must be positive and finite, got {gap!r}")
 
@@ -598,7 +589,7 @@ def h_min(rho: DensityOperator, target, condition=(), gap: float = DEFAULT_GAP) 
     on the true entropy); ``upper`` comes from the dual witness and
     ``upper - lower <= gap`` on successful solves.
     """
-    _check_gap(gap)
+    check_gap(gap)
     rho, n_t = _partition(rho, target, condition)
     return _solve_hmin(*_blocks(rho, n_t), gap)
 
@@ -610,7 +601,7 @@ def h_min_blocks(blocks, gap: float = DEFAULT_GAP) -> EntropyResult:
     space for target value x.  This is the entry point used by the
     verification oracles, which assemble states blockwise.
     """
-    _check_gap(gap)
+    check_gap(gap)
     rho = np.array(blocks, dtype=complex)
     if not np.isfinite(rho).all():
         raise ValueError("blocks must be finite")

@@ -52,10 +52,19 @@ class System:
             raise ValueError(f"system {self.name!r} needs dimension >= 1")
 
 
+def ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def herm(a: np.ndarray) -> np.ndarray:
+    """Hermitian part of each matrix in a stack, exactly Hermitian."""
+    return 0.5 * (a + ct(a))
+
+
 def herm_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition after explicit symmetrization."""
-    sym = 0.5 * (mat + mat.conj().T)
-    return np.linalg.eigh(sym)
+    return np.linalg.eigh(herm(mat))
 
 
 def frac_power(mat: np.ndarray, power: float) -> np.ndarray:
@@ -69,10 +78,8 @@ def frac_power(mat: np.ndarray, power: float) -> np.ndarray:
 
 
 def support_projector(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = herm_eig(mat)
-    cut = SUPPORT_RTOL * max(vals.max(initial=0.0), 0.0)
-    keep = vals > cut
-    return (vecs[:, keep]) @ vecs[:, keep].conj().T
+    """Projector onto the support of a PSD matrix: its power 0."""
+    return frac_power(mat, 0.0)
 
 
 def trace_norm(mat: np.ndarray) -> float:
@@ -129,7 +136,7 @@ class DensityOperator:
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {dim}")
         if not np.allclose(mat, mat.conj().T, atol=HERM_TOL):
             raise ValueError("state is not Hermitian within 1e-10")
-        vals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+        vals = np.linalg.eigvalsh(herm(mat))
         if vals.min(initial=0.0) < -PSD_TOL:
             raise ValueError(f"state has eigenvalue {vals.min():.3e} below -1e-10")
         tr = float(mat.trace().real)
@@ -196,7 +203,7 @@ class DensityOperator:
         return [have.index(n) for n in names]
 
     def is_pure(self, tol: float = 1e-10) -> bool:
-        vals = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
+        vals = np.linalg.eigvalsh(herm(self.matrix))
         return bool(vals[:-1].max(initial=0.0) <= tol)
 
 
@@ -315,7 +322,7 @@ class Instrument:
         if not np.isfinite(stack).all():
             raise ValueError("Kraus operators have non-finite entries")
         acc = np.einsum("kai,kaj->ij", stack.conj(), stack)
-        top = np.linalg.eigvalsh(0.5 * (acc + acc.conj().T)).max()
+        top = np.linalg.eigvalsh(herm(acc)).max()
         if not top <= 1.0 + PSD_TOL:
             raise ValueError(f"instrument is not trace non-increasing: sum K*K has "
                              f"eigenvalue {top:.6f}")
@@ -365,9 +372,13 @@ class Instrument:
         half = np.einsum("kai,...irjs->k...arjs", ops, t)
         return self.outcome_sums(np.einsum("k...arjs,kbj->k...arbs", half, ops.conj()))
 
+    def outcome_kraus(self, x: int) -> np.ndarray:
+        """The Kraus operators of outcome x; IndexError if there is none."""
+        return self.kraus_stack[self.kraus_outcome == range(self.num_outcomes)[x]]
+
     def outcome_map(self, x: int, mat: np.ndarray) -> np.ndarray:
         """Apply the (sub-normalized) branch for outcome x to a bare matrix."""
-        ops = self.kraus_stack[self.kraus_outcome == range(self.num_outcomes)[x]]
+        ops = self.outcome_kraus(x)
         return np.einsum("kai,ij,kbj->ab", ops, mat, ops.conj())
 
 
@@ -381,8 +392,7 @@ def adjoint_apply(inst: Instrument, outcome: int, op: np.ndarray) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if op.shape != (d_out, d_out):
         raise ValueError(f"operator shape {op.shape} != ({d_out}, {d_out})")
-    # indexing a range raises IndexError for an outcome that does not exist
-    ops = inst.kraus_stack[inst.kraus_outcome == range(inst.num_outcomes)[outcome]]
+    ops = inst.outcome_kraus(outcome)
     return np.einsum("kai,ab,kbj->ij", ops.conj(), op, ops)
 
 

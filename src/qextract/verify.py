@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import DEFAULT_GAP, EntropyResult, h_min_blocks
+from .entropy import DEFAULT_GAP, EntropyResult, check_gap, h_min_blocks
 from .extractor import DEOR, IP, ExtractorSpec
 from .quantum import (
     CqState,
@@ -35,6 +35,7 @@ from .quantum import (
     System,
     apply_instrument,
     frac_power,
+    herm,
     instrument_blocks,
     permute_systems,
     purify,
@@ -159,7 +160,7 @@ def measured_epsilon(inst: ScenarioInstance) -> float:
     else:
         az = np.einsum("xyz,xyab->zab", onehot, blocks)[None]
     diff = az - az.sum(axis=1, keepdims=True) / m_vals
-    vals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().swapaxes(-1, -2)))
+    vals = np.linalg.eigvalsh(herm(diff))
     return 0.5 * float(np.abs(vals).sum())
 
 
@@ -179,30 +180,33 @@ def scenario_entropies(inst: ScenarioInstance, gap: float = DEFAULT_GAP):
     return k1, k2
 
 
-def _formula_bound(inst: ScenarioInstance, k1: float, k2: float) -> float:
-    if inst.ext.kind == IP:
-        exponent = inst.ext.n - k1 - k2
-    else:
-        exponent = 2 * inst.ext.m + inst.ext.n + inst.ext.family.r - k1 - k2
-    return 0.5 * math.sqrt(2.0 ** exponent)
+def _check_bound(kind: str, inst: ScenarioInstance, gap: float) -> BoundReport:
+    """Measured epsilon against the formula of extractor ``kind`` at (k1, k2)."""
+    ext = inst.ext
+    if ext.kind != kind:
+        name = "inner product" if kind == IP else "matrix family"
+        raise ValueError(f"instance does not use the {name} extractor")
+    k1, k2 = scenario_entropies(inst, gap)
+    r = 0 if kind == IP else ext.family.r
+    exponent = (ext.n if kind == IP else 2 * ext.m + ext.n + r) - k1.lower - k2.lower
+    return BoundReport(kind, ext.n, ext.m, r, inst.strong, measured_epsilon(inst),
+                       0.5 * math.sqrt(2.0 ** exponent), k1, k2, inst.seed)
 
 
 def check_ip_bound(inst: ScenarioInstance, gap: float = DEFAULT_GAP) -> BoundReport:
-    if inst.ext.kind != IP:
-        raise ValueError("instance does not use the inner product extractor")
-    k1, k2 = scenario_entropies(inst, gap)
-    return BoundReport(IP, inst.ext.n, 1, 0, inst.strong,
-                       measured_epsilon(inst), _formula_bound(inst, k1.lower, k2.lower),
-                       k1, k2, inst.seed)
+    return _check_bound(IP, inst, gap)
 
 
 def check_deor_bound(inst: ScenarioInstance, gap: float = DEFAULT_GAP) -> BoundReport:
-    if inst.ext.kind != DEOR:
-        raise ValueError("instance does not use the matrix family extractor")
-    k1, k2 = scenario_entropies(inst, gap)
-    return BoundReport(DEOR, inst.ext.n, inst.ext.m, inst.ext.family.r, inst.strong,
-                       measured_epsilon(inst), _formula_bound(inst, k1.lower, k2.lower),
-                       k1, k2, inst.seed)
+    return _check_bound(DEOR, inst, gap)
+
+
+class TightnessReport(BoundReport):
+    """The tightness instance passes only at equality, epsilon = bound = 1/2."""
+
+    @property
+    def passed(self) -> bool:
+        return self.measured == self.bound == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +223,8 @@ class XorReport:
         return self.lhs_sq <= self.rhs_sq + PASS_SLACK
 
     def to_json_dict(self) -> dict:
-        return {"lhs_sq": self.lhs_sq, "rhs_sq": self.rhs_sq, "holds": self.holds}
+        return {"lhs_sq": self.lhs_sq, "rhs_sq": self.rhs_sq, "holds": self.holds,
+                "passed": self.holds}
 
 
 def check_xor_lemma(rho_ze: CqState, m: int) -> XorReport:
@@ -375,7 +380,7 @@ def alt_model_channel(rho_xb: CqState, outcome_name: str = "X") -> Instrument:
     white = frac_power(rho_b, -0.5)
     f = (white @ blocks @ white).swapaxes(1, 2)
     # the rows of the square root of each POVM element are its Kraus operators
-    kraus = tuple(tuple(frac_power(0.5 * (e + e.conj().T), 0.5)[:, None]) for e in f)
+    kraus = tuple(tuple(frac_power(e, 0.5)[:, None]) for e in f)
     return Instrument((System("ref", len(rho_b)),), outcome_name, (), kraus)
 
 
@@ -451,26 +456,20 @@ def gen_random_instance(seed: int, n_bits: int | None = None, max_dim: int = 4,
 
 
 def run_ip_suite(count: int = 200, seed: int = 0, gap: float = 1e-6) -> list[BoundReport]:
-    reports = []
-    for i in range(count):
-        inst = gen_random_instance(seed + i, strong=bool((seed + i) % 2 == 0))
-        reports.append(check_ip_bound(inst, gap=gap))
-    return reports
+    return [check_ip_bound(gen_random_instance(s, strong=s % 2 == 0), gap=gap)
+            for s in range(seed, seed + count)]
 
 
 def run_deor_suite(count: int = 100, seed: int = 0, gap: float = 1e-6) -> list[BoundReport]:
     from .gf2 import build_circulant_family, build_field_family
 
-    choices = [build_field_family(2, 1), build_field_family(2, 2),
-               build_field_family(3, 1), build_field_family(3, 2),
-               build_circulant_family(3, 1), build_circulant_family(3, 2)]
-    reports = []
-    for i in range(count):
-        fam = choices[i % len(choices)]
-        ext = ExtractorSpec(DEOR, fam.n, fam.m, fam)
-        inst = gen_random_instance(seed + i, ext=ext, strong=True)
-        reports.append(check_deor_bound(inst, gap=gap))
-    return reports
+    exts = [ExtractorSpec(DEOR, f.n, f.m, f) for f in (
+        build_field_family(2, 1), build_field_family(2, 2),
+        build_field_family(3, 1), build_field_family(3, 2),
+        build_circulant_family(3, 1), build_circulant_family(3, 2))]
+    insts = (gen_random_instance(seed + i, ext=exts[i % len(exts)], strong=True)
+             for i in range(count))
+    return [check_deor_bound(inst, gap=gap) for inst in insts]
 
 
 def run_xor_suite(count: int = 200, seed: int = 0) -> list[XorReport]:
@@ -485,8 +484,8 @@ def run_xor_suite(count: int = 200, seed: int = 0) -> list[XorReport]:
     return reports
 
 
-def run_tightness(n: int = 2) -> BoundReport:
-    return check_ip_bound(gen_tightness(n))
+def run_tightness(n: int = 2) -> TightnessReport:
+    return TightnessReport(**vars(check_ip_bound(gen_tightness(n))))
 
 
 def run_counterexample(gap: float = 1e-8) -> dict:
@@ -496,7 +495,7 @@ def run_counterexample(gap: float = 1e-8) -> dict:
     hy = h_min_blocks(nu.blocks(), gap=gap)
     sep = min(hx.lower, hy.lower) > MARKOV_EXTENSION_HMIN
     return {
-        "h_min_x_given_b": hx, "h_min_y_given_a": hy,
+        "h_min_x_given_b": hx.value, "h_min_y_given_a": hy.value,
         "expected": MARKOV_COUNTEREXAMPLE_HMIN,
         "markov_cap": MARKOV_EXTENSION_HMIN,
         "separation_strict": bool(sep),
@@ -516,3 +515,34 @@ def run_alt_model_suite(count: int = 50, seed: int = 0, tol: float = 1e-9) -> li
         err = alt_model_roundtrip_error(rho)
         out.append({"error": err, "passed": bool(err <= tol)})
     return out
+
+
+def _chaining_suite(count: int, seed: int, gap: float) -> list[dict]:
+    from .dira import run_chaining_suite  # kept off verify's own import time
+
+    return run_chaining_suite(count, seed, gap)
+
+
+# name -> (count c, seed s, gap g) -> checks; tightness and counterexample run one each
+SUITES = {
+    "ip-bound": lambda c, s, g: [r.to_json_dict() for r in run_ip_suite(c, s, g)],
+    "deor-bound": lambda c, s, g: [r.to_json_dict() for r in run_deor_suite(c, s, g)],
+    "xor": lambda c, s, g: [r.to_json_dict() for r in run_xor_suite(c, s)],
+    "tightness": lambda c, s, g: [run_tightness().to_json_dict()],
+    "counterexample": lambda c, s, g: [run_counterexample(min(g, 1e-8))],
+    "chaining": _chaining_suite,
+    "alt-model": lambda c, s, g: run_alt_model_suite(c, s),
+}
+
+
+def run_suite(name: str, count: int, seed: int, gap: float = 1e-6) -> list[dict]:
+    """The checks of suite ``name``, JSON-ready, each with its ``suite``,
+    ``seed`` (a check that sets its own keeps it) and verdict ``passed``."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; the suites are {', '.join(SUITES)}")
+    check_gap(gap)
+    checks = SUITES[name](count, seed, gap)
+    for check in checks:
+        check.setdefault("suite", name)
+        check.setdefault("seed", seed)
+    return checks

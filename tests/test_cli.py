@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qextract import extractor
+from qextract import extractor, verify
 from qextract.cli import build_parser, main
 from qextract.extractor import IP, ExtractionJob, ExtractorSpec, extract_blocks
+from qextract.verify import SUITES, run_suite, run_tightness
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -171,6 +174,25 @@ class TestExtract:
             assert err.startswith("error: cannot write output:") and str(out) in err
         assert not list(tmp_path.glob(".qextract-*"))
 
+    def test_extract_loads_no_analysis_module(self, tmp_path):
+        # extract runs pay for every module they import in their setup time
+        x, y = tmp_path / "x", tmp_path / "y"
+        x.write_bytes(bytes(range(16)))
+        y.write_bytes(bytes(range(16, 32)))
+        child = ("import sys\nfrom qextract.cli import main\n"
+                 "assert main(sys.argv[1:]) == 0\n"
+                 "print(sorted(m for m in ('qextract.entropy', 'qextract.verify',"
+                 " 'qextract.dira') if m in sys.modules))\n")
+        src = os.path.dirname(os.path.dirname(extractor.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", child, "extract", "--n", "32",
+                               "--x", str(x), "--y", str(y), "--blocks", "4",
+                               "--out", str(tmp_path / "z")],
+                              env=env, check=True, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_zero_blocks_empty_output(self, capsys, tmp_path):
         x, y = tmp_path / "x", tmp_path / "y"
         x.write_bytes(b"")
@@ -232,11 +254,20 @@ class TestEntropy:
     def test_nan_gap_from_env_exits_2(self, capsys, monkeypatch):
         for gap in ("nan", "inf"):
             monkeypatch.setenv("QEXTRACT_GAP", gap)
-            for kind in ("hmin", "pguess"):
+            for kind in ("hmin", "pguess", "hinf", "h2"):
                 code, stdout, err = run(capsys, "entropy", "--kind", kind,
                                         "--state", f"{FIXTURES}/counterexample_eta.json")
                 assert code == 2, (gap, kind)
                 assert stdout == "" and "gap must be positive" in err
+
+    def test_bad_gap_exits_2_before_reading_the_state(self, capsys, tmp_path):
+        # a missing state file would exit 3 if it were read first
+        for kind in ("hmin", "h2", "hinf", "pguess", "k2"):
+            for gap in ("-1", "0", "nan"):
+                code, stdout, err = run(capsys, "entropy", "--kind", kind, f"--gap={gap}",
+                                        "--state", str(tmp_path / "missing.json"))
+                assert code == 2, (kind, gap)
+                assert stdout == "" and err.startswith("error: gap must be positive")
 
     def test_unparsable_gap_from_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("QEXTRACT_GAP", "abc")
@@ -350,14 +381,41 @@ class TestVerifySuites:
             assert code == 0, suite
             checks = json.loads(stdout)
             assert len(checks) == 4
-            assert all(c.get("passed", c.get("holds")) for c in checks)
+            assert all(c["passed"] for c in checks)
 
     def test_bad_gap_exits_2(self, capsys):
-        for gap in ("0", "-1e-6", "nan", "inf"):
-            code, stdout, err = run(capsys, "verify", "--suite", "ip-bound",
-                                    "--count", "1", f"--gap={gap}")
-            assert code == 2, gap
-            assert stdout == "" and err.startswith("error: gap must be positive")
+        for suite in SUITES:
+            for gap in ("0", "-1e-6", "-5", "nan", "inf"):
+                code, stdout, err = run(capsys, "verify", "--suite", suite,
+                                        "--count", "1", f"--gap={gap}")
+                assert code == 2, (suite, gap)
+                assert stdout == "" and err.startswith("error: gap must be positive")
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_library_checks_match_the_cli(self, capsys, suite):
+        code, stdout, _ = run(capsys, "verify", "--suite", suite, "--count", "2",
+                              "--seed", "3")
+        checks = run_suite(suite, 2, 3)
+        assert code == 0 and json.loads(stdout) == checks
+        for check in checks:
+            assert check["suite"] == suite and check["passed"] is True
+            assert "seed" in check
+
+    def test_tightness_below_the_bound_fails(self, capsys, monkeypatch):
+        # the tightness instance must meet its bound exactly; an epsilon
+        # below it passes the bound check but not the equality
+        monkeypatch.setattr(verify, "measured_epsilon", lambda inst: 0.25)
+        code, stdout, _ = run(capsys, "verify", "--suite", "tightness")
+        (check,) = json.loads(stdout)
+        assert check["measured"] < check["bound"] and check["margin"] > 0
+        assert code == 1 and check["passed"] is False
+        assert run_tightness().passed is False
+
+    def test_unknown_suite_exits_2_and_names_the_suites(self, capsys):
+        code, stdout, err = run(capsys, "verify", "--suite", "nope")
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: unknown suite 'nope'")
+        assert all(name in err for name in SUITES)
 
     def test_count_below_one_exits_2(self, capsys):
         # an empty suite would be a vacuous pass
@@ -708,9 +766,6 @@ class TestMalformedJsonFuzz:
 class TestFixtureFreshness:
     def test_fixtures_match_generators(self, tmp_path):
         # the checked-in fixtures must be exactly what the script produces
-        import subprocess
-        import sys
-
         script = os.path.join(os.path.dirname(__file__), "..", "tools",
                               "make_fixtures.py")
         subprocess.run([sys.executable, script, str(tmp_path)], check=True,
