@@ -20,7 +20,11 @@ The stream kernels work on little-endian uint64 words and
   ``bitwise_xor.reduceat`` XORs the whole words from the word where each
   block starts up to the word where it ends; the low bits of those two
   words, below each block boundary, are XORed in, and the block's bit is
-  the popcount parity of the result.
+  the popcount parity of the result.  Every chunk starts on a byte and
+  spans the same blocks, so the boundary words and masks are one plan
+  per job, built once and shared by every chunk.  When n is a multiple
+  of 64 the plan has no masks, and a chunk is one AND, one
+  ``reduceat`` and one popcount.
 * Matrix family, any construction: a row table (:func:`row_table`),
   built once per call from the family's row words, maps each 4-bit
   slice of x to the XOR of the matching rows of every K_i.  ``K_i^T x``
@@ -159,10 +163,12 @@ def deor_extract(spec: ExtractorSpec, x: BitVector, y: BitVector) -> BitVector:
 # of strong mode.
 CHUNK_BYTES = 1 << 20
 # A thread pool pays only when each thread gets this many chunks.  On 2
-# cores (numpy 2.4) IP and strong jobs of 2 to 16 chunks ran up to 2.8x
-# slower at 2 threads than at 1: pool start-up and the hand-off of each
-# chunk outweighed the second core.  From 24 chunks on, 2 threads were
-# 1.07-1.5x faster.
+# cores (numpy 2.4.6; extract_blocks in memory, 1 MiB chunks, median of 31
+# alternating runs), 2 threads ran IP and strong jobs of 2 to 4 chunks at
+# 0.61-0.93x the speed of 1: pool start-up and the hand-off of each chunk
+# outweighed the second core.  IP n=1024 and n=1023 broke even at 8 to 16
+# chunks and ran 1.03-1.22x from 24 chunks on; strong n=1024 broke even
+# near 32 chunks (0.97x at 24, 1.06x at 48).
 MIN_CHUNKS_PER_THREAD = 12
 # Chunks in flight per thread: each thread has a chunk queued behind the one
 # it runs while the calling thread writes the oldest.  On 2 cores, windows
@@ -190,22 +196,48 @@ def _block_words(words: np.ndarray, n: int, count: int) -> np.ndarray:
     return (words[w] >> s) | (words[w + 1] << (np.uint64(64) - s))
 
 
-def _ip_bits(xs: np.ndarray, ys: np.ndarray, count: int, n: int) -> np.ndarray:
-    """Inner-product bit of each block of a byte-aligned span."""
+@dataclass(frozen=True)
+class _IpPlan:
+    """The block boundaries of an IP chunk of ``count`` n-bit blocks that
+    starts on a byte, the same for every such chunk.  Boundary b is bit
+    t_b = b n of the chunk: ``w`` holds its word t_b >> 6 and ``low`` the
+    mask of the bits of that word below it; ``inword`` marks the blocks
+    that lie inside one word.  ``low`` is None when every boundary is on a
+    word (n a multiple of 64), ``inword`` when no block lies inside one
+    word (n >= 64).  The arrays are read-only: pool threads share them."""
+
+    w: np.ndarray
+    low: np.ndarray | None
+    inword: np.ndarray | None
+
+
+def _ip_plan(n: int, count: int) -> _IpPlan:
+    t = np.arange(count + 1) * n
+    w = t >> 6
+    low = (np.uint64(1) << (t & 63).astype(WORD)) - np.uint64(1)
+    inword = w[1:] == w[:-1]
+    for a in (w, low, inword):
+        a.setflags(write=False)
+    return _IpPlan(w, low if low.any() else None, inword if inword.any() else None)
+
+
+def _ip_bits(xs: np.ndarray, ys: np.ndarray, count: int, plan: _IpPlan) -> np.ndarray:
+    """Inner-product bit of each block of a byte-aligned span of ``count``
+    blocks; ``plan`` is for at least ``count`` blocks."""
     z = np.empty(len(xs) // 8 + 2, dtype=WORD)
     z[-2:] = 0
     np.bitwise_and(xs, ys, out=z.view(np.uint8)[:len(xs)])
-    # block b is bits [t_b, t_b+1) of z, t_b = b n: the whole words w_b up
-    # to w_b+1 = t_b+1 >> 6, less the bits of word w_b below t_b, plus the
-    # bits of word w_b+1 below t_b+1; a block inside one word takes no
-    # whole word
-    t = np.arange(count + 1) * n
-    w = t >> 6
-    below = z[w] & ((np.uint64(1) << (t & 63).astype(WORD)) - np.uint64(1))
+    # block b is the whole words w_b up to w_b+1, less the bits of word w_b
+    # below t_b, plus the bits of word w_b+1 below t_b+1; a block inside
+    # one word takes no whole word
+    w = plan.w[:count + 1]
     acc = np.bitwise_xor.reduceat(z, w)[:-1]
-    acc[w[1:] == w[:-1]] = 0
-    acc ^= below[:-1]
-    acc ^= below[1:]
+    if plan.inword is not None:
+        acc[plan.inword[:count]] = 0
+    if plan.low is not None:
+        below = z[w] & plan.low[:count + 1]
+        acc ^= below[:-1]
+        acc ^= below[1:]
     return np.bitwise_count(acc) & 1
 
 
@@ -249,23 +281,27 @@ def _family_bits(table: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 def _chunk_blocks(job: ExtractionJob) -> int:
     """Blocks per chunk: a multiple of 8, so that every chunk starts on a
     byte of input and of output, and at most CHUNK_BYTES of its largest
-    array (at least 8 blocks)."""
+    array (at least 8 blocks).  An IP job holds one plan for this many
+    blocks, once per job: at most 17 bytes per block, 8 when n is a
+    multiple of 64 (64 KiB at n = 1024)."""
     spec = job.spec
     per_block = max(8 * -(-spec.n // 64) * (spec.m if spec.kind == DEOR else 1),
                     job.out_bits_per_block if job.strong else 0)
     return max(8, CHUNK_BYTES // per_block // 8 * 8)
 
 
-def _extract_chunk(job: ExtractionJob, table: np.ndarray | None, x: bytes, y: bytes,
+def _extract_chunk(job: ExtractionJob, plan: _IpPlan | np.ndarray, x: bytes, y: bytes,
                    start: int, count: int) -> bytes:
+    """Output bytes of ``count`` blocks from block ``start``; ``plan`` is the
+    job's IP plan or its family's row table."""
     n, m = job.spec.n, job.spec.m
     lo, nbytes = start * n // 8, (count * n + 7) // 8
     xs = np.frombuffer(x, dtype=np.uint8, count=nbytes, offset=lo)
     ys = np.frombuffer(y, dtype=np.uint8, count=nbytes, offset=lo)
-    if table is None:
-        bits = _ip_bits(xs, ys, count, n)
+    if isinstance(plan, _IpPlan):
+        bits = _ip_bits(xs, ys, count, plan)
     else:
-        bits = _family_bits(table, xs, ys, count, n)
+        bits = _family_bits(plan, xs, ys, count, n)
     if job.strong:
         out = np.empty((count, m + n), dtype=np.uint8)
         out[:, :m] = bits.reshape(count, m)
@@ -297,13 +333,16 @@ def _run_chunks(job: ExtractionJob, x: bytes, y: bytes,
                 workers: int) -> Iterator[tuple[int, bytes]]:
     if job.blocks == 0:
         return
-    table = row_table(job.spec.family) if job.spec.kind == DEOR else None
     chunk = _chunk_blocks(job)
+    if job.spec.kind == DEOR:
+        plan = row_table(job.spec.family)
+    else:
+        plan = _ip_plan(job.spec.n, min(chunk, job.blocks))
     starts = range(0, job.blocks, chunk)
 
     def run(start: int) -> tuple[int, bytes]:
         end = min(start + chunk, job.blocks)
-        return end, _extract_chunk(job, table, x, y, start, end - start)
+        return end, _extract_chunk(job, plan, x, y, start, end - start)
 
     threads = min(workers, os.cpu_count() or 1, len(starts) // MIN_CHUNKS_PER_THREAD)
     if threads <= 1:

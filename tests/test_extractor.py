@@ -387,11 +387,13 @@ def oracle_stream(job, x, y):
 
 @st.composite
 def stream_specs(draw):
-    """IP at any n in 1..200 (word boundaries included), or a circulant,
-    field or random arbitrary-matrix family."""
+    """IP at any n in 1..200 (word boundaries included) or at the
+    benchmark's block sizes, or a circulant, field or random
+    arbitrary-matrix family."""
     kind = draw(st.sampled_from(["ip", "circulant", "field", "random"]))
     if kind == "ip":
-        n = draw(st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129, 191, 192, 200]),
+        n = draw(st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129, 191, 192, 200,
+                                            512, 1023, 1024, 1025]),
                            st.integers(1, 200)))
         return ExtractorSpec(IP, n)
     if kind == "circulant":
@@ -459,6 +461,47 @@ class TestStreamDifferential:
             assert op.read_bytes() == want and written == len(want)
             assert released[-1] == blocks * spec.n // 8 // mmap.PAGESIZE * mmap.PAGESIZE
             assert released == sorted(released)
+
+    @pytest.mark.parametrize("n", [13, 64, 1023])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ip_plan_built_once_per_job(self, monkeypatch, n, workers):
+        # every chunk of a job, the short last one included, reads the one
+        # read-only plan; none is built for a job with no blocks, for one
+        # that fails its stream check, or before the first chunk is asked for
+        monkeypatch.setattr(extractor, "CHUNK_BYTES", 64)
+        monkeypatch.setattr(extractor, "MIN_CHUNKS_PER_THREAD", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        built, used = [], set()
+        ip_plan, extract_chunk = extractor._ip_plan, extractor._extract_chunk
+
+        def plan_spy(*args):
+            built.append(ip_plan(*args))
+            return built[-1]
+
+        def chunk_spy(job, plan, *args):
+            used.add(id(plan))
+            return extract_chunk(job, plan, *args)
+
+        monkeypatch.setattr(extractor, "_ip_plan", plan_spy)
+        monkeypatch.setattr(extractor, "_extract_chunk", chunk_spy)
+        chunk = extractor._chunk_blocks(ExtractionJob(ExtractorSpec(IP, n), 1))
+        rng = random.Random(n * 10 + workers)
+        for blocks in (1, chunk, 5 * chunk + 3, 12 * chunk):
+            job = ExtractionJob(ExtractorSpec(IP, n), blocks)
+            x, y = (rng.randbytes((blocks * n + 7) // 8) for _ in range(2))
+            built.clear()
+            used.clear()
+            chunks = extractor._chunks(job, x, y, workers)
+            assert built == []
+            assert b"".join(piece for _, piece in chunks) == oracle_stream(job, x, y)
+            assert len(built) == 1 and used == {id(built[0])}
+            assert not any(a.flags.writeable for a in (built[0].w, built[0].low, built[0].inword)
+                           if a is not None)
+        built.clear()
+        assert extract_blocks(ExtractionJob(ExtractorSpec(IP, n), 0), b"", b"", workers) == b""
+        with pytest.raises(TruncatedStreamError):
+            extract_blocks(ExtractionJob(ExtractorSpec(IP, n), 9), b"\0" * n, b"", workers)
+        assert built == []
 
     @pytest.mark.parametrize("n,m,r", [(61, 32, 1), (64, 32, 0), (1019, 3, 1)])
     def test_large_families(self, n, m, r):
