@@ -71,7 +71,7 @@ def _jsonable(obj):
 
 
 def _entropy_payload(kind: str, result, gap: float) -> dict:
-    return {
+    payload = {
         "quantity": kind,
         "value_bits": result.value,
         "lower": result.lower,
@@ -81,6 +81,10 @@ def _entropy_payload(kind: str, result, gap: float) -> dict:
         "requested_gap": gap,
         "certificate": result.kind,
     }
+    if kind == "pguess":
+        # the bracket, converged or not, is in probability
+        payload.update(quantity="p_guess", value_bits=None, value_prob=result.value)
+    return payload
 
 
 def cmd_gen_family(args) -> int:
@@ -171,12 +175,7 @@ def cmd_entropy(args) -> int:
         payload["converged"] = False
         _emit(payload, args.plain)
         return EXIT_SOLVER
-    payload = _entropy_payload(args.kind, res, gap)
-    if args.kind == "pguess":
-        payload["quantity"] = "p_guess"
-        payload["value_bits"] = None
-        payload["value_prob"] = res.value
-    _emit(payload, args.plain)
+    _emit(_entropy_payload(args.kind, res, gap), args.plain)
     return EXIT_OK
 
 

@@ -179,7 +179,7 @@ class ChainingReport:
     def to_json_dict(self) -> dict:
         return {"h_min": self.entropy.value, "lower": self.entropy.lower,
                 "upper": self.entropy.upper, "bound": self.bound,
-                "slack": self.slack, "holds": self.holds, "passed": self.holds}
+                "slack": self.slack, "passed": self.holds}
 
 
 def check_chaining(spec: SvSourceSpec, gap: float = DEFAULT_GAP) -> ChainingReport:

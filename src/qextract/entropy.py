@@ -20,20 +20,26 @@ Three quantities are computed for a bipartite sub-normalized state:
   solved by a feasible primal-dual interior-point method on
   (sigma; Z_x) with Nesterov-Todd scaling and Mehrotra's
   predictor-corrector.  Each iteration scales every block from Cholesky
-  factors of its slack and of Z_x and one batched SVD, builds one Schur
-  matrix over the d^2 real coordinates of a Hermitian direction, and
-  solves it twice: predictor, then corrector.  The duality gap is known
-  at every iteration, so the extended-precision certificate is computed
-  once, when the iterate's own gap is at most half the requested one;
-  a solve takes about 10 iterations.  The certificate is two-sided: tr(sigma)
-  at a sigma whose every slack passes Cholesky bounds 2^-Hmin from
-  above, and the dual iterate Z, whitened so that its partial traces
-  sum to the identity (for classical A: an explicit POVM), bounds it
-  from below via its guessing probability.  A solve that stops early
-  (iteration cap, a slack or Z_x that fails Cholesky) certifies its last
-  iterate that passed and reports that bracket.  The reported value is
-  the primal bound, so the value itself is always a certified lower
-  bound on the entropy.
+  factors of its slack and of Z_x and one batched Hermitian
+  eigendecomposition, builds one Schur matrix over the d^2 real
+  coordinates of a Hermitian direction, and solves it twice: predictor,
+  then corrector.  The iterations run on the blocks scaled by a power of
+  two, 2^-e rho with its largest entry in [1/2, 1), and start from
+  sigma = (5/4) lambda_max 1 at that scale, so a sub-normalized state
+  takes as many iterations as its normalized form.  The duality gap is
+  known at every iteration, so the extended-precision certificate is
+  computed once, when the iterate's own gap is at most half the
+  requested one; a solve takes about 8 iterations at gap 1e-6.  The
+  certificate runs at the same scale, and the bracket is shifted back
+  by e bits.  It is two-sided: tr(sigma) at a sigma whose every slack
+  passes Cholesky bounds 2^-Hmin from above, and the dual iterate Z,
+  whitened so that its partial traces sum to the identity (for
+  classical A: an explicit POVM), bounds it from below via its guessing
+  probability.  A solve that stops early (iteration cap, a slack or Z_x
+  that fails Cholesky, a scaling eigenvalue that is not positive)
+  certifies its last iterate that passed and reports that bracket.  The
+  reported value is the primal bound, so the value itself is always a
+  certified lower bound on the entropy.
 
   The iterations run on the support of the conditioning marginal
   M = sum_x tr_A rho_x, the only space the blocks of a PSD state
@@ -66,6 +72,7 @@ operator is one block of multiplicity m = dim(target).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -90,6 +97,9 @@ DEFAULT_GAP = 1e-8
 MAX_OUTER = 60
 # largest fraction of the step to the boundary of the cone
 STEP_FRACTION = 0.95
+# the start sigma = (1 + START_MARGIN) lambda_max 1 clears every block by
+# START_MARGIN lambda_max; 1/4 took fewer iterations per solve than 1
+START_MARGIN = 0.25
 
 CLOSED_FORM = "closed-form"
 SDP = "sdp-primal-dual"
@@ -105,7 +115,7 @@ class SolverConvergenceError(RuntimeError):
     def __init__(self, best: "EntropyResult"):
         self.best = best
         super().__init__(
-            f"solver reached gap {best.gap:.3e} bits, requested less; "
+            f"solver reached gap {best.gap:.3e}, requested less; "
             f"best bracket [{best.lower:.9f}, {best.upper:.9f}]")
 
 
@@ -242,6 +252,42 @@ def _hessian_gather(d: int):
     return tuple(tables)
 
 
+@functools.lru_cache(maxsize=None)
+def _real_coords(d: int):
+    """Gather tables between a Hermitian d x d matrix and its d^2
+    coordinates in the real basis of ``_SdpKernel``, cached per d and
+    read-only.  The matrix is viewed as float64: row-major, with
+    interleaved (real, imag) pairs.  Coordinate k is one float of the
+    matrix times a weight: 1 for E_ii, sqrt2 for the real and the
+    imaginary part above the diagonal.  Back, each float of
+    sum_k x_k B_k is one coordinate times a weight: 1 on the diagonal,
+    1/sqrt2 for the real parts off it and the imaginary parts above it,
+    -1/sqrt2 below it, and 0 for the imaginary parts on it.  Returns
+    ((idx, weight) to the coordinates, (idx, weight) back).
+    """
+    iu, ju = np.triu_indices(d, 1)
+    diag, re = np.arange(d), d + np.arange(len(iu))
+    upper = 2 * (iu * d + ju)
+    to_idx = np.concatenate([2 * diag * (d + 1), upper, upper + 1])
+    to_weight = np.concatenate([np.ones(d), np.full(2 * len(iu), math.sqrt(2.0))])
+    idx = np.zeros((d, d, 2), dtype=np.intp)
+    weight = np.zeros((d, d, 2))
+    idx[diag, diag, 0], weight[diag, diag, 0] = diag, 1.0
+    idx[iu, ju, 0] = idx[ju, iu, 0] = re
+    idx[iu, ju, 1] = idx[ju, iu, 1] = re + len(iu)
+    weight[iu, ju] = weight[ju, iu, 0] = math.sqrt(0.5)
+    weight[ju, iu, 1] = -math.sqrt(0.5)
+    for arr in (to_idx, to_weight, idx, weight):
+        arr.setflags(write=False)
+    return (to_idx, to_weight), (idx.reshape(-1), weight.reshape(-1))
+
+
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """2^e x for a complex array, exact while every entry stays in the
+    normal range."""
+    return np.ldexp(np.ascontiguousarray(x, dtype=complex).view(np.float64), e).view(complex)
+
+
 def _lift(m: int, x: np.ndarray) -> np.ndarray:
     """identity_m (x) x."""
     return x if m == 1 else np.kron(np.eye(m), x)
@@ -260,7 +306,7 @@ class _SdpKernel:
     the dual variables are the Z_x >= 0 with sum_x tr_A Z_x = 1.  The
     blocks rho_x share one multiplicity m and are held in one stacked
     (count, m d_b, m d_b) array, as are the slacks, the Z_x and every
-    scaling and direction, so Cholesky factors, SVDs, eigenvalues and
+    scaling and direction, so Cholesky factors, eigendecompositions and
     the Schur complement run as batched LAPACK calls.
 
     Schur systems are solved for the d_b^2 real coordinates of a
@@ -274,7 +320,7 @@ class _SdpKernel:
         self.count = m * len(rho)
         # total slack dimension: the duality gap is mu * size
         self.size = self.count * d_b
-        self._iu, self._ju = np.triu_indices(d_b, 1)
+        self._coords = _real_coords(d_b)
         self._gather = _hessian_gather(d_b)
         self.eye_b = np.eye(d_b, dtype=complex)
         self.eye = np.eye(m * d_b)
@@ -285,11 +331,13 @@ class _SdpKernel:
         return lam[..., None] * self.eye
 
     def start(self):
-        """Strictly feasible primal and dual points: sigma = (1 + lambda_max) 1
+        """Strictly feasible primal and dual points at the blocks' own
+        scale: sigma = (1 + START_MARGIN) lambda_max 1, with lambda_max the
+        largest eigenvalue of any block (sigma = 1 when none is positive),
         and Z_x = 1 / (m times the block count), whose partial traces sum
         to 1."""
         lam_max = float(np.linalg.eigvalsh(herm(self.rho))[:, -1].max())
-        sigma = (1.0 + max(lam_max, 0.0)) * self.eye_b
+        sigma = ((1.0 + START_MARGIN) * lam_max if lam_max > 0.0 else 1.0) * self.eye_b
         z = np.broadcast_to((self.eye / self.count).astype(complex), self.rho.shape).copy()
         return sigma, z
 
@@ -302,16 +350,23 @@ class _SdpKernel:
     def scaling(self, sigma: np.ndarray, z: np.ndarray):
         """Nesterov-Todd scaling of every block at (sigma; Z).
 
-        With S = L L^H and Z = R R^H (Cholesky) and R^H L = U Lam V^H
-        (SVD), G^-1 = Lam^-1/2 U^H R^H takes both S and Z to the same
-        diagonal Lam: G^-1 S G^-H = G^H Z G = Lam.  The scaling point
+        With S = L L^H and Z = R R^H (Cholesky) and P = R^H L, one
+        Hermitian eigendecomposition P P^H = U Lam^2 U^H gives the left
+        singular vectors U and the singular values Lam of P, and
+        G^-1 = Lam^-1/2 U^H R^H takes both S and Z to the same diagonal
+        Lam: G^-1 S G^-H = G^H Z G = Lam.  The scaling point
         W^-1 = G^-H G^-1 satisfies W^-1 S W^-1 = Z, and is made exactly
         Hermitian for the Schur gather.  Raises LinAlgError unless every
-        slack and every Z_x passes Cholesky.  Returns (G^-1, lam, W^-1).
+        slack and every Z_x passes Cholesky and every Lam^2 is positive.
+        Returns (G^-1, lam, W^-1).
         """
         low = np.linalg.cholesky(self.slacks(sigma))
         r = np.linalg.cholesky(z)
-        u, lam, _ = np.linalg.svd(ct(r) @ low)
+        p = ct(r) @ low
+        lam2, u = np.linalg.eigh(p @ ct(p))
+        if not lam2.min() > 0.0:
+            raise np.linalg.LinAlgError("scaled complementarity is not positive definite")
+        lam = np.sqrt(lam2)
         gi = ct(r @ u) / np.sqrt(lam)[..., None]
         return gi, lam, herm(ct(gi) @ gi)
 
@@ -335,15 +390,9 @@ class _SdpKernel:
 
     def solve(self, schur: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Hermitian D with schur(D) = rhs, solved in the real basis."""
-        d, iu, ju = self.d_b, self._iu, self._ju
-        b = np.concatenate([rhs.diagonal().real, math.sqrt(2.0) * rhs[iu, ju].real,
-                            math.sqrt(2.0) * rhs[iu, ju].imag])
-        x = np.linalg.solve(schur, b)
-        off = (x[d:d + len(iu)] + 1j * x[d + len(iu):]) * math.sqrt(0.5)
-        delta = np.diag(x[:d]).astype(complex)
-        delta[iu, ju] = off
-        delta[ju, iu] = off.conj()
-        return delta
+        (to_idx, to_weight), (back_idx, back_weight) = self._coords
+        x = np.linalg.solve(schur, to_weight * rhs.reshape(-1).view(np.float64)[to_idx])
+        return (back_weight * x[back_idx]).view(complex).reshape(self.d_b, self.d_b)
 
     def direction(self, scal, schur: np.ndarray, shift=None):
         """Search direction for the scaled complementarity equation
@@ -368,15 +417,21 @@ class _SdpKernel:
         return dsigma, (ds, dz)
 
     @staticmethod
-    def max_steps(scal, dirs):
+    def max_steps(lam: np.ndarray, ds: np.ndarray, dz: np.ndarray | None = None):
         """Largest primal and dual steps t with Lam + t dS~ >= 0 and
-        Lam + t dZ~ >= 0, from one eigvalsh of every block scaled by
-        Lam^-1/2 on both sides."""
-        lam, (ds, dz) = scal[1], dirs
+        Lam + t dZ~ >= 0, from the eigenvalues of every block scaled by
+        Lam^-1/2 on both sides.  The predictor passes no dZ~: its
+        dZ~ = -Lam - dS~ scales to -1 minus the scaled dS~, so one
+        eigvalsh of the primal blocks gives both steps, the dual one from
+        their largest eigenvalue."""
         r = 1.0 / np.sqrt(lam)
         w = r[..., :, None] * r[..., None, :]
-        low = np.linalg.eigvalsh(np.concatenate([ds * w, dz * w]))[:, 0]
-        worst = (float(low[:len(lam)].min()), float(low[len(lam):].min()))
+        if dz is None:
+            vals = np.linalg.eigvalsh(ds * w)
+            worst = (float(vals[:, 0].min()), -1.0 - float(vals[:, -1].max()))
+        else:
+            low = np.linalg.eigvalsh(np.concatenate([ds * w, dz * w]))[:, 0]
+            worst = (float(low[:len(lam)].min()), float(low[len(lam):].min()))
         return [-1.0 / t if t < 0.0 else math.inf for t in worst]
 
     def iterate(self, sigma: np.ndarray, z: np.ndarray, scal):
@@ -385,7 +440,7 @@ class _SdpKernel:
         gi, lam, _ = scal
         schur = self.schur(scal)
         _, (ds, dz) = self.direction(scal, schur)
-        tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(scal, (ds, dz)))
+        tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(lam, ds))
         mu = float((lam ** 2).sum()) / self.size
         lam_d = self.diag(lam)
         mu_aff = float(np.vdot(lam_d + tp * ds, lam_d + td * dz).real) / self.size
@@ -394,7 +449,7 @@ class _SdpKernel:
         shift = (self.diag(target / lam)
                  - (cross + ct(cross)) / (lam[..., :, None] + lam[..., None, :]))
         dsigma, dirs = self.direction(scal, schur, shift)
-        tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(scal, dirs))
+        tp, td = (min(1.0, STEP_FRACTION * t) for t in self.max_steps(lam, *dirs))
         z = herm(z + td * (ct(gi) @ dirs[1] @ gi))
         return sigma + tp * dsigma, z
 
@@ -545,17 +600,36 @@ def _primal_dual(kernel: _SdpKernel, gap: float, certify) -> EntropyResult:
 def _solve_hmin(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
     """Min-entropy of the blocks rho of multiplicity m on C^d_b.
 
-    For d_b = 1, -log2 of the largest eigenvalue of any block.  For a
-    classical target, certify the candidate read off the eigenbasis of
-    the conditioning marginal first, and return it if it meets the gap.
-    Otherwise solve on the support of the marginal and certify the
-    lifted iterate on the original blocks; solve in the full space only
-    if nothing is dropped or a lifted slack fails Cholesky."""
+    For d_b = 1, -log2 of the largest eigenvalue of any block.  Otherwise
+    solve and certify at the blocks' own scale: on 2^-e rho, whose
+    largest entry lies in [1/2, 1), and shift the bracket back by e bits
+    and sigma by 2^e.  The scaling is exact while every entry stays in
+    the normal range, always so for e <= 0 (rho's largest entry below
+    1), so the certificate of the scaled blocks is one of rho."""
     if d_b == 1:
         lam = float(np.linalg.eigvalsh(herm(rho))[:, -1].max())
         value = -math.log2(lam)
         return EntropyResult(value, value, value, CLOSED_FORM,
                              sigma=np.array([[lam]], dtype=complex))
+    e = math.frexp(float(np.abs(rho).max()))[1]
+
+    def shifted(res: EntropyResult) -> EntropyResult:
+        return dataclasses.replace(res, value=res.value - e, lower=res.lower - e,
+                                   upper=res.upper - e, sigma=_ldexp(res.sigma, e))
+    try:
+        return shifted(_solve_sdp(m, _ldexp(rho, -e), d_b, gap))
+    except SolverConvergenceError as exc:
+        raise SolverConvergenceError(shifted(exc.best)) from exc
+
+
+def _solve_sdp(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
+    """Min-entropy of the blocks rho of multiplicity m on C^d_b, d_b >= 2.
+
+    For a classical target, certify the candidate read off the eigenbasis
+    of the conditioning marginal first, and return it if it meets the
+    gap.  Otherwise solve on the support of the marginal and certify the
+    lifted iterate on the original blocks; solve in the full space only
+    if nothing is dropped or a lifted slack fails Cholesky."""
     full = _SdpKernel(m, rho, d_b)
     eig = herm_eig(_ptrace(m, d_b, rho))
     candidate = _commuting(full, eig, gap) if m == 1 else None
@@ -613,14 +687,20 @@ def p_guess(rho: DensityOperator, gap: float = DEFAULT_GAP) -> EntropyResult:
 
     Returns 2^-Hmin with the certificates mapped to probability space:
     ``lower`` is achieved by the explicit dual POVM, ``upper`` by the
-    primal operator bound.
+    primal operator bound.  A ``SolverConvergenceError`` carries its
+    bracket mapped the same way.
     """
     if not rho.systems[0].classical:
         raise ValueError("first system must be classical")
-    h = h_min(rho, [rho.systems[0].name],
-              [s.name for s in rho.systems[1:]], gap=gap)
-    return EntropyResult(2.0 ** -h.value, 2.0 ** -h.upper, 2.0 ** -h.lower,
-                         h.kind, h.iterations, sigma=h.sigma, witness=h.witness)
+
+    def to_prob(h: EntropyResult) -> EntropyResult:
+        return EntropyResult(2.0 ** -h.value, 2.0 ** -h.upper, 2.0 ** -h.lower,
+                             h.kind, h.iterations, sigma=h.sigma, witness=h.witness)
+    try:
+        h = h_min(rho, [rho.systems[0].name], [s.name for s in rho.systems[1:]], gap=gap)
+    except SolverConvergenceError as exc:
+        raise SolverConvergenceError(to_prob(exc.best)) from exc
+    return to_prob(h)
 
 
 # ---------------------------------------------------------------------------

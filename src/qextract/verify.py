@@ -223,8 +223,7 @@ class XorReport:
         return self.lhs_sq <= self.rhs_sq + PASS_SLACK
 
     def to_json_dict(self) -> dict:
-        return {"lhs_sq": self.lhs_sq, "rhs_sq": self.rhs_sq, "holds": self.holds,
-                "passed": self.holds}
+        return {"lhs_sq": self.lhs_sq, "rhs_sq": self.rhs_sq, "passed": self.holds}
 
 
 def check_xor_lemma(rho_ze: CqState, m: int) -> XorReport:

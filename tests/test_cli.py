@@ -235,6 +235,25 @@ class TestEntropy:
         payload = json.loads(stdout)
         assert abs(payload["value_prob"] - 2 ** -0.45689) < 1e-3
 
+    @pytest.mark.parametrize("trace", [1e-20, 1e-150, 1e-300])
+    def test_tiny_trace_state(self, capsys, tmp_path, trace):
+        from qextract.quantum import CqState, random_cq_state, state_to_json
+
+        rho = random_cq_state(np.random.default_rng(5), 3, 3)
+        payloads = []
+        for scale in (1.0, trace):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(state_to_json(CqState(rho.systems, scale * rho.matrix))))
+            code, stdout, _ = run(capsys, "entropy", "--kind", "hmin", "--state", str(path))
+            assert code == 0
+            payloads.append(json.loads(stdout))
+        base, tiny = payloads
+        # the solver starts at the blocks' own scale, so a tiny trace
+        # costs no extra iterations and shifts the value by -log2(trace)
+        assert tiny["iterations"] <= base["iterations"] + 1
+        assert tiny["gap"] <= tiny["requested_gap"]
+        assert abs(tiny["value_bits"] - base["value_bits"] + np.log2(trace)) <= 1e-8
+
     def test_h2_and_hinf(self, capsys):
         for kind, expect in (("h2", -1.0), ("hinf", -1.0)):
             code, stdout, _ = run(capsys, "entropy", "--kind", kind,
@@ -489,11 +508,12 @@ class TestDiraRate:
 
 
 class TestSolverFailureExit:
-    def test_entropy_exit_4_prints_bracket(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("kind", ["hmin", "pguess"])
+    def test_entropy_exit_4_prints_bracket(self, capsys, monkeypatch, kind):
         import qextract.entropy as ent
 
         monkeypatch.setattr(ent, "MAX_OUTER", 3)
-        code, stdout, _ = run(capsys, "entropy", "--kind", "hmin",
+        code, stdout, _ = run(capsys, "entropy", "--kind", kind,
                               "--state", f"{FIXTURES}/counterexample_eta.json",
                               "--target", "X", "--condition", "B",
                               "--gap", "1e-10")
@@ -501,6 +521,11 @@ class TestSolverFailureExit:
         payload = json.loads(stdout)
         assert payload["converged"] is False
         assert payload["lower"] <= payload["upper"]
+        if kind == "pguess":
+            # the bracket is in probability, as in a converged run
+            assert payload["quantity"] == "p_guess"
+            assert payload["value_bits"] is None
+            assert 0.0 <= payload["lower"] <= payload["value_prob"] <= payload["upper"] <= 1.0
 
 
     def test_singular_slack_exit_4_prints_bracket(self, capsys, monkeypatch):

@@ -332,7 +332,7 @@ class TestSolverSchedule:
             calls.clear()
             res = h_min(rho, target, condition, gap=gap)
             assert len(calls) <= 2
-            # up to 17 predictor-corrector iterations here
+            # up to 11 predictor-corrector iterations at gap 1e-8, 14 at 1e-10
             assert res.iterations <= 30
             assert res.lower <= res.value <= res.upper
             assert res.gap <= gap
@@ -607,7 +607,17 @@ class TestSchurDirection:
         if corrector:
             shift = rand_herm(r, m * d) * np.ones((count, 1, 1))
             rhs += _ptrace(m, d, gi_h @ shift @ gi)
-        dsigma, (_, dz) = kernel.direction(scal, kernel.schur(scal), shift)
+        lam = scal[1]
+        # G^-1 S G^-H = G^H Z G = diag(Lam) for every slack S and Z_x
+        g = np.linalg.inv(gi)
+        for scaled in (gi @ kernel.slacks(sigma) @ gi_h, g.conj().swapaxes(-1, -2) @ z @ g):
+            assert np.linalg.norm(scaled - kernel.diag(lam)) <= 1e-9 * np.linalg.norm(lam)
+        schur = kernel.schur(scal)
+        # the predictor's steps from one eigvalsh equal those from both stacks
+        _, (ds, dz) = kernel.direction(scal, schur)
+        one, both = kernel.max_steps(lam, ds), kernel.max_steps(lam, ds, dz)
+        assert np.allclose(1.0 / np.array(one), 1.0 / np.array(both), rtol=1e-9, atol=1e-12)
+        dsigma, (_, dz) = kernel.direction(scal, schur, shift)
         expect = _nt_oracle([(m, b) for b in blocks], sigma, z, rhs)
         assert np.abs(dsigma - dsigma.conj().T).max() == 0.0
         assert np.linalg.norm(dsigma - expect) <= 1e-9 * np.linalg.norm(expect)
@@ -615,6 +625,25 @@ class TestSchurDirection:
         residual = np.eye(d) - _ptrace(m, d, z)
         moved = _ptrace(m, d, gi_h @ dz @ gi)
         assert np.linalg.norm(moved - residual) <= 1e-9 * np.linalg.norm(residual)
+
+
+class TestPowerOfTwoScale:
+    """The solver iterates on the blocks scaled to a largest entry in
+    [1/2, 1), so blocks scaled by 2^-k take the same iterations and their
+    bracket is shifted by k bits, up to the rounding of the log."""
+
+    @pytest.mark.parametrize("k", [0, 66, 498, 996])
+    def test_bracket_shifts_by_k_bits(self, k):
+        blocks = random_cq_state(np.random.default_rng(5), 3, 3).blocks()
+        base = h_min_blocks(blocks)
+        res = h_min_blocks(2.0 ** -k * blocks)
+        assert base.kind == SDP and base.iterations > 0
+        assert res.iterations == base.iterations
+        tol = 4 * math.ulp(k + 1.0)
+        assert abs(res.lower - k - base.lower) <= tol
+        assert abs(res.upper - k - base.upper) <= tol
+        assert res.value == res.lower and res.gap <= 1e-8
+        assert np.array_equal(res.sigma, 2.0 ** -k * base.sigma)
 
 
 class TestPGuess:
