@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -82,8 +83,10 @@ def _entropy_payload(kind: str, result, gap: float) -> dict:
         "certificate": result.kind,
     }
     if kind == "pguess":
-        # the bracket, converged or not, is in probability
-        payload.update(quantity="p_guess", value_bits=None, value_prob=result.value)
+        # the bracket, converged or not, is in probability; its gap is the
+        # width in bits of the h_min bracket, the unit of requested_gap
+        width = math.log2(result.upper / result.lower) if result.lower > 0 else math.inf
+        payload.update(quantity="p_guess", value_bits=None, value_prob=result.value, gap=width)
     return payload
 
 

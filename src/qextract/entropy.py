@@ -63,6 +63,19 @@ Three quantities are computed for a bipartite sub-normalized state:
   half the gap, or whose certificate misses it, leaves the solve to the
   iterations.
 
+  Before iterating, a classical target drops its dominated blocks:
+  rho_x <= rho_x' makes the constraint of x redundant, since guessing
+  x' instead of x never lowers the guessing probability.  Pairs whose
+  diagonals compare go to one batched eigvalsh of their differences,
+  and a block under an earlier block in order of falling trace is
+  dropped.  The kept blocks get their own candidate and support
+  reduction from one eigendecomposition of their marginal, and the
+  iterations run on them.  Certificates still run on every block:
+  sigma is unchanged, and each dropped Z_x is (s / count) 1 with
+  s = min(gap / 8, 1), which whitening turns into a dual bound lower
+  by at most log2(1 + s) bits.  A lifted certificate that failed
+  Cholesky would send the solve back to every block in the full space.
+
 All entropies are in bits.  Every quantity works on one stack of
 blocks of one multiplicity m: when the target registers are classical
 the constraint splits into one d_b x d_b block per classical value
@@ -142,9 +155,11 @@ def _partition(rho: DensityOperator, target, condition):
     names = set(rho.names())
     if set(target) & set(condition):
         raise ValueError("target and condition overlap")
-    if set(target) | set(condition) != names:
-        missing = names - set(target) - set(condition)
-        raise ValueError(f"partition must cover every system; missing {sorted(missing)}")
+    unknown = sorted((set(target) | set(condition)) - names)
+    missing = sorted(names - set(target) - set(condition))
+    if unknown or missing:
+        raise ValueError(f"partition must name every system of the state and no other; "
+                         f"unknown {unknown}, missing {missing}")
     return permute_systems(rho, target + condition), len(target)
 
 
@@ -563,6 +578,49 @@ def _support(kernel: _SdpKernel, gap: float, eig):
     return reduced, lift
 
 
+def _dominance(kernel: _SdpKernel, gap: float, eig):
+    """The problem without its dominated blocks, and the map that lifts
+    its iterates back to every block.
+
+    For a classical target (m = 1), rho_x <= rho_x' makes the constraint
+    sigma >= rho_x redundant: guessing x' instead of x never lowers the
+    guessing probability.  Blocks are visited in order of falling trace,
+    ties to the lower index, and x is dropped when an earlier block x'
+    has rho_x' - rho_x >= -t 1, with t the rounding term of
+    ``_commuting``, 8 d eps lambda_max(M).  Only the pairs with
+    diag(rho_x) <= diag(rho_x') + t, which domination needs, reach the
+    one batched eigvalsh.  Every dropped block lies under an earlier
+    one, and so under a kept one; of exact duplicates the first is kept.
+    A reduced iterate lifts to the same sigma, the kept Z_x, and
+    Z_x = (s / count) 1 with s = min(gap / 8, 1) for each dropped x.  The
+    certificate whitens sum_x Z_x <= (1 + s) 1 back to the identity,
+    which leaves every witness block positive definite and costs at most
+    log2(1 + s) bits of the dual bound.  ``eig`` is the
+    eigendecomposition of M.  Returns (kernel, None) when nothing is
+    dropped.
+    """
+    count, d, rho = kernel.count, kernel.d_b, kernel.rho
+    if kernel.m != 1 or count < 2:
+        return kernel, None
+    diag = np.einsum("xii->xi", rho).real
+    t = 8.0 * d * np.finfo(float).eps * max(float(eig[0][-1]), 0.0)
+    rank = np.argsort(np.argsort(-diag.sum(axis=1), kind="stable"))
+    under, over = np.nonzero((rank[:, None] > rank[None, :])
+                             & (diag[:, None, :] <= diag[None, :, :] + t).all(axis=2))
+    drop = np.zeros(count, dtype=bool)
+    if len(under):
+        drop[under[np.linalg.eigvalsh(rho[over] - rho[under])[:, 0] >= -t]] = True
+    if not drop.any():
+        return kernel, None
+    fill = (min(gap / 8.0, 1.0) / count) * kernel.eye
+
+    def lift(sigma, z):
+        full = np.empty_like(rho)
+        full[~drop], full[drop] = z, fill
+        return sigma, full
+    return _SdpKernel(1, rho[~drop], d), lift
+
+
 def _primal_dual(kernel: _SdpKernel, gap: float, certify) -> EntropyResult:
     """Predictor-corrector iterations on ``kernel`` until ``certify``
     (iterate, steps) -> EntropyResult brackets the entropy within gap."""
@@ -627,9 +685,11 @@ def _solve_sdp(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
 
     For a classical target, certify the candidate read off the eigenbasis
     of the conditioning marginal first, and return it if it meets the
-    gap.  Otherwise solve on the support of the marginal and certify the
-    lifted iterate on the original blocks; solve in the full space only
-    if nothing is dropped or a lifted slack fails Cholesky."""
+    gap.  Otherwise drop the dominated blocks, offer the kept blocks'
+    candidate if any were dropped, and solve on the support of the kept
+    blocks' marginal; every iterate is certified on the original blocks,
+    lifted through both reductions.  Solve in the full space if nothing
+    is reduced or a lifted certificate fails Cholesky."""
     full = _SdpKernel(m, rho, d_b)
     eig = herm_eig(_ptrace(m, d_b, rho))
     candidate = _commuting(full, eig, gap) if m == 1 else None
@@ -640,13 +700,25 @@ def _solve_sdp(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
                 return result
         except np.linalg.LinAlgError:
             pass  # a slack failed Cholesky
-    reduced, lift = _support(full, gap, eig)
-    if lift is not None:
-        try:
-            return _primal_dual(reduced, gap,
-                                lambda sigma, z, it: _certify(full, *lift(sigma, z), it))
-        except np.linalg.LinAlgError:
-            pass  # a lifted slack failed Cholesky
+    kept, undrop = _dominance(full, gap, eig)
+    try:
+        if undrop is not None:
+            eig = herm_eig(_ptrace(1, d_b, kept.rho))
+            candidate = _commuting(kept, eig, gap)
+            if candidate is not None:
+                result = _certify(full, *undrop(*candidate), 0)
+                if result.gap <= gap:
+                    return result
+        reduced, unsupport = _support(kept, gap, eig)
+        lifts = [f for f in (unsupport, undrop) if f is not None]
+        if lifts:
+            def certify(sigma, z, it):
+                for lift in lifts:
+                    sigma, z = lift(sigma, z)
+                return _certify(full, sigma, z, it)
+            return _primal_dual(reduced, gap, certify)
+    except np.linalg.LinAlgError:
+        pass  # a lifted slack failed Cholesky
     return _primal_dual(full, gap, functools.partial(_certify, full))
 
 

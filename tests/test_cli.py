@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -234,6 +235,24 @@ class TestEntropy:
         assert code == 0
         payload = json.loads(stdout)
         assert abs(payload["value_prob"] - 2 ** -0.45689) < 1e-3
+
+    def test_pguess_gap_in_bits(self, capsys):
+        # lower and upper are probabilities; gap is the width of the h_min
+        # bracket, in the bits of requested_gap
+        code, stdout, _ = run(capsys, "entropy", "--kind", "pguess", "--gap", "1e-6",
+                              "--state", f"{FIXTURES}/counterexample_eta.json")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["gap"] == pytest.approx(math.log2(payload["upper"] / payload["lower"]),
+                                               rel=1e-12)
+        assert payload["gap"] <= payload["requested_gap"]
+
+    @pytest.mark.parametrize("flag,missing", [("--target", "[]"), ("--condition", "['B']")])
+    def test_unknown_system_is_named(self, capsys, flag, missing):
+        code, stdout, err = run(capsys, "entropy", "--kind", "hmin",
+                                "--state", f"{FIXTURES}/counterexample_eta.json", flag, "Q")
+        assert code == 2 and stdout == ""
+        assert "unknown ['Q']" in err and f"missing {missing}" in err
 
     @pytest.mark.parametrize("trace", [1e-20, 1e-150, 1e-300])
     def test_tiny_trace_state(self, capsys, tmp_path, trace):
@@ -526,6 +545,8 @@ class TestSolverFailureExit:
             assert payload["quantity"] == "p_guess"
             assert payload["value_bits"] is None
             assert 0.0 <= payload["lower"] <= payload["value_prob"] <= payload["upper"] <= 1.0
+            assert payload["gap"] == pytest.approx(
+                math.log2(payload["upper"] / payload["lower"]), rel=1e-12)
 
 
     def test_singular_slack_exit_4_prints_bracket(self, capsys, monkeypatch):

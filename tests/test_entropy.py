@@ -552,6 +552,132 @@ class TestCommutingBlocks:
             assert res.lower <= res.value <= res.upper and res.gap <= gap
 
 
+def _planted_blocks(seed, d, base, kinds, scales):
+    """``base`` random full-rank blocks rho_y = A_y + B_y, then one block
+    under a random rho_y per entry of ``kinds``: 0 the scaled copy
+    c rho_y with c from ``scales``, 1 an exact duplicate, 2 rho_y - B_y.
+    Returns the shuffled blocks and the base blocks."""
+    r = np.random.default_rng(seed)
+    parts = [(rand_psd(r, d, float(r.uniform(0.1, 1.0))),
+              rand_psd(r, d, float(r.uniform(0.1, 1.0)))) for _ in range(base)]
+    tops = [a + b for a, b in parts]
+    planted = []
+    for kind, c in zip(kinds, scales):
+        y = int(r.integers(base))
+        planted.append((c * tops[y], tops[y].copy(), tops[y] - parts[y][1])[kind])
+    blocks = tops + planted
+    return [blocks[i] for i in r.permutation(len(blocks))], tops
+
+
+class TestDominatedBlocks:
+    """Blocks that lie under another block are dropped before the
+    predictor-corrector runs, and the solve still certifies on every
+    block."""
+
+    @staticmethod
+    def _record(monkeypatch, name):
+        import qextract.entropy as ent
+
+        real, kernels = getattr(ent, name), []
+
+        def recording(kernel, *args):
+            kernels.append(kernel)
+            return real(kernel, *args)
+
+        monkeypatch.setattr(ent, name, recording)
+        return kernels
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 5), base=st.integers(2, 4),
+           kinds=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+           scales=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=6, max_size=6))
+    def test_solves_on_the_kept_blocks(self, seed, d, base, kinds, scales):
+        import qextract.entropy as ent
+
+        blocks, tops = _planted_blocks(seed, d, base, kinds, scales)
+        # no base block lies under another
+        assume(all(np.linalg.eigvalsh(y - x)[0] < -1e-9
+                   for x in tops for y in tops if x is not y))
+        full = ent._SdpKernel(1, np.array(blocks), d)
+        e = math.frexp(float(np.abs(full.rho).max()))[1]
+        for gap in (1e-6, 1e-10):
+            with pytest.MonkeyPatch.context() as patch:
+                kernels = self._record(patch, "_primal_dual")
+                res = h_min_blocks(blocks, gap=gap)
+            assert res.lower <= res.value <= res.upper and res.gap <= gap
+            # the first predictor-corrector kernel holds the base blocks only,
+            # at the solver's power-of-two scale
+            kept = kernels[0].rho * 2.0 ** e
+            assert len(kept) == base
+            assert all(any(np.array_equal(k, y) for y in tops) for k in kept)
+            sdp = ent._primal_dual(full, gap, functools.partial(ent._certify, full))
+            assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
+
+    @pytest.mark.parametrize("seed", [0, 10, 12, 14])
+    def test_chaining_source_keeps_one_block(self, monkeypatch, seed):
+        # every conditional operator of these sources lies under one of
+        # them, so its candidate certifies with no iteration (8, 7, 7 and 6
+        # iterations in the full space)
+        import qextract.entropy as ent
+        from qextract import dira
+
+        blocks = dira._exact_blocks(dira.gen_random_sv_spec(seed))
+        real = ent._dominance
+        kept = []
+
+        def recording(kernel, gap, eig):
+            reduced, lift = real(kernel, gap, eig)
+            kept.append(reduced.count)
+            return reduced, lift
+
+        monkeypatch.setattr(ent, "_dominance", recording)
+        res = h_min_blocks(blocks, gap=1e-6)
+        assert kept == [1]
+        assert res.iterations == 0 and res.gap <= 1e-6
+        full = ent._SdpKernel(1, np.array(blocks), blocks.shape[-1])
+        sdp = ent._primal_dual(full, 1e-6, functools.partial(ent._certify, full))
+        assert sdp.iterations > 0
+        assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wrong_drop_solves_in_the_full_space(self, monkeypatch, seed):
+        import qextract.entropy as ent
+
+        r = np.random.default_rng(seed)
+        blocks = _pure_rank_blocks(r, 3, 1, 3)
+        # the detector sees the largest block as zero, so drops it although
+        # no other block covers it
+        j = int(np.argmax([b.trace().real for b in blocks]))
+        real_dominance, real_certificates = ent._dominance, ent._SdpKernel.certificates
+        failed = []
+
+        def wrong(kernel, gap, eig):
+            rho = kernel.rho.copy()
+            rho[j] = 0.0
+            return real_dominance(ent._SdpKernel(1, rho, kernel.d_b), gap, eig)
+
+        def recording(self, sigma, z):
+            try:
+                return real_certificates(self, sigma, z)
+            except np.linalg.LinAlgError:
+                failed.append(self.count)
+                raise
+
+        monkeypatch.setattr(ent, "_dominance", wrong)
+        monkeypatch.setattr(ent._SdpKernel, "certificates", recording)
+        kernels = self._record(monkeypatch, "_primal_dual")
+        for gap in (1e-6, 1e-10):
+            failed.clear()
+            kernels.clear()
+            res = h_min_blocks(blocks, gap=gap)
+            assert failed and set(failed) == {3}
+            assert kernels[-1].count == 3
+            assert res.lower <= res.value <= res.upper and res.gap <= gap
+            full = ent._SdpKernel(1, np.array(blocks), 3)
+            sdp = ent._primal_dual(full, gap, functools.partial(ent._certify, full))
+            assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
+
+
 def _nt_oracle(blocks, sigma, zs, rhs):
     """Schur direction from the complex d^2 x d^2 system, assembled by
     applying D -> sum_x tr_A[W_x^-1 (1 (x) D) W_x^-1] to each matrix
