@@ -61,7 +61,9 @@ Three quantities are computed for a bipartite sub-normalized state:
   then classical) t is only rounding, and the unchanged certificate
   meets the gap with no iteration.  A candidate whose t costs more than
   half the gap, or whose certificate misses it, leaves the solve to the
-  iterations.
+  iterations.  Two blocks get the exact Helstrom candidate instead,
+  from one eigendecomposition of their difference, with the same
+  rounding term and mix.
 
   Before iterating, a classical target drops its dominated blocks:
   rho_x <= rho_x' makes the constraint of x redundant, since guessing
@@ -537,6 +539,46 @@ def _commuting(kernel: _SdpKernel, eig, gap: float):
     return sigma, herm((1.0 - s) * proj) + (s / count) * kernel.eye
 
 
+def _two_blocks(kernel: _SdpKernel, eig, gap: float):
+    """The optimal (sigma; Z) of a classical target with two blocks, from
+    one eigendecomposition of their difference (Helstrom).
+
+    With rho_0 - rho_1 = W diag(l) W^H and P the projection onto l > 0,
+    sigma = rho_1 + W diag(max(l, 0)) W^H covers both blocks, and
+    Z = (P, 1 - P) attains tr sigma = tr rho_1 + tr (rho_0 - rho_1)_+.
+    As in ``_commuting``, sigma gets t 1 with t the rounding term
+    8 d eps lambda_max(M), and Z is mixed with s = gap / 8 of the
+    identity.  Returns None when t costs more than half the gap in
+    bits."""
+    d = kernel.d_b
+    lam, w = np.linalg.eigh(herm(kernel.rho[0] - kernel.rho[1]))
+    sigma = herm(kernel.rho[1] + (w * np.maximum(lam, 0.0)) @ ct(w))
+    t = 8.0 * d * np.finfo(float).eps * max(float(eig[0][-1]), 0.0)
+    if d * t > float(sigma.trace().real) * math.expm1(0.5 * gap * math.log(2.0)):
+        return None
+    s = gap / 8.0
+    proj = herm((w * (lam > 0.0)) @ ct(w))
+    z = np.stack([proj, kernel.eye - proj])
+    return sigma + t * kernel.eye_b, herm((1.0 - s) * z) + (s / 2.0) * kernel.eye
+
+
+def _candidate(kernel: _SdpKernel, eig, gap: float):
+    """The no-iteration candidate of a classical target: exact for two
+    blocks, else read off the marginal's eigenbasis."""
+    return (_two_blocks if kernel.count == 2 else _commuting)(kernel, eig, gap)
+
+
+def _offer(full: _SdpKernel, candidate, gap: float) -> EntropyResult | None:
+    """The certificate of ``candidate`` on ``full`` if it meets the gap."""
+    if candidate is None:
+        return None
+    try:
+        result = _certify(full, *candidate, 0)
+    except np.linalg.LinAlgError:
+        return None  # a slack failed Cholesky
+    return result if result.gap <= gap else None
+
+
 def _support(kernel: _SdpKernel, gap: float, eig):
     """The problem restricted to the support of the conditioning marginal,
     and the map that lifts its iterates back to the full space.
@@ -683,32 +725,26 @@ def _solve_hmin(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
 def _solve_sdp(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
     """Min-entropy of the blocks rho of multiplicity m on C^d_b, d_b >= 2.
 
-    For a classical target, certify the candidate read off the eigenbasis
-    of the conditioning marginal first, and return it if it meets the
-    gap.  Otherwise drop the dominated blocks, offer the kept blocks'
+    For a classical target, certify the no-iteration candidate first
+    (Helstrom's for two blocks, else the one read off the eigenbasis of
+    the conditioning marginal), and return it if it meets the gap.  Otherwise drop the dominated blocks, offer the kept blocks'
     candidate if any were dropped, and solve on the support of the kept
     blocks' marginal; every iterate is certified on the original blocks,
     lifted through both reductions.  Solve in the full space if nothing
     is reduced or a lifted certificate fails Cholesky."""
     full = _SdpKernel(m, rho, d_b)
     eig = herm_eig(_ptrace(m, d_b, rho))
-    candidate = _commuting(full, eig, gap) if m == 1 else None
-    if candidate is not None:
-        try:
-            result = _certify(full, *candidate, 0)
-            if result.gap <= gap:
-                return result
-        except np.linalg.LinAlgError:
-            pass  # a slack failed Cholesky
+    result = _offer(full, _candidate(full, eig, gap), gap) if m == 1 else None
+    if result is not None:
+        return result
     kept, undrop = _dominance(full, gap, eig)
+    if undrop is not None:
+        eig = herm_eig(_ptrace(1, d_b, kept.rho))
+        candidate = _candidate(kept, eig, gap)
+        result = _offer(full, candidate and undrop(*candidate), gap)
+        if result is not None:
+            return result
     try:
-        if undrop is not None:
-            eig = herm_eig(_ptrace(1, d_b, kept.rho))
-            candidate = _commuting(kept, eig, gap)
-            if candidate is not None:
-                result = _certify(full, *undrop(*candidate), 0)
-                if result.gap <= gap:
-                    return result
         reduced, unsupport = _support(kept, gap, eig)
         lifts = [f for f in (unsupport, undrop) if f is not None]
         if lifts:

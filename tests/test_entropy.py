@@ -528,6 +528,8 @@ class TestCommutingBlocks:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_off_diagonals_fall_back_to_the_sdp(self, seed):
+        import qextract.entropy as ent
+
         r = np.random.default_rng(seed)
         d, count = 4, 3
         v = _random_isometry(r, d, d)
@@ -537,10 +539,18 @@ class TestCommutingBlocks:
             off = 1e-3 * rand_herm(r, d)
             np.fill_diagonal(off, 0.0)
             blocks.append(v @ (np.diag(x) + off) @ v.conj().T)
+        kernel = ent._SdpKernel(1, np.array(blocks), d)
+        eig = ent.herm_eig(kernel.rho.sum(axis=0))
         for gap in (1e-6, 1e-8, 1e-10):
+            # the argmax candidate misses the gap; seeds 0 and 1 drop a
+            # dominated block, and the two kept blocks' exact candidate
+            # answers, the others iterate
+            assert ent._offer(kernel, ent._commuting(kernel, eig, gap), gap) is None
             res = h_min_blocks(blocks, gap=gap)
-            assert res.iterations > 0
             assert res.lower <= res.value <= res.upper and res.gap <= gap
+            sdp = ent._primal_dual(kernel, gap, functools.partial(ent._certify, kernel))
+            assert sdp.iterations > 0
+            assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
 
     def test_wide_gap_without_a_dual_witness(self):
         # at gap 16 and 32 the mix s = gap / 8 exceeds 1 and leaves the
@@ -605,13 +615,22 @@ class TestDominatedBlocks:
                 kernels = self._record(patch, "_primal_dual")
                 res = h_min_blocks(blocks, gap=gap)
             assert res.lower <= res.value <= res.upper and res.gap <= gap
+            try:
+                sdp = ent._primal_dual(full, gap, functools.partial(ent._certify, full))
+            except SolverConvergenceError as exc:
+                # exact duplicates can leave the full-space solve without a
+                # dual witness; its lower bound still stands
+                sdp = exc.best
+            assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
+            if base == 2:
+                # two kept blocks take their exact candidate
+                assert not kernels and res.iterations == 0
+                continue
             # the first predictor-corrector kernel holds the base blocks only,
             # at the solver's power-of-two scale
             kept = kernels[0].rho * 2.0 ** e
             assert len(kept) == base
             assert all(any(np.array_equal(k, y) for y in tops) for k in kept)
-            sdp = ent._primal_dual(full, gap, functools.partial(ent._certify, full))
-            assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
 
     @pytest.mark.parametrize("seed", [0, 10, 12, 14])
     def test_chaining_source_keeps_one_block(self, monkeypatch, seed):
@@ -676,6 +695,56 @@ class TestDominatedBlocks:
             full = ent._SdpKernel(1, np.array(blocks), 3)
             sdp = ent._primal_dual(full, gap, functools.partial(ent._certify, full))
             assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
+
+
+class TestTwoBlocks:
+    """Two blocks, given or kept, are certified from the Helstrom
+    measurement with no predictor-corrector iteration."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 6), rank=st.integers(1, 6),
+           ratio=st.floats(1e-6, 1.0), zero=st.booleans())
+    def test_certified_without_iterations(self, seed, d, rank, ratio, zero):
+        import qextract.entropy as ent
+
+        r = np.random.default_rng(seed)
+        b0, b1 = (np.zeros((d, d), complex) if zero else ratio * rand_psd(r, d),
+                  _pure_rank_blocks(r, d, min(rank, d), 1)[0])
+        expect = -math.log2(helstrom_p_guess(b0, b1))
+        full = ent._SdpKernel(1, np.array([b0, b1]), d)
+        for gap in (1e-6, 1e-10):
+            res = h_min_blocks([b0, b1], gap=gap)
+            assert res.kind == SDP and res.iterations == 0
+            assert res.lower <= res.value <= res.upper and res.gap <= gap
+            assert res.lower - 1e-12 <= expect <= res.upper + 1e-12
+            sdp = ent._primal_dual(full, gap, functools.partial(ent._certify, full))
+            assert sdp.iterations > 0
+            assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
+
+    @pytest.mark.parametrize("gap", [16.0, 32.0])
+    def test_wide_gap_without_a_dual_witness(self, gap):
+        # s = gap / 8 exceeds 1 and leaves Z indefinite, so the SDP answers
+        r = np.random.default_rng(3)
+        blocks = [rand_psd(r, 3, 0.3), rand_psd(r, 3, 0.6)]
+        res = h_min_blocks(blocks, gap=gap)
+        assert res.lower <= res.value <= res.upper and res.gap <= gap
+
+    @pytest.mark.parametrize("seed", [4, 9, 13, 23])
+    def test_chaining_source_keeps_two_blocks(self, monkeypatch, seed):
+        # two blocks of these sources cover every other one (7, 8, 8 and 7
+        # iterations in the full space)
+        import qextract.entropy as ent
+        from qextract import dira
+
+        blocks = dira._exact_blocks(dira.gen_random_sv_spec(seed))
+        kernels = TestDominatedBlocks._record(monkeypatch, "_two_blocks")
+        res = h_min_blocks(blocks, gap=1e-6)
+        assert [k.count for k in kernels] == [2]
+        assert res.iterations == 0 and res.gap <= 1e-6
+        full = ent._SdpKernel(1, np.array(blocks), blocks.shape[-1])
+        sdp = ent._primal_dual(full, 1e-6, functools.partial(ent._certify, full))
+        assert sdp.iterations > 0
+        assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
 
 
 def _nt_oracle(blocks, sigma, zs, rhs):
