@@ -4,7 +4,7 @@ Submodules:
 
 * ``gf2``        packed GF(2) vectors, matrices, polynomials, matrix families
 * ``extractor``  inner-product and matrix-family extractors, stream kernels
-* ``quantum``    sub-normalized states, instruments, channels, distances
+* ``quantum``    sub-normalized states, instruments, partial traces, the trace norm
 * ``entropy``    conditional entropies with certificates, min-entropy SDP
 * ``verify``     exact oracles for the extraction bounds on small instances
 * ``dira``       weak-source simulation, entropy chaining, rate calculator

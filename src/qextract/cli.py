@@ -147,6 +147,8 @@ def cmd_entropy(args) -> int:
 
     gap = args.gap if args.gap is not None else _default_gap()
     ent.check_gap(gap)
+    if args.kind == "k2" and (args.target or args.condition):
+        raise ValueError("the k2 functional takes no --target or --condition")
     rho = _load_input(args.state, state_from_json)
     target = args.target.split(",") if args.target else [rho.systems[0].name]
     condition = (args.condition.split(",") if args.condition
@@ -172,7 +174,7 @@ def cmd_entropy(args) -> int:
         elif args.kind == "h2":
             res = ent.h2_down(rho, target, condition)
         else:  # pguess
-            res = ent.p_guess(rho, gap=gap)
+            res = ent.p_guess(rho, target, condition, gap=gap)
     except ent.SolverConvergenceError as exc:
         payload = _entropy_payload(args.kind, exc.best, gap)
         payload["converged"] = False

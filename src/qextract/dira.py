@@ -64,10 +64,6 @@ class SvStep:
         """P(x | r_in), shape (2, d_in)."""
         return self.kernel.sum(axis=1)
 
-    @classmethod
-    def memoryless(cls, p_one: float) -> "SvStep":
-        return cls(np.array([[[1.0 - p_one]], [[p_one]]]))
-
 
 @dataclass(frozen=True)
 class SvSourceSpec:
@@ -138,28 +134,6 @@ def simulate_sv_exact(spec: SvSourceSpec) -> CqState:
     blocks = _exact_blocks(spec)
     return CqState.from_blocks(System("Xn", 2 ** spec.n, classical=True),
                                (System("E", blocks.shape[-1]),), blocks)
-
-
-def exact_bit_marginal(spec: SvSourceSpec) -> np.ndarray:
-    """P(x^n) of the exact output, little-endian bit packing."""
-    return np.einsum("xii->x", _exact_blocks(spec)).real
-
-
-def simulate_sv_sample(spec: SvSourceSpec, count: int, seed: int) -> np.ndarray:
-    """Monte Carlo trajectories, (count, n) bit array; side information ignored."""
-    rng = np.random.default_rng(seed)
-    p0 = np.einsum("xii->x", spec.initial_blocks()).real
-    p0 = p0 / p0.sum()
-    out = np.zeros((count, spec.n), dtype=np.uint8)
-    r = rng.choice(len(p0), size=count, p=p0)
-    for i, step in enumerate(spec.steps):
-        flat = step.kernel.reshape(2 * step.d_out, step.d_in)  # joint (x, r') given r
-        cum = np.cumsum(flat.T, axis=1)  # per r_in
-        u = rng.uniform(size=count)
-        joint = (u[:, None] < cum[r]).argmax(axis=1)
-        out[:, i] = joint // step.d_out
-        r = joint % step.d_out
-    return out
 
 
 @dataclass(frozen=True)
@@ -257,6 +231,10 @@ class DiraParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n < 1:
             raise ValueError("need at least one round")
+        try:
+            float(self.n)
+        except OverflowError:
+            raise ValueError("round count is too large for floating point") from None
         if self.h < 0:
             raise ValueError("per-round rate must be non-negative")
         if not 0.0 <= self.mu < 0.5:
@@ -288,11 +266,15 @@ def dira_rate(p: DiraParams) -> RateResult:
 
     Returns zero with the violation flag when 2 k2 + h <= 2 or the
     expression is non-positive.  Flooring only shrinks the output, which
-    is always safe for security.
+    is always safe for security.  Inputs whose expression overflows
+    floating point raise ValueError.
     """
     raw = (0.5 * p.n * (2.0 * p.k2 + p.h - 2.0)
            - math.log2(1.0 / (2.0 * (p.eps - p.eps_s)))
            - p.c * math.sqrt(p.n))
+    if not math.isfinite(raw):
+        raise ValueError(f"output length {raw} is outside floating-point range; "
+                         "check n, h and c")
     if 2.0 * p.k2 + p.h <= 2.0 or raw <= 0.0:
         return RateResult(0, True, raw, p.privatized)
     return RateResult(int(math.floor(raw)), False, raw, p.privatized)
@@ -307,6 +289,8 @@ def dira_epsilon(p: DiraParams, m: int) -> float:
     if m < 0:
         raise ValueError("output length must be non-negative")
     exponent = 2.0 * m + 2.0 * p.n - p.n * p.h + p.c * math.sqrt(p.n) - 2.0 * p.n * p.k2
+    if math.isnan(exponent):
+        raise ValueError("security exponent is outside floating-point range; check n, h and m")
     half_exp = 0.5 * exponent
     if half_exp > 1000.0:
         return math.inf

@@ -136,7 +136,13 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EntropyResult:
-    """Entropy value in bits with a certified bracket lower <= value <= upper."""
+    """A certified bracket lower <= value <= upper.
+
+    Every entropy is in bits, and its ``value`` is ``lower``: for the
+    min-entropy the primal bound, which is proven.  ``p_guess`` returns a
+    probability, 2^-H of the min-entropy bracket, so its ``value`` is
+    its ``upper``.
+    """
 
     value: float
     lower: float
@@ -507,6 +513,27 @@ def _certify(kernel: _SdpKernel, sigma: np.ndarray, z, steps: int) -> EntropyRes
                          witness=tuple(witness) if witness is not None else None)
 
 
+def _rounding(d: int, eig) -> float:
+    """The rounding term 8 d eps lambda_max(M) that the candidates and the
+    domination test allow for, for blocks on C^d whose marginal M has the
+    eigendecomposition ``eig``."""
+    return 8.0 * d * np.finfo(float).eps * max(float(eig[0][-1]), 0.0)
+
+
+def _shift_too_costly(d: int, t: float, trace: float, gap: float) -> bool:
+    """Whether adding t 1 on C^d to a sigma of the given trace costs more
+    than half the gap in bits."""
+    return d * t > trace * math.expm1(0.5 * gap * math.log(2.0))
+
+
+def _mixed(kernel: _SdpKernel, z: np.ndarray, gap: float) -> np.ndarray:
+    """A candidate measurement Z mixed with s = gap / 8 of the identity,
+    Z_x = (1 - s) Z_x + (s / count) 1: every Z_x is then positive
+    definite for the certificate, at a cost of at most s / ln 2 bits."""
+    s = gap / 8.0
+    return herm((1.0 - s) * z) + (s / kernel.count) * kernel.eye
+
+
 def _commuting(kernel: _SdpKernel, eig, gap: float):
     """A candidate (sigma; Z) for a classical target (m = 1) read off the
     eigenbasis V of the marginal M = sum_x rho_x, optimal when the
@@ -515,28 +542,24 @@ def _commuting(kernel: _SdpKernel, eig, gap: float):
     With D_x = V^H rho_x V and p_k = max_x Re(D_x)_kk,
     sigma = V diag(p) V^H + t 1 covers every block once t bounds the
     off-diagonal part of every D_x in norm: t is the largest Frobenius
-    norm of D_x minus its real diagonal, plus a rounding term.  The dual
-    is the argmax measurement, Z_x = (1 - s) V P_x V^H + (s / count) 1,
-    where P_x projects onto the k whose argmax is x; the mix with
-    s = gap / 8 keeps every Z_x positive definite for the certificate
-    and costs at most s / ln 2 bits.  Returns None when the shift t
-    costs more than half the gap in bits.
+    norm of D_x minus its real diagonal, plus ``_rounding``.  The dual
+    is the argmax measurement V P_x V^H, where P_x projects onto the k
+    whose argmax is x, ``_mixed`` with the identity.  Returns None when
+    the shift t costs more than half the gap in bits.
     """
-    vals, vecs = eig
+    vecs = eig[1]
     d, count = kernel.d_b, kernel.count
     dx = ct(vecs) @ kernel.rho @ vecs
     dk = np.einsum("xkk->xk", dx).real
     best = dk.argmax(axis=0)
     p = dk.max(axis=0)
-    top = max(float(vals[-1]), 0.0)
     t = (float(np.linalg.norm(dx - kernel.diag(dk), axis=(1, 2)).max())
-         + 8.0 * d * np.finfo(float).eps * top)
-    if d * t > float(p.sum()) * math.expm1(0.5 * gap * math.log(2.0)):
+         + _rounding(d, eig))
+    if _shift_too_costly(d, t, float(p.sum()), gap):
         return None
-    s = gap / 8.0
     sigma = herm((vecs * p) @ ct(vecs)) + t * kernel.eye_b
     proj = (vecs * (best == np.arange(count)[:, None])[:, None, :]) @ ct(vecs)
-    return sigma, herm((1.0 - s) * proj) + (s / count) * kernel.eye
+    return sigma, _mixed(kernel, proj, gap)
 
 
 def _two_blocks(kernel: _SdpKernel, eig, gap: float):
@@ -546,20 +569,18 @@ def _two_blocks(kernel: _SdpKernel, eig, gap: float):
     With rho_0 - rho_1 = W diag(l) W^H and P the projection onto l > 0,
     sigma = rho_1 + W diag(max(l, 0)) W^H covers both blocks, and
     Z = (P, 1 - P) attains tr sigma = tr rho_1 + tr (rho_0 - rho_1)_+.
-    As in ``_commuting``, sigma gets t 1 with t the rounding term
-    8 d eps lambda_max(M), and Z is mixed with s = gap / 8 of the
-    identity.  Returns None when t costs more than half the gap in
-    bits."""
+    As in ``_commuting``, sigma gets t 1 with t = ``_rounding``, and Z
+    is ``_mixed`` with the identity.  Returns None when t costs more
+    than half the gap in bits."""
     d = kernel.d_b
     lam, w = np.linalg.eigh(herm(kernel.rho[0] - kernel.rho[1]))
     sigma = herm(kernel.rho[1] + (w * np.maximum(lam, 0.0)) @ ct(w))
-    t = 8.0 * d * np.finfo(float).eps * max(float(eig[0][-1]), 0.0)
-    if d * t > float(sigma.trace().real) * math.expm1(0.5 * gap * math.log(2.0)):
+    t = _rounding(d, eig)
+    if _shift_too_costly(d, t, float(sigma.trace().real), gap):
         return None
-    s = gap / 8.0
     proj = herm((w * (lam > 0.0)) @ ct(w))
     z = np.stack([proj, kernel.eye - proj])
-    return sigma + t * kernel.eye_b, herm((1.0 - s) * z) + (s / 2.0) * kernel.eye
+    return sigma + t * kernel.eye_b, _mixed(kernel, z, gap)
 
 
 def _candidate(kernel: _SdpKernel, eig, gap: float):
@@ -628,8 +649,7 @@ def _dominance(kernel: _SdpKernel, gap: float, eig):
     sigma >= rho_x redundant: guessing x' instead of x never lowers the
     guessing probability.  Blocks are visited in order of falling trace,
     ties to the lower index, and x is dropped when an earlier block x'
-    has rho_x' - rho_x >= -t 1, with t the rounding term of
-    ``_commuting``, 8 d eps lambda_max(M).  Only the pairs with
+    has rho_x' - rho_x >= -t 1, with t = ``_rounding``.  Only the pairs with
     diag(rho_x) <= diag(rho_x') + t, which domination needs, reach the
     one batched eigvalsh.  Every dropped block lies under an earlier
     one, and so under a kept one; of exact duplicates the first is kept.
@@ -645,7 +665,7 @@ def _dominance(kernel: _SdpKernel, gap: float, eig):
     if kernel.m != 1 or count < 2:
         return kernel, None
     diag = np.einsum("xii->xi", rho).real
-    t = 8.0 * d * np.finfo(float).eps * max(float(eig[0][-1]), 0.0)
+    t = _rounding(d, eig)
     rank = np.argsort(np.argsort(-diag.sum(axis=1), kind="stable"))
     under, over = np.nonzero((rank[:, None] > rank[None, :])
                              & (diag[:, None, :] <= diag[None, :, :] + t).all(axis=2))
@@ -790,29 +810,33 @@ def h_min_blocks(blocks, gap: float = DEFAULT_GAP) -> EntropyResult:
     return _solve_hmin(1, rho, rho.shape[-1], gap)
 
 
-def p_guess(rho: DensityOperator, gap: float = DEFAULT_GAP) -> EntropyResult:
-    """Optimal guessing probability of the first (classical) register.
+def p_guess(rho: DensityOperator, target, condition=(),
+            gap: float = DEFAULT_GAP) -> EntropyResult:
+    """Optimal probability of guessing the classical target from the
+    conditioning systems, partitioned as in ``h_min``.
 
     Returns 2^-Hmin with the certificates mapped to probability space:
-    ``lower`` is achieved by the explicit dual POVM, ``upper`` by the
-    primal operator bound.  A ``SolverConvergenceError`` carries its
-    bracket mapped the same way.
+    ``lower`` is achieved by the explicit dual POVM, ``upper`` (and so
+    ``value``) by the primal operator bound.  A ``SolverConvergenceError``
+    carries its bracket mapped the same way.
     """
-    if not rho.systems[0].classical:
-        raise ValueError("first system must be classical")
+    quantum = [n for n in target if n in rho.names() and not rho.system(n).classical]
+    if quantum:
+        raise ValueError(f"guessing probability needs a classical target; {quantum} "
+                         "are quantum")
 
     def to_prob(h: EntropyResult) -> EntropyResult:
         return EntropyResult(2.0 ** -h.value, 2.0 ** -h.upper, 2.0 ** -h.lower,
                              h.kind, h.iterations, sigma=h.sigma, witness=h.witness)
     try:
-        h = h_min(rho, [rho.systems[0].name], [s.name for s in rho.systems[1:]], gap=gap)
+        h = h_min(rho, target, condition, gap=gap)
     except SolverConvergenceError as exc:
         raise SolverConvergenceError(to_prob(exc.best)) from exc
     return to_prob(h)
 
 
 # ---------------------------------------------------------------------------
-# Channel entropy functional and smoothing penalty
+# Channel entropy functional
 
 
 def k2_functional(inst: Instrument, sigma_b: DensityOperator | np.ndarray) -> float:
@@ -832,16 +856,3 @@ def k2_functional(inst: Instrument, sigma_b: DensityOperator | np.ndarray) -> fl
     # N_y*[1] = sum of K* K over the Kraus operators K of outcome y
     g = quarter @ inst.outcome_sums(np.einsum("kai,kaj->kij", ops.conj(), ops)) @ quarter
     return -math.log2(float(np.vdot(g, g).real))
-
-
-def smoothing_penalty(eps: float, trace: float = 1.0) -> float:
-    """Entropy loss log2(2/eps^2 + 1/(trace - eps)) for moving smoothing
-    from states onto channels."""
-    if not 0.0 < trace <= 1.0:
-        raise ValueError(f"trace must lie in (0, 1], got {trace}")
-    if eps <= 0.0:
-        raise ValueError(f"smoothing parameter must be positive, got {eps}")
-    if trace - eps <= 1e-12:
-        raise ValueError(f"penalty diverges as eps approaches the trace "
-                         f"({eps} vs {trace})")
-    return math.log2(2.0 / eps ** 2 + 1.0 / (trace - eps))

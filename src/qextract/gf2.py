@@ -99,20 +99,6 @@ class BitMatrix:
     def zero(cls, rows: int, cols: int) -> "BitMatrix":
         return cls(rows, cols, (0,) * rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << j for j in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows) -> "BitMatrix":
-        vecs = [r if isinstance(r, BitVector) else BitVector.from_bits(r) for r in rows]
-        if not vecs:
-            raise ValueError("matrix needs at least one row")
-        cols = vecs[0].n
-        if any(v.n != cols for v in vecs):
-            raise ValueError("all rows must have identical length")
-        return cls(len(vecs), cols, tuple(v.bits for v in vecs))
-
     def __getitem__(self, idx: tuple[int, int]) -> int:
         i, j = idx
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -136,9 +122,6 @@ class BitMatrix:
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_bits[i])
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.row_bits]
 
 
 def rank_gf2(m: BitMatrix) -> int:
@@ -344,17 +327,6 @@ class MatrixFamily:
         if self.n % 64 and (self.words[..., -1] >> np.uint64(self.n % 64)).any():
             raise ValueError(f"family rows have bits past column {self.n}")
         self.words.flags.writeable = False
-
-    @classmethod
-    def from_matrices(cls, n: int, r: int, construction: str,
-                      matrices) -> "MatrixFamily":
-        """The family of the given n x n BitMatrix values, packed into words."""
-        if any((k.rows, k.cols) != (n, n) for k in matrices):
-            raise ValueError(f"family matrices must be {n}x{n}")
-        nw = -(-n // 64)
-        raw = b"".join(row.to_bytes(8 * nw, "little") for k in matrices for row in k.row_bits)
-        words = np.frombuffer(raw, dtype=WORD).reshape(len(matrices), n, nw)
-        return cls(n, len(matrices), r, construction, words)
 
     @functools.cached_property
     def matrices(self) -> tuple[BitMatrix, ...]:

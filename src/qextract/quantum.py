@@ -19,7 +19,6 @@ only (eigenvalues below 1e-12 of the largest are treated as zero).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -86,28 +85,6 @@ def trace_norm(mat: np.ndarray) -> float:
     """Schatten 1-norm of a Hermitian matrix."""
     vals, _ = herm_eig(mat)
     return float(np.abs(vals).sum())
-
-
-def trace_norm_plus(mat: np.ndarray) -> float:
-    """max over 0 <= L <= 1 of |tr[L S]|, i.e. max(tr S+, tr S-).
-
-    The optimizer is a spectral projector, so the value follows from the
-    eigenvalues directly.
-    """
-    if not np.allclose(mat, mat.conj().T, atol=HERM_TOL):
-        raise ValueError("operator is not Hermitian")
-    vals, _ = herm_eig(mat)
-    return float(max(vals[vals > 0].sum(initial=0.0), -vals[vals < 0].sum(initial=0.0)))
-
-
-def hermitian_split(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral positive/negative parts (S+, S-) with S = S+ - S- and S+ _|_ S-."""
-    if not np.allclose(mat, mat.conj().T, atol=HERM_TOL):
-        raise ValueError("operator is not Hermitian")
-    vals, vecs = herm_eig(mat)
-    pos = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
-    neg = (vecs * np.maximum(-vals, 0.0)) @ vecs.conj().T
-    return pos, neg
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,13 +184,6 @@ class DensityOperator:
         return bool(vals[:-1].max(initial=0.0) <= tol)
 
 
-def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    overlap = set(a.names()) & set(b.names())
-    if overlap:
-        raise ValueError(f"system labels {sorted(overlap)} appear on both sides")
-    return DensityOperator(a.systems + b.systems, np.kron(a.matrix, b.matrix))
-
-
 def permute_systems(rho: DensityOperator, order) -> DensityOperator:
     """Reorder tensor factors to the named order."""
     order = list(order)
@@ -264,23 +234,6 @@ def purify(rho: DensityOperator, ref_name: str | None = None) -> DensityOperator
     return DensityOperator(systems, mat)
 
 
-def fidelity_star(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Generalized fidelity of two sub-normalized states."""
-    root = frac_power(rho.matrix, 0.5)
-    inner = root @ sigma.matrix @ root
-    vals, _ = herm_eig(inner)
-    f = float(np.sqrt(np.maximum(vals, 0.0)).sum())
-    f += float(np.sqrt(max(0.0, 1.0 - rho.trace) * max(0.0, 1.0 - sigma.trace)))
-    return min(f, 1.0)
-
-
-def purified_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    if rho.names() != sigma.names():
-        raise ValueError("states must share the same systems")
-    f = fidelity_star(rho, sigma)
-    return float(np.sqrt(max(0.0, 1.0 - f * f)))
-
-
 # ---------------------------------------------------------------------------
 # Instruments
 
@@ -291,7 +244,7 @@ class Instrument:
 
     The whole map must be trace non-increasing:
     sum over outcomes and Kraus terms of K* K <= identity (tolerance
-    1e-10); it is flagged trace-preserving when equality holds.
+    1e-10).
 
     ``kraus`` keeps the per-outcome lists of the constructor and the JSON
     files; computations read ``kraus_stack``, all K Kraus operators as one
@@ -336,7 +289,6 @@ class Instrument:
         object.__setattr__(self, "kraus_outcome", owner)
         object.__setattr__(self, "kraus", tuple(
             tuple(part) for part in np.split(stack, np.cumsum(counts)[:-1])))
-        object.__setattr__(self, "_tp", bool(np.allclose(acc, np.eye(d_in), atol=PSD_TOL)))
 
     @property
     def input_dim(self) -> int:
@@ -349,10 +301,6 @@ class Instrument:
     @property
     def num_outcomes(self) -> int:
         return len(self.kraus)
-
-    @property
-    def trace_preserving(self) -> bool:
-        return self._tp
 
     @property
     def outcome_system(self) -> System:
@@ -371,29 +319,6 @@ class Instrument:
         ops = self.kraus_stack
         half = np.einsum("kai,...irjs->k...arjs", ops, t)
         return self.outcome_sums(np.einsum("k...arjs,kbj->k...arbs", half, ops.conj()))
-
-    def outcome_kraus(self, x: int) -> np.ndarray:
-        """The Kraus operators of outcome x; IndexError if there is none."""
-        return self.kraus_stack[self.kraus_outcome == range(self.num_outcomes)[x]]
-
-    def outcome_map(self, x: int, mat: np.ndarray) -> np.ndarray:
-        """Apply the (sub-normalized) branch for outcome x to a bare matrix."""
-        ops = self.outcome_kraus(x)
-        return np.einsum("kai,ij,kbj->ab", ops, mat, ops.conj())
-
-
-def adjoint_apply(inst: Instrument, outcome: int, op: np.ndarray) -> np.ndarray:
-    """Adjoint of one outcome branch: sum_k K* T K.
-
-    This is the unique map satisfying tr[T* N[S]] = tr[(N*[T])* S] for the
-    Hilbert-Schmidt inner product.
-    """
-    d_out = inst.output_dim
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (d_out, d_out):
-        raise ValueError(f"operator shape {op.shape} != ({d_out}, {d_out})")
-    ops = inst.outcome_kraus(outcome)
-    return np.einsum("kai,ab,kbj->ij", ops.conj(), op, ops)
 
 
 def diagonal_blocks(mat: np.ndarray, count: int) -> np.ndarray:
@@ -551,18 +476,6 @@ def state_from_json(d: dict) -> DensityOperator:
     return cls(systems, _matrix_from_json(d["matrix"], (dim, dim)))
 
 
-def instrument_to_json(inst: Instrument) -> dict:
-    labels = inst.labels or tuple(range(inst.num_outcomes))
-    return {
-        "input_systems": [{"name": s.name, "dim": s.dim, "classical": s.classical}
-                          for s in inst.input_systems],
-        "outcomes": [{"label": int(lbl), "kraus": [_matrix_to_json(k) for k in ops]}
-                     for lbl, ops in zip(labels, inst.kraus)],
-        "output_systems": [{"name": s.name, "dim": s.dim, "classical": s.classical}
-                           for s in inst.output_systems],
-    }
-
-
 def instrument_from_json(d: dict, outcome_name: str = "X") -> Instrument:
     ins = _systems_from_json(d["input_systems"])
     outs = _systems_from_json(d["output_systems"])
@@ -570,18 +483,3 @@ def instrument_from_json(d: dict, outcome_name: str = "X") -> Instrument:
     kraus = tuple(tuple(_matrix_from_json(k, shape) for k in o["kraus"]) for o in d["outcomes"])
     labels = tuple(_json_int(o["label"], "outcome label") for o in d["outcomes"])
     return Instrument(ins, outcome_name, outs, kraus, labels)
-
-
-def load_state(path: str) -> DensityOperator:
-    with open(path) as f:
-        return state_from_json(json.load(f))
-
-
-def maximally_mixed(system: System) -> DensityOperator:
-    return DensityOperator((system,), np.eye(system.dim) / system.dim)
-
-
-def basis_state(system: System, index: int) -> DensityOperator:
-    mat = np.zeros((system.dim, system.dim), dtype=complex)
-    mat[index, index] = 1.0
-    return DensityOperator((system,), mat)

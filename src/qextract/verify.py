@@ -313,14 +313,6 @@ def gen_tightness(n: int) -> ScenarioInstance:
                             ExtractorSpec(IP, n), strong=True)
 
 
-def gen_sn_distribution(n: int) -> np.ndarray:
-    """Uniform distribution on the zero set of the inner product."""
-    size = 2 ** n
-    p = np.array([[1.0 if (x & y).bit_count() % 2 == 0 else 0.0
-                   for y in range(size)] for x in range(size)])
-    return p / p.sum()
-
-
 MARKOV_COUNTEREXAMPLE_HMIN = 0.45689
 MARKOV_EXTENSION_HMIN = -math.log2(3.0 / 4.0)  # about 0.41504
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qextract.gf2 import WORD, BitMatrix, MatrixFamily
+
 
 @pytest.fixture
 def rng():
@@ -17,3 +19,35 @@ def rand_psd(rng, dim, trace=1.0):
 def rand_herm(rng, dim, scale=1.0):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * 0.5 * (g + g.conj().T)
+
+
+def zero_set_distribution(n):
+    """Uniform distribution on the zero set of the n-bit inner product,
+    as a (2^n, 2^n) table p[x, y]."""
+    size = 2 ** n
+    p = np.array([[1.0 if (x & y).bit_count() % 2 == 0 else 0.0
+                   for y in range(size)] for x in range(size)])
+    return p / p.sum()
+
+
+def identity_matrix(n):
+    return BitMatrix(n, n, tuple(1 << j for j in range(n)))
+
+
+def bit_matrix(rows):
+    """BitMatrix of 0/1 row lists, entry (i, j) at bit j of row i."""
+    return BitMatrix(len(rows), len(rows[0]),
+                     tuple(sum(b << j for j, b in enumerate(row)) for row in rows))
+
+
+def bit_lists(mat):
+    """The rows of a BitMatrix as 0/1 lists."""
+    return [[(r >> j) & 1 for j in range(mat.cols)] for r in mat.row_bits]
+
+
+def family_of(n, r, construction, matrices):
+    """MatrixFamily of the given n x n BitMatrix values, packed into words."""
+    nw = -(-n // 64)
+    raw = b"".join(row.to_bytes(8 * nw, "little") for k in matrices for row in k.row_bits)
+    words = np.frombuffer(raw, dtype=WORD).reshape(len(matrices), n, nw)
+    return MatrixFamily(n, len(matrices), r, construction, words)

@@ -247,6 +247,25 @@ class TestEntropy:
                                                rel=1e-12)
         assert payload["gap"] <= payload["requested_gap"]
 
+    def test_pguess_reads_target_and_condition(self, capsys):
+        path = f"{FIXTURES}/product_uniform_n3.json"
+        code, stdout, err = run(capsys, "entropy", "--kind", "pguess", "--state", path,
+                                "--target", "B", "--condition", "X")
+        assert code == 2 and stdout == ""
+        assert err == "error: guessing probability needs a classical target; ['B'] are quantum\n"
+        code, stdout, _ = run(capsys, "entropy", "--kind", "pguess", "--state", path,
+                              "--target", "X", "--condition", "B")
+        assert code == 0
+        assert json.loads(stdout)["value_prob"] == pytest.approx(1 / 8, abs=1e-9)
+
+    @pytest.mark.parametrize("flag", ["--target", "--condition"])
+    def test_k2_rejects_a_partition(self, capsys, flag):
+        code, stdout, err = run(capsys, "entropy", "--kind", "k2",
+                                "--state", f"{FIXTURES}/maximally_entangled.json",
+                                "--instrument", "unread.json", flag, "A")
+        assert code == 2 and stdout == ""
+        assert err == "error: the k2 functional takes no --target or --condition\n"
+
     @pytest.mark.parametrize("flag,missing", [("--target", "[]"), ("--condition", "['B']")])
     def test_unknown_system_is_named(self, capsys, flag, missing):
         code, stdout, err = run(capsys, "entropy", "--kind", "hmin",
@@ -515,6 +534,18 @@ class TestDiraRate:
         code, stdout, err = run(capsys, "dira-rate", *(t for kv in args.items() for t in kv))
         assert code == 2
         assert stdout == "" and err.startswith(f"error: {field} must be finite")
+
+    @pytest.mark.parametrize("n,h,c,message", [
+        ("9" * 400, "1.2", "0", "round count is too large"),
+        ("10", "1e308", "0", "output length inf is outside"),
+        ("10", "1.2", "1e308", "output length -inf is outside"),
+        ("2", "1.7e308", "0", "security exponent is outside")],
+        ids=["huge-n", "huge-h", "huge-c", "huge-h-and-m"])
+    def test_overflowing_params_exit_2(self, capsys, n, h, c, message):
+        code, stdout, err = run(capsys, "dira-rate", "--n", n, "--h", h, "--c", c,
+                                "--mu", "0.1", "--eps", "1e-6", "--eps-s", "1e-9")
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
 
     def test_privatized_flag_changes_no_numbers(self, capsys):
         base = ("dira-rate", "--n", "10000", "--h", "1.2", "--mu", "0.1",

@@ -10,12 +10,15 @@ from qextract.dira import (
     check_chaining,
     dira_epsilon,
     dira_rate,
-    exact_bit_marginal,
     gen_random_sv_spec,
     simulate_sv_exact,
-    simulate_sv_sample,
 )
 from qextract.entropy import h_inf_down, h_min_blocks
+
+
+def memoryless(p_one):
+    """A step with no memory that emits 1 with probability p_one."""
+    return SvStep(np.array([[[1.0 - p_one]], [[p_one]]]))
 
 
 def classical_sv_chain(cond_probs):
@@ -72,25 +75,25 @@ class TestSvStep:
 
     def test_bias_enforced(self):
         with pytest.raises(ValueError, match="leaks outcome probability"):
-            SvSourceSpec(0.1, (SvStep.memoryless(0.7),))
-        SvSourceSpec(0.2, (SvStep.memoryless(0.7),))  # fine at mu = 0.2
+            SvSourceSpec(0.1, (memoryless(0.7),))
+        SvSourceSpec(0.2, (memoryless(0.7),))  # fine at mu = 0.2
 
     def test_memory_dims_chained(self):
         s1 = SvStep(np.full((2, 2, 1), 0.25))
-        s2 = SvStep.memoryless(0.5)  # expects memory dim 1, gets 2
+        s2 = memoryless(0.5)  # expects memory dim 1, gets 2
         with pytest.raises(ValueError, match="memory"):
             SvSourceSpec(0.0, (s1, s2))
 
 
 class TestExactSimulation:
     def test_unbiased_uniform(self):
-        spec = SvSourceSpec(0.0, tuple(SvStep.memoryless(0.5) for _ in range(3)))
+        spec = SvSourceSpec(0.0, tuple(memoryless(0.5) for _ in range(3)))
         rho = simulate_sv_exact(spec)
         assert np.allclose(rho.probs(), 1 / 8)
 
     def test_deterministic_leaning_per_step_entropy(self):
         delta = 0.2
-        step = SvStep.memoryless(1.0 - delta)  # mu = 1/2 - delta
+        step = memoryless(1.0 - delta)  # mu = 1/2 - delta
         spec = SvSourceSpec(0.5 - delta, (step,))
         rho = simulate_sv_exact(spec)
         h = h_inf_down(rho, ["Xn"], ["E"]).value
@@ -100,46 +103,25 @@ class TestExactSimulation:
         cond = [rng.uniform(0.3, 0.7, size=2 ** i) for i in range(3)]
         steps = classical_sv_chain(cond)
         spec = SvSourceSpec(0.2, tuple(steps))
-        got = exact_bit_marginal(spec)
+        got = simulate_sv_exact(spec).probs()
         assert np.allclose(got, joint_distribution(cond), atol=1e-12)
 
     def test_bit_order_is_little_endian(self):
         # first step emits a deterministic 1, second a deterministic 0:
         # the string is x0=1, x1=0, so the packed index must be 1
-        spec = SvSourceSpec(0.49, (SvStep.memoryless(0.99),
-                                   SvStep.memoryless(0.01)))
-        probs = exact_bit_marginal(spec)
+        spec = SvSourceSpec(0.49, (memoryless(0.99), memoryless(0.01)))
+        probs = simulate_sv_exact(spec).probs()
         assert probs.argmax() == 1
 
     def test_step_cap(self):
-        spec = SvSourceSpec(0.0, tuple(SvStep.memoryless(0.5) for _ in range(9)))
+        spec = SvSourceSpec(0.0, tuple(memoryless(0.5) for _ in range(9)))
         with pytest.raises(ValueError, match="at most"):
             simulate_sv_exact(spec)
 
 
-class TestSampling:
-    def test_matches_exact_marginals_five_sigma(self):
-        spec = gen_random_sv_spec(42, n=3, mu=0.25)
-        exact = exact_bit_marginal(spec)
-        samples = simulate_sv_sample(spec, 100_000, seed=7)
-        packed = np.zeros(len(samples), dtype=int)
-        for i in range(spec.n):
-            packed |= samples[:, i].astype(int) << i
-        counts = np.bincount(packed, minlength=2 ** spec.n)
-        for v in range(2 ** spec.n):
-            sigma = math.sqrt(max(exact[v] * (1 - exact[v]), 1e-12) * len(samples))
-            assert abs(counts[v] - exact[v] * len(samples)) <= 5 * sigma + 1
-
-    def test_seeded_reproducible(self):
-        spec = gen_random_sv_spec(1, n=2)
-        a = simulate_sv_sample(spec, 1000, seed=3)
-        b = simulate_sv_sample(spec, 1000, seed=3)
-        assert np.array_equal(a, b)
-
-
 class TestChaining:
     def test_unbiased_three_bits(self):
-        spec = SvSourceSpec(0.0, tuple(SvStep.memoryless(0.5) for _ in range(3)))
+        spec = SvSourceSpec(0.0, tuple(memoryless(0.5) for _ in range(3)))
         rep = check_chaining(spec)
         assert rep.bound == 3.0
         assert rep.entropy.value == pytest.approx(3.0, abs=1e-7)
@@ -147,7 +129,7 @@ class TestChaining:
 
     def test_iid_biased_equality(self):
         mu = 0.25
-        spec = SvSourceSpec(mu, tuple(SvStep.memoryless(0.5 + mu) for _ in range(3)))
+        spec = SvSourceSpec(mu, tuple(memoryless(0.5 + mu) for _ in range(3)))
         rep = check_chaining(spec)
         assert rep.entropy.value == pytest.approx(-3 * math.log2(0.5 + mu), abs=1e-7)
         assert rep.holds

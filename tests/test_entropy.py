@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_herm, rand_psd
+from conftest import rand_herm, rand_psd, zero_set_distribution
 from qextract.entropy import (
     CLOSED_FORM,
     SDP,
@@ -19,16 +20,15 @@ from qextract.entropy import (
     h_min_blocks,
     k2_functional,
     p_guess,
-    smoothing_penalty,
 )
 from qextract.quantum import (
     CqState,
     DensityOperator,
     Instrument,
     System,
-    load_state,
     partial_trace,
     purify,
+    state_from_json,
     trace_norm,
 )
 from qextract.verify import measurement_instrument, random_cq_state
@@ -267,7 +267,8 @@ def _solver_cases():
     random cq states."""
     cases = []
     for name in sorted(os.listdir(FIXTURES)):
-        rho = load_state(os.path.join(FIXTURES, name))
+        with open(os.path.join(FIXTURES, name)) as f:
+            rho = state_from_json(json.load(f))
         names = list(rho.names())
         cases.append((rho, names[:1], names[1:]))
     for seed in range(12):
@@ -845,33 +846,49 @@ class TestPGuess:
     def test_deterministic(self):
         x = System("X", 2, classical=True)
         rho = DensityOperator((x,), np.diag([1.0, 0.0]))
-        assert p_guess(rho).value == pytest.approx(1.0)
+        assert p_guess(rho, ["X"]).value == pytest.approx(1.0)
 
     def test_perfect_correlation(self):
         x = System("X", 2, classical=True)
         b = System("B", 2)
         blocks = [np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]
         rho = CqState.from_blocks(x, (b,), blocks)
-        res = p_guess(rho)
+        res = p_guess(rho, ["X"], ["B"])
         assert res.value == pytest.approx(1.0, abs=1e-8)
 
-    def test_requires_classical_first(self):
-        with pytest.raises(ValueError, match="classical"):
-            p_guess(maximally_entangled())
+    def test_requires_classical_target(self):
+        with pytest.raises(ValueError, match="classical target"):
+            p_guess(maximally_entangled(), ["A"], ["B"])
+        x, b = System("X", 2, classical=True), System("B", 2)
+        rho = CqState.from_blocks(x, (b,), [np.eye(2) / 4] * 2)
+        with pytest.raises(ValueError, match=r"\['B'\] are quantum"):
+            p_guess(rho, ["B"], ["X"])
+
+    def test_target_and_condition_are_read(self):
+        # X is a uniform 2-bit register; B holds a copy of its low bit
+        x, b, c = System("X", 4, classical=True), System("B", 2), System("C", 2)
+        blocks = [np.kron(np.diag(np.eye(2)[v & 1]), np.eye(2) / 2) / 4 for v in range(4)]
+        rho = CqState.from_blocks(x, (b, c), blocks)
+        assert p_guess(rho, ["X"], ["B", "C"]).value == pytest.approx(0.5, abs=1e-7)
+        assert p_guess(rho, ["X"], ["C", "B"]).value == pytest.approx(0.5, abs=1e-7)
+        with pytest.raises(ValueError, match="missing"):
+            p_guess(rho, ["X"], ["B"])
 
     def test_zero_set_distribution_guessable(self):
         # measuring across the inner product's zero set leaks the target:
         # the side information admits a guess with probability >= 1/2
-        from qextract.verify import build_eta_nu, gen_sn_distribution
+        from qextract.verify import build_eta_nu
 
-        eta, _ = build_eta_nu(gen_sn_distribution(2))
-        assert p_guess(eta).lower >= 0.5 - 1e-9
+        eta, _ = build_eta_nu(zero_set_distribution(2))
+        assert p_guess(eta, ["X"], ["B"]).lower >= 0.5 - 1e-9
 
     def test_bracket_orientation(self, rng):
         rho = random_cq_state(np.random.default_rng(0), 4, 3)
-        res = p_guess(rho)
+        res = p_guess(rho, ["Z"], ["E"])
         assert res.lower <= res.value + 1e-12
         assert res.value <= res.upper + 1e-12
+        # a probability: value is 2^-lower of h_min, the bracket's top
+        assert res.value == res.upper
 
 
 class TestK2Functional:
@@ -914,26 +931,6 @@ class TestK2Functional:
         inst = measurement_instrument(b, "Y")
         with pytest.raises(ValueError, match="does not match"):
             k2_functional(inst, DensityOperator((System("C", 2),), np.eye(2) / 2))
-
-
-class TestSmoothingPenalty:
-    def test_reference_value(self):
-        assert smoothing_penalty(0.5, 1.0) == pytest.approx(math.log2(10.0))
-
-    def test_pole(self):
-        with pytest.raises(ValueError, match="diverges"):
-            smoothing_penalty(1.0 - 1e-13, 1.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            smoothing_penalty(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            smoothing_penalty(0.1, 1.5)
-
-    def test_monotone_decreasing_on_lower_half(self):
-        eps = np.linspace(1e-4, 0.5, 400)
-        vals = [smoothing_penalty(float(e), 1.0) for e in eps]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 class TestOrderingChain:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bit_lists, family_of, identity_matrix
 from qextract import extractor
 from qextract.extractor import (
     DEOR,
@@ -29,7 +30,6 @@ from qextract.extractor import (
 from qextract.gf2 import (
     BitMatrix,
     BitVector,
-    MatrixFamily,
     build_circulant_family,
     build_field_family,
     is_prime,
@@ -47,7 +47,7 @@ def naive_deor_bit(k_lists, x_bits, y_bits):
 
 
 def identity_family(n):
-    return MatrixFamily.from_matrices(n, 0, "explicit", (BitMatrix.identity(n),))
+    return family_of(n, 0, "explicit", (identity_matrix(n),))
 
 
 class TestIpExtract:
@@ -91,7 +91,7 @@ class TestDeorExtract:
     def test_against_triple_loop_oracle(self):
         fam = build_circulant_family(3, 2)
         spec = ExtractorSpec(DEOR, 3, 2, fam)
-        k_lists = [k.to_lists() for k in fam.matrices]
+        k_lists = [bit_lists(k) for k in fam.matrices]
         for x in range(8):
             for y in range(8):
                 xv, yv = BitVector(3, x), BitVector(3, y)
@@ -104,7 +104,7 @@ class TestDeorExtract:
         spec = ExtractorSpec(DEOR, 3, 2, fam)
         x = BitVector.from_bits([1, 0, 1])
         y = BitVector.from_bits([1, 1, 0])
-        k_lists = [k.to_lists() for k in fam.matrices]
+        k_lists = [bit_lists(k) for k in fam.matrices]
         expected = [naive_deor_bit(kl, x.to_list(), y.to_list()) for kl in k_lists]
         assert deor_extract(spec, x, y).to_list() == expected
 
@@ -405,7 +405,7 @@ def stream_specs(draw):
     else:
         n, m = draw(st.integers(1, 200)), draw(st.integers(1, 6))
         rng = random.Random(draw(st.integers(0, 2**32)))
-        fam = MatrixFamily.from_matrices(n, 0, "random", tuple(
+        fam = family_of(n, 0, "random", tuple(
             BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n))) for _ in range(m)))
     return ExtractorSpec(DEOR, fam.n, fam.m, fam)
 
@@ -536,7 +536,7 @@ class TestRowTable:
     @pytest.mark.parametrize("n,m", [(1, 1), (5, 3), (63, 2), (64, 3), (65, 2), (130, 3)])
     def test_explicit_family_matches_its_bitmatrix_rows(self, n, m):
         rng = random.Random(n * 10 + m)
-        fam = MatrixFamily.from_matrices(n, 0, "random", tuple(
+        fam = family_of(n, 0, "random", tuple(
             BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n))) for _ in range(m)))
         assert np.array_equal(extractor.row_table(fam), reference_row_table(fam))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bit_lists, bit_matrix, family_of, identity_matrix
 from qextract.gf2 import (
     IRREDUCIBLE_POLY,
     WORD,
@@ -45,7 +46,7 @@ def naive_rank(rows_of_lists):
 
 class TestRank:
     def test_identity(self):
-        assert rank_gf2(BitMatrix.identity(8)) == 8
+        assert rank_gf2(identity_matrix(8)) == 8
 
     def test_zero(self):
         assert rank_gf2(BitMatrix.zero(8, 8)) == 0
@@ -55,7 +56,7 @@ class TestRank:
         assert rank_gf2(ones) == 1
 
     def test_input_not_modified(self):
-        m = BitMatrix.from_rows([[1, 1], [0, 1]])
+        m = bit_matrix([[1, 1], [0, 1]])
         before = m.row_bits
         rank_gf2(m)
         assert m.row_bits == before
@@ -66,7 +67,7 @@ class TestRank:
             rows = rnd.randrange(1, 33)
             cols = rnd.randrange(1, 33)
             lists = [[rnd.randrange(2) for _ in range(cols)] for _ in range(rows)]
-            m = BitMatrix.from_rows(lists)
+            m = bit_matrix(lists)
             assert rank_gf2(m) == naive_rank(lists)
 
     def test_rank_equals_transpose_rank(self):
@@ -80,11 +81,11 @@ class TestRank:
 class TestMatvec:
     def test_identity(self):
         v = BitVector.from_bits([1, 0, 1, 1])
-        assert matvec_gf2(BitMatrix.identity(4), v) == v
+        assert matvec_gf2(identity_matrix(4), v) == v
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            matvec_gf2(BitMatrix.identity(4), BitVector(3, 0b101))
+            matvec_gf2(identity_matrix(4), BitVector(3, 0b101))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 6 - 1), st.integers(0, 2 ** 6 - 1),
@@ -153,11 +154,11 @@ class TestPrimitiveRoot:
 class TestFieldFamily:
     def test_n1_m1(self):
         fam = build_field_family(1, 1)
-        assert fam.r == 0 and fam.matrices[0].to_lists() == [[1]]
+        assert fam.r == 0 and bit_lists(fam.matrices[0]) == [[1]]
 
     def test_first_matrix_is_identity(self):
         fam = build_field_family(3, 2)
-        assert fam.matrices[0].row_bits == BitMatrix.identity(3).row_bits
+        assert fam.matrices[0].row_bits == identity_matrix(3).row_bits
         assert rank_gf2(fam.matrices[0]) == 3
 
     def test_n8_m8_exhaustive_full_rank(self):
@@ -191,7 +192,7 @@ class TestFieldFamily:
 class TestCirculantFamily:
     def test_n3_m2_exhaustive(self):
         fam = build_circulant_family(3, 2)
-        assert fam.matrices[0].row_bits == BitMatrix.identity(3).row_bits
+        assert fam.matrices[0].row_bits == identity_matrix(3).row_bits
         for s in range(1, 4):
             assert rank_gf2(fam.span(s)) >= 2
 
@@ -245,7 +246,7 @@ class TestFamilySerialization:
     def test_row_strings_column_order(self):
         fam = build_circulant_family(3, 2)
         # row k of the shift matrix has its 1 in column (k+1) mod 3
-        assert fam.matrices[1].to_lists() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        assert bit_lists(fam.matrices[1]) == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
     @pytest.mark.parametrize("doc,match", [
         ({"n": 3, "m": 1, "r": 0, "construction": "field-mult",
@@ -306,7 +307,7 @@ class TestFamilyWords:
     def test_matrices_round_trip(self, n, m, r):
         fam = build_family(n, m, r)
         assert [list(k.row_bits) for k in fam.matrices] == word_rows(fam)
-        back = MatrixFamily.from_matrices(n, r, fam.construction, fam.matrices)
+        back = family_of(n, r, fam.construction, fam.matrices)
         assert back == fam and hash(back) == hash(fam)
         assert back.matrices == fam.matrices
 
@@ -314,10 +315,10 @@ class TestFamilyWords:
         fam = build_circulant_family(5, 3)
         assert fam == build_family(5, 3, 1)
         assert fam != build_circulant_family(5, 2)
-        assert fam != MatrixFamily.from_matrices(5, 1, "other", fam.matrices)
+        assert fam != family_of(5, 1, "other", fam.matrices)
         flipped = list(fam.matrices)
-        flipped[2] = flipped[2] ^ BitMatrix.identity(5)
-        assert fam != MatrixFamily.from_matrices(5, 1, "circulant", flipped)
+        flipped[2] = flipped[2] ^ identity_matrix(5)
+        assert fam != family_of(5, 1, "circulant", flipped)
 
     def test_bits_past_n_rejected(self):
         words = np.zeros((1, 3, 1), dtype=WORD)
@@ -332,9 +333,9 @@ class TestFamilyValidation:
     def test_empty_family_rejected(self):
         # extract_blocks divides by m, so m = 0 must never get that far
         with pytest.raises(ValueError, match="m >= 1"):
-            MatrixFamily.from_matrices(3, 0, "x", ())
+            MatrixFamily(3, 0, 0, "x", np.zeros((0, 3, 1), dtype=WORD))
         with pytest.raises(ValueError, match="n >= 1"):
-            MatrixFamily.from_matrices(0, 0, "x", (BitMatrix(0, 0, ()),))
+            MatrixFamily(0, 1, 0, "x", np.zeros((1, 0, 0), dtype=WORD))
 
     def test_size_cap_before_any_work(self, monkeypatch):
         import qextract.gf2 as gf2

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import family_of, identity_matrix, zero_set_distribution
 from qextract.entropy import h_min_blocks
 from qextract.extractor import DEOR, IP, ExtractorSpec
-from qextract.gf2 import BitMatrix, MatrixFamily, build_circulant_family, build_field_family
+from qextract.gf2 import build_circulant_family, build_field_family
 from qextract.quantum import CqState, DensityOperator, Instrument, System, trace_norm
 from qextract.verify import (
     MARKOV_COUNTEREXAMPLE_HMIN,
@@ -23,7 +24,6 @@ from qextract.verify import (
     distribution_instance,
     gen_markov_counterexample,
     gen_random_instance,
-    gen_sn_distribution,
     gen_tightness,
     measured_epsilon,
     measurement_instrument,
@@ -65,7 +65,7 @@ class TestMeasuredEpsilon:
         assert got == pytest.approx(2.0 ** -(n + 1), abs=1e-12)
 
     def test_sn_support_distribution(self):
-        p = gen_sn_distribution(2)
+        p = zero_set_distribution(2)
         inst = distribution_instance(p, ExtractorSpec(IP, 2), strong=True)
         assert measured_epsilon(inst) == pytest.approx(0.5, abs=1e-12)
 
@@ -206,7 +206,7 @@ class TestIpBound:
 
 class TestDeorBound:
     def test_identity_family_matches_ip_with_bookkeeping(self):
-        fam = MatrixFamily.from_matrices(2, 0, "explicit", (BitMatrix.identity(2),))
+        fam = family_of(2, 0, "explicit", (identity_matrix(2),))
         base = gen_random_instance(11, n_bits=2)
         deor_inst = ScenarioInstance(base.rho_ab, base.m_inst, base.n_inst,
                                      ExtractorSpec(DEOR, 2, 1, fam), strong=True)
@@ -294,7 +294,7 @@ class TestEtaNu:
         assert h.value == pytest.approx(-math.log2(px.max()), abs=1e-6)
 
     def test_sn_entropy_capped_at_one(self):
-        eta, nu = build_eta_nu(gen_sn_distribution(2))
+        eta, nu = build_eta_nu(zero_set_distribution(2))
         assert h_min_blocks(eta.blocks(), gap=1e-8).upper <= 1.0 + 1e-8
         assert h_min_blocks(nu.blocks(), gap=1e-8).upper <= 1.0 + 1e-8
 
@@ -319,7 +319,7 @@ class TestAltModel:
         assert alt_model_roundtrip_error(rho) <= 1e-9
 
     def test_sn_eta(self):
-        eta, _ = build_eta_nu(gen_sn_distribution(2))
+        eta, _ = build_eta_nu(zero_set_distribution(2))
         assert alt_model_roundtrip_error(eta) <= 1e-9
 
     def test_random_states(self, rng):
