@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``gf2``        packed GF(2) vectors, matrices, polynomials, matrix families
+* ``gf2``        packed GF(2) vectors and matrices, matrix families
 * ``extractor``  inner-product and matrix-family extractors, stream kernels
 * ``quantum``    sub-normalized states, instruments, partial traces, the trace norm
 * ``entropy``    conditional entropies with certificates, min-entropy SDP
@@ -12,12 +12,12 @@ Submodules:
 """
 
 from .extractor import DEOR, IP, ExtractionJob, ExtractorSpec, deor_extract, ip_extract
-from .gf2 import BitMatrix, BitVector, Gf2Poly, MatrixFamily, rank_gf2
+from .gf2 import BitMatrix, BitVector, MatrixFamily, rank_gf2
 from .quantum import CqState, DensityOperator, Instrument, System
 
 __all__ = [
     "BitMatrix", "BitVector", "CqState", "DEOR", "DensityOperator",
-    "ExtractionJob", "ExtractorSpec", "Gf2Poly", "IP", "Instrument",
+    "ExtractionJob", "ExtractorSpec", "IP", "Instrument",
     "MatrixFamily", "System", "deor_extract", "ip_extract", "rank_gf2",
 ]
 

@@ -9,7 +9,8 @@ One executable, five subcommands:
 * ``dira-rate``    output-length and security calculator
 
 Machine-readable JSON is the default output; ``--plain`` prints the same
-content as key-value lines.  Exit codes: 0 success, 1 verification
+content as key-value lines.  A number with no JSON value (an infinite
+bound) prints as ``null``.  Exit codes: 0 success, 1 verification
 failure, 2 bad arguments (an output file that cannot be written among
 them), 3 bad input data (an input file that cannot be opened or read,
 or whose content is malformed, among them), 4 solver non-convergence.
@@ -59,8 +60,13 @@ def _emit(payload, plain: bool) -> None:
             for key, value in entry.items():
                 print(f"{key}: {value}")
     else:
-        json.dump(payload, sys.stdout, indent=2, default=_jsonable)
-        print()
+        # a non-finite number fails here, before anything is printed
+        print(json.dumps(payload, indent=2, default=_jsonable, allow_nan=False))
+
+
+def _finite(value: float) -> float | None:
+    """``value``, or None (JSON null) where JSON has no number for it."""
+    return value if math.isfinite(value) else None
 
 
 def _jsonable(obj):
@@ -74,10 +80,10 @@ def _jsonable(obj):
 def _entropy_payload(kind: str, result, gap: float) -> dict:
     payload = {
         "quantity": kind,
-        "value_bits": result.value,
-        "lower": result.lower,
-        "upper": result.upper,
-        "gap": result.gap,
+        "value_bits": _finite(result.value),
+        "lower": _finite(result.lower),
+        "upper": _finite(result.upper),
+        "gap": _finite(result.gap),
         "iterations": result.iterations,
         "requested_gap": gap,
         "certificate": result.kind,
@@ -86,7 +92,8 @@ def _entropy_payload(kind: str, result, gap: float) -> dict:
         # the bracket, converged or not, is in probability; its gap is the
         # width in bits of the h_min bracket, the unit of requested_gap
         width = math.log2(result.upper / result.lower) if result.lower > 0 else math.inf
-        payload.update(quantity="p_guess", value_bits=None, value_prob=result.value, gap=width)
+        payload.update(quantity="p_guess", value_bits=None, value_prob=result.value,
+                       gap=_finite(width))
     return payload
 
 
@@ -201,7 +208,7 @@ def cmd_dira_rate(args) -> int:
                         eps_s=args.eps_s, c=args.c, privatized=args.privatized)
     rate = dira_rate(params)
     _emit({"m": rate.m, "flag": rate.flag, "raw": rate.raw,
-           "epsilon_check": dira_epsilon(params, rate.m),
+           "epsilon_check": _finite(dira_epsilon(params, rate.m)),
            "privatized": rate.privatized,
            "n": args.n, "h": args.h, "mu": args.mu, "eps": args.eps,
            "eps_s": args.eps_s, "c": args.c}, args.plain)

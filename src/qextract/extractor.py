@@ -7,6 +7,11 @@ Two extractors are provided, each with an exact block-level oracle:
 * ``deor_extract`` -- the multi-bit variant: output bit i is
   ``x^T K_i y`` for the matrices of a :class:`~qextract.gf2.MatrixFamily`.
 
+``ExtractorSpec.apply_ints`` is the per-pair oracle on integer blocks.
+``output_table`` runs the stream kernel over every pair of n-bit blocks
+and returns the table of outputs, so that the exact bound checks measure
+the bytes ``extract_blocks`` writes.
+
 Stream processing works on raw bit files: bytes are interpreted
 LSB-first (bit j of the stream is bit ``j mod 8`` of byte ``j div 8``),
 blocks are packed back to back with no header or padding between them.
@@ -114,7 +119,9 @@ class ExtractorSpec:
             raise ValueError("block size must be positive")
 
     def apply_ints(self, x: int, y: int) -> int:
-        """Evaluate on blocks given as little-endian integers."""
+        """The per-pair oracle: the output z of blocks given as
+        little-endian integers, from ``ip_extract``'s formula or
+        ``deor_extract``."""
         if self.kind == IP:
             return (x & y).bit_count() & 1
         z = deor_extract(self, BitVector(self.n, x), BitVector(self.n, y))
@@ -368,6 +375,25 @@ def extract_blocks(job: ExtractionJob, x: bytes, y: bytes, workers: int = 1) -> 
     # every chunk but the last covers a multiple of 8 blocks, so each piece
     # but the last is a whole number of output bytes with no slack
     return b"".join(piece for _, piece in _chunks(job, x, y, workers))
+
+
+def output_table(spec: ExtractorSpec) -> np.ndarray:
+    """The stream kernel's output z for every pair of n-bit blocks, as a
+    (2^n, 2^n) int64 table indexed by [x, y].
+
+    One weak ``extract_blocks`` job on one worker runs over all 4^n pairs
+    in x-major order, packed as the stream format says, and each block's
+    m output bits are read back LSB-first.  The table grows as 4^n, so it
+    is meant for the small n of the exact bound checks.
+    """
+    n, m = spec.n, spec.m
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    x = np.packbits(np.repeat(bits, 2 ** n, axis=0), axis=None, bitorder="little")
+    y = np.packbits(np.tile(bits, (2 ** n, 1)), axis=None, bitorder="little")
+    out = extract_blocks(ExtractionJob(spec, 4 ** n), x.tobytes(), y.tobytes())
+    z = np.unpackbits(np.frombuffer(out, dtype=np.uint8), count=4 ** n * m,
+                      bitorder="little").reshape(-1, m)
+    return (z.astype(np.int64) << np.arange(m)).sum(axis=1).reshape(2 ** n, 2 ** n)
 
 
 def _read_input(path: str) -> bytes | mmap.mmap:

@@ -71,9 +71,6 @@ class BitVector:
             raise ValueError(f"length mismatch: {self.n} != {other.n}")
         return BitVector(self.n, self.bits ^ other.bits)
 
-    def parity(self) -> int:
-        return self.bits.bit_count() & 1
-
     def to_list(self) -> list[int]:
         return [(self.bits >> j) & 1 for j in range(self.n)]
 
@@ -111,18 +108,6 @@ class BitMatrix:
         return BitMatrix(self.rows, self.cols,
                          tuple(a ^ b for a, b in zip(self.row_bits, other.row_bits)))
 
-    def transpose(self) -> "BitMatrix":
-        cols = []
-        for j in range(self.cols):
-            bits = 0
-            for i in range(self.rows):
-                bits |= ((self.row_bits[i] >> j) & 1) << i
-            cols.append(bits)
-        return BitMatrix(self.cols, self.rows, tuple(cols))
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_bits[i])
-
 
 def rank_gf2(m: BitMatrix) -> int:
     """GF(2) rank via Gaussian elimination on a copy; input is not modified."""
@@ -157,68 +142,7 @@ def matvec_gf2(m: BitMatrix, v: BitVector) -> BitVector:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over GF(2)
-
-
-@dataclass(frozen=True)
-class Gf2Poly:
-    """Polynomial over GF(2), coefficients as a little-endian bit mask.
-
-    The leading coefficient of a nonzero polynomial is automatically 1.
-    """
-
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits < 0:
-            raise ValueError("negative coefficient mask")
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return self.bits.bit_length() - 1
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __add__(self, other: "Gf2Poly") -> "Gf2Poly":
-        return Gf2Poly(self.bits ^ other.bits)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "Gf2Poly") -> "Gf2Poly":
-        a, b, r = self.bits, other.bits, 0
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            b >>= 1
-        return Gf2Poly(r)
-
-    def __mod__(self, other: "Gf2Poly") -> "Gf2Poly":
-        if other.bits == 0:
-            raise ZeroDivisionError("polynomial modulo zero")
-        a, m = self.bits, other.bits
-        dm = m.bit_length()
-        while a.bit_length() >= dm:
-            a ^= m << (a.bit_length() - dm)
-        return Gf2Poly(a)
-
-    def __str__(self) -> str:
-        if self.bits == 0:
-            return "0"
-        terms = []
-        for e in range(self.degree, -1, -1):
-            if (self.bits >> e) & 1:
-                terms.append("1" if e == 0 else ("x" if e == 1 else f"x^{e}"))
-        return " + ".join(terms)
-
-
-def gf2poly_gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
-    """Euclidean gcd of two GF(2) polynomials."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a
+# Polynomials over GF(2), as little-endian coefficient masks
 
 
 def _poly_mulmod(a: int, b: int, mod: int, n: int) -> int:
@@ -246,29 +170,35 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def irreducible(p: Gf2Poly) -> bool:
-    """Rabin irreducibility test over GF(2)."""
-    n = p.degree
+def _poly_gcd(a: int, b: int) -> int:
+    """Euclidean gcd of two GF(2) polynomials."""
+    while b:
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def irreducible(p: int) -> bool:
+    """Rabin irreducibility test over GF(2) of the polynomial with
+    coefficient mask ``p``."""
+    n = p.bit_length() - 1
     if n <= 0:
         return False
     if n == 1:
         return True
-    if not p.bits & 1:
+    if not p & 1:
         return False  # divisible by x
 
     def x_pow_pow2(k: int) -> int:
         r = 0b10
         for _ in range(k):
-            r = _poly_mulmod(r, r, p.bits, n)
+            r = _poly_mulmod(r, r, p, n)
         return r
 
     if x_pow_pow2(n) != 0b10:
         return False
-    for q in _prime_factors(n):
-        h = Gf2Poly(x_pow_pow2(n // q) ^ 0b10)
-        if gf2poly_gcd(p, h).degree != 0:
-            return False
-    return True
+    return all(_poly_gcd(p, x_pow_pow2(n // q) ^ 0b10) == 1 for q in _prime_factors(n))
 
 
 # Lowest-weight irreducible polynomial of each degree (smallest trinomial,

@@ -162,10 +162,6 @@ class DensityOperator:
     def dim(self) -> int:
         return int(np.prod(self.dims, dtype=np.int64))
 
-    @property
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
-
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.systems)
 
@@ -340,18 +336,10 @@ class CqState(DensityOperator):
     def num_classical(self) -> int:
         return self.systems[0].dim
 
-    @property
-    def block_dim(self) -> int:
-        return self.dim // self.num_classical
-
     def blocks(self) -> np.ndarray:
         """Sub-normalized conditional operators on the remaining systems,
         one per classical value, as a (num_classical, d, d) stack."""
         return diagonal_blocks(self.matrix, self.num_classical)
-
-    def probs(self) -> np.ndarray:
-        c, d = self.num_classical, self.block_dim
-        return np.einsum("xixi->x", self.matrix.reshape(c, d, c, d)).real
 
     @classmethod
     def from_blocks(cls, outcome: System, rest: tuple[System, ...],

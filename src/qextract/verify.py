@@ -5,7 +5,11 @@ pair of instruments producing n-bit outcomes X and Y plus quantum side
 information S and T, and an extractor.  Everything here is exact:
 output states are assembled blockwise over the classical outcome values
 and trace distances come from full eigendecompositions, so a reported
-epsilon carries no sampling noise.
+epsilon carries no sampling noise.  The outputs z come from the stream
+kernel itself (``extractor.output_table`` runs ``extract_blocks`` over
+every block pair), so the bound checks measure epsilon of the bits
+``qextract extract`` writes, and double as a differential test of the
+kernels against the per-pair oracle.
 
 The bound checks compare the measured epsilon against the security
 formulas evaluated at the *certified lower bounds* of the entropy
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import DEFAULT_GAP, EntropyResult, check_gap, h_min_blocks
-from .extractor import DEOR, IP, ExtractorSpec
+from .extractor import DEOR, IP, ExtractorSpec, output_table
 from .quantum import (
     CqState,
     DensityOperator,
@@ -127,34 +131,17 @@ def _scenario_blocks(inst: ScenarioInstance) -> np.ndarray:
     return blocks.reshape(len(tau), -1, d, d)
 
 
-def _output_index(ext: ExtractorSpec) -> np.ndarray:
-    """The extractor's output z for every pair (x, y) of n-bit blocks, as
-    a (2^n, 2^n) table; entry [x, y] equals ``ext.apply_ints(x, y)``."""
-    vals = np.arange(2 ** ext.n, dtype=np.uint64)
-
-    def parity(words):
-        return (np.bitwise_count(words) & 1).astype(np.int64)
-
-    if ext.kind == IP:
-        return parity(vals[:, None] & vals[None, :])
-    z = np.zeros((len(vals), len(vals)), dtype=np.int64)
-    for i, rows in enumerate(ext.family.words[..., 0]):
-        # K_i y for every y: bit r is the parity of row r and y
-        k_y = (parity(vals[:, None] & rows[None, :]) << np.arange(ext.n)).sum(axis=1)
-        z |= parity(vals[:, None] & k_y.astype(np.uint64)[None, :]) << i
-    return z
-
-
 def measured_epsilon(inst: ScenarioInstance) -> float:
     """Exact half trace distance of the extracted output from uniform.
 
     Strong mode keeps the Y register next to the side information; weak
-    mode marginalizes it.  One einsum sorts every block (x, y) into its
-    output value z, and one stacked eigvalsh gives every trace norm.
+    mode marginalizes it.  One einsum sorts every block (x, y) into the
+    output value z that the stream kernel gives it, and one stacked
+    eigvalsh gives every trace norm.
     """
     blocks = _scenario_blocks(inst)
     m_vals = 2 ** inst.ext.m
-    onehot = (_output_index(inst.ext)[..., None] == np.arange(m_vals)).astype(float)
+    onehot = (output_table(inst.ext)[..., None] == np.arange(m_vals)).astype(float)
     if inst.strong:
         az = np.einsum("xyz,xyab->yzab", onehot, blocks)  # per y: z -> block
     else:

@@ -45,6 +45,24 @@ def bit_lists(mat):
     return [[(r >> j) & 1 for j in range(mat.cols)] for r in mat.row_bits]
 
 
+def transpose(mat):
+    """The transpose of a BitMatrix."""
+    return BitMatrix(mat.cols, mat.rows, tuple(
+        sum(((r >> j) & 1) << i for i, r in enumerate(mat.row_bits))
+        for j in range(mat.cols)))
+
+
+def trace(rho):
+    """The trace of a DensityOperator."""
+    return float(np.trace(rho.matrix).real)
+
+
+def outcome_probs(state):
+    """The probability of each classical value of a CqState: the trace of
+    its block."""
+    return np.einsum("xii->x", state.blocks()).real
+
+
 def family_of(n, r, construction, matrices):
     """MatrixFamily of the given n x n BitMatrix values, packed into words."""
     nw = -(-n // 64)

@@ -853,3 +853,90 @@ class TestFixtureFreshness:
             fresh = json.load(open(tmp_path / name))
             checked_in = json.load(open(os.path.join(FIXTURES, name)))
             assert fresh == checked_in, name
+
+
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: ``Infinity``, ``-Infinity`` and
+    ``NaN`` raise."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+ETA = f"{FIXTURES}/counterexample_eta.json"
+
+
+class TestStrictJson:
+    """Every command prints strict JSON, with null for a number that has
+    no finite value."""
+
+    @staticmethod
+    def commands(tmp_path):
+        """(argv, expected exit code) of every command and entropy kind,
+        every verify suite, and dira-rate in and out of its flagged region."""
+        x, y, inst = tmp_path / "x", tmp_path / "y", tmp_path / "inst.json"
+        x.write_bytes(bytes(range(64)))
+        y.write_bytes(bytes(range(64, 128)))
+        inst.write_text(json.dumps(MEASURE))
+        family = str(tmp_path / "family.json")
+        yield ("gen-family", "--n", "5", "--m", "2", "--r", "0", "--out", family), 0
+        yield ("extract", "--family", family, "--x", str(x), "--y", str(y),
+               "--blocks", "40", "--strong", "--out", str(tmp_path / "z")), 0
+        for kind in ("hmin", "h2", "hinf", "pguess"):
+            yield ("entropy", "--kind", kind, "--state", ETA,
+                   "--target", "X", "--condition", "B"), 0
+        yield ("entropy", "--kind", "k2", "--state", f"{FIXTURES}/maximally_entangled.json",
+               "--instrument", str(inst)), 0
+        for suite in SUITES:
+            yield ("verify", "--suite", suite, "--count", "2"), 0
+        rate = ("dira-rate", "--h", "0.1", "--mu", "0.4", "--eps", "1e-6", "--eps-s", "1e-9")
+        yield (*rate, "--n", "1000"), 0
+        yield (*rate, "--n", "10000"), 0  # epsilon_check overflows: null
+
+    def test_every_command_prints_strict_json(self, capsys, tmp_path):
+        for argv, want in self.commands(tmp_path):
+            code, stdout, err = run(capsys, *argv)
+            assert code == want, (argv, err)
+            strict_json(stdout)
+
+    def test_overflowing_epsilon_check_is_null(self, capsys):
+        code, stdout, _ = run(capsys, "dira-rate", "--n", "10000", "--h", "0.1",
+                              "--mu", "0.4", "--eps", "1e-6", "--eps-s", "1e-9")
+        assert code == 0
+        payload = strict_json(stdout)
+        assert payload["flag"] and payload["m"] == 0
+        assert payload["epsilon_check"] is None
+
+    @pytest.mark.parametrize("kind", ["hmin", "pguess"])
+    def test_bracket_with_no_dual_witness_exits_4_with_null(self, capsys, monkeypatch,
+                                                            kind):
+        import qextract.entropy as ent
+
+        real = ent._SdpKernel.certificates
+
+        def no_witness(self, sigma, z):
+            primal, _, _ = real(self, sigma, z)
+            return primal, 0.0, None
+
+        monkeypatch.setattr(ent._SdpKernel, "certificates", no_witness)
+        code, stdout, _ = run(capsys, "entropy", "--kind", kind, "--state", ETA,
+                              "--target", "X", "--condition", "B")
+        assert code == 4
+        payload = strict_json(stdout)
+        assert payload["converged"] is False and payload["gap"] is None
+        if kind == "hmin":
+            assert payload["upper"] is None and payload["value_bits"] == payload["lower"]
+        else:
+            # the probability bracket is [0, 2^-lower]: finite, but of no width in bits
+            assert payload["lower"] == 0.0 and 0.0 < payload["upper"] <= 1.0
+
+    def test_a_missed_non_finite_field_fails_before_any_output(self, capsys, monkeypatch):
+        from qextract import dira
+
+        monkeypatch.setattr(dira, "dira_rate", lambda params: dira.RateResult(
+            m=0, flag=True, raw=math.inf, privatized=False))
+        code, stdout, err = run(capsys, "dira-rate", "--n", "1000", "--h", "0.1",
+                                "--mu", "0.4", "--eps", "1e-6", "--eps-s", "1e-9")
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: Out of range float values are not JSON compliant")

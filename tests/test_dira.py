@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import outcome_probs
 from qextract.dira import (
     DiraParams,
     SvSourceSpec,
@@ -89,7 +90,7 @@ class TestExactSimulation:
     def test_unbiased_uniform(self):
         spec = SvSourceSpec(0.0, tuple(memoryless(0.5) for _ in range(3)))
         rho = simulate_sv_exact(spec)
-        assert np.allclose(rho.probs(), 1 / 8)
+        assert np.allclose(outcome_probs(rho), 1 / 8)
 
     def test_deterministic_leaning_per_step_entropy(self):
         delta = 0.2
@@ -103,14 +104,14 @@ class TestExactSimulation:
         cond = [rng.uniform(0.3, 0.7, size=2 ** i) for i in range(3)]
         steps = classical_sv_chain(cond)
         spec = SvSourceSpec(0.2, tuple(steps))
-        got = simulate_sv_exact(spec).probs()
+        got = outcome_probs(simulate_sv_exact(spec))
         assert np.allclose(got, joint_distribution(cond), atol=1e-12)
 
     def test_bit_order_is_little_endian(self):
         # first step emits a deterministic 1, second a deterministic 0:
         # the string is x0=1, x1=0, so the packed index must be 1
         spec = SvSourceSpec(0.49, (memoryless(0.99), memoryless(0.01)))
-        probs = simulate_sv_exact(spec).probs()
+        probs = outcome_probs(simulate_sv_exact(spec))
         assert probs.argmax() == 1
 
     def test_step_cap(self):

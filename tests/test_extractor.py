@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bit_lists, family_of, identity_matrix
+from conftest import bit_lists, family_of, identity_matrix, transpose
 from qextract import extractor
 from qextract.extractor import (
     DEOR,
@@ -123,7 +123,7 @@ class TestDeorExtract:
             z = deor_extract(spec, x, y)
             for s in range(1, 1 << fam.m):
                 parity = (s & z.bits).bit_count() & 1
-                ks_t = fam.span(s).transpose()
+                ks_t = transpose(fam.span(s))
                 assert parity == ip_extract(matvec_gf2(ks_t, x), y)
 
     def test_spec_validation(self):
@@ -539,6 +539,25 @@ class TestRowTable:
         fam = family_of(n, 0, "random", tuple(
             BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n))) for _ in range(m)))
         assert np.array_equal(extractor.row_table(fam), reference_row_table(fam))
+
+
+# IP at n = 1..5 and the families of the deor-bound suite
+TABLE_SPECS = [ExtractorSpec(IP, n) for n in range(1, 6)] + [
+    ExtractorSpec(DEOR, f.n, f.m, f) for f in (
+        build_field_family(2, 1), build_field_family(2, 2), build_field_family(3, 1),
+        build_field_family(3, 2), build_circulant_family(3, 1), build_circulant_family(3, 2))]
+
+
+class TestOutputTable:
+    """The stream kernel's table of every block pair, which the bound
+    suites measure epsilon from, against the per-pair oracle."""
+
+    @pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda s: (
+        f"IP-{s.n}" if s.family is None else f"{s.family.construction}-{s.n}-{s.m}"))
+    def test_matches_apply_ints(self, spec):
+        size = 2 ** spec.n
+        want = [[spec.apply_ints(x, y) for y in range(size)] for x in range(size)]
+        assert np.array_equal(extractor.output_table(spec), want)
 
 
 class RecordingPool:

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bit_lists, bit_matrix, family_of, identity_matrix
+from conftest import bit_lists, bit_matrix, family_of, identity_matrix, transpose
 from qextract.gf2 import (
     IRREDUCIBLE_POLY,
     WORD,
     BitMatrix,
     BitVector,
     FamilyConstructionError,
-    Gf2Poly,
     MatrixFamily,
+    _poly_gcd,
     build_circulant_family,
     build_family,
     build_field_family,
-    gf2poly_gcd,
     irreducible,
     is_primitive_root_2,
     matvec_gf2,
@@ -75,7 +74,7 @@ class TestRank:
         for _ in range(200):
             n = rnd.randrange(1, 17)
             m = BitMatrix(n, n, tuple(rnd.randrange(1 << n) for _ in range(n)))
-            assert rank_gf2(m) == rank_gf2(m.transpose())
+            assert rank_gf2(m) == rank_gf2(transpose(m))
 
 
 class TestMatvec:
@@ -96,27 +95,28 @@ class TestMatvec:
         assert matvec_gf2(m, a ^ b) == matvec_gf2(m, a) ^ matvec_gf2(m, b)
 
 
+def poly_mod(a, m):
+    """Remainder of the GF(2) polynomial a modulo m, both coefficient masks."""
+    while a.bit_length() >= m.bit_length():
+        a ^= m << (a.bit_length() - m.bit_length())
+    return a
+
+
 class TestPoly:
     def test_gcd_example(self):
         # gcd(x^2 + x, x) = x, by Euclid
-        assert gf2poly_gcd(Gf2Poly(0b110), Gf2Poly(0b10)) == Gf2Poly(0b10)
+        assert _poly_gcd(0b110, 0b10) == 0b10
 
     def test_irreducible_quadratic(self):
-        assert irreducible(Gf2Poly(0b111))       # x^2 + x + 1: no roots in GF(2)
-        assert not irreducible(Gf2Poly(0b101))   # x^2 + 1 = (x + 1)^2
-        assert not irreducible(Gf2Poly(0b110))   # x^2 + x = x (x + 1)
-
-    def test_mul_mod(self):
-        x = Gf2Poly(0b10)
-        assert (x * x) == Gf2Poly(0b100)
-        assert (x * x) % Gf2Poly(0b111) == Gf2Poly(0b11)  # x^2 = x + 1 mod x^2+x+1
+        assert irreducible(0b111)       # x^2 + x + 1: no roots in GF(2)
+        assert not irreducible(0b101)   # x^2 + 1 = (x + 1)^2
+        assert not irreducible(0b110)   # x^2 + x = x (x + 1)
 
     def test_table_entries_are_irreducible(self):
         assert set(IRREDUCIBLE_POLY) == set(range(1, 65))
         for n, mask in IRREDUCIBLE_POLY.items():
-            p = Gf2Poly(mask)
-            assert p.degree == n
-            assert irreducible(p), f"degree {n} table entry is reducible"
+            assert mask.bit_length() - 1 == n
+            assert irreducible(mask), f"degree {n} table entry is reducible"
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16, 24, 32])
     def test_table_cross_checked_with_sympy(self, n):
@@ -175,12 +175,12 @@ class TestFieldFamily:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 13, 31, 32, 33, 63, 64])
     def test_columns_are_alpha_powers(self, n):
         # column j of K_i is alpha^(i+j), reduced by an independent polynomial mod
-        mod = Gf2Poly(IRREDUCIBLE_POLY[n])
+        mod = IRREDUCIBLE_POLY[n]
         for m in sorted({1, min(2, n), max(1, n // 2), n}):
             fam = build_field_family(n, m)
             for i, k in enumerate(fam.matrices):
-                want = tuple((Gf2Poly(1 << (i + j)) % mod).bits for j in range(n))
-                assert k.transpose().row_bits == want
+                want = tuple(poly_mod(1 << (i + j), mod) for j in range(n))
+                assert transpose(k).row_bits == want
 
     def test_bad_sizes(self):
         with pytest.raises(FamilyConstructionError):
@@ -291,8 +291,8 @@ class TestFamilyWords:
             # row k of the i-th shift power has its one at column (k + i) mod n
             return [[1 << ((k + i) % n) for k in range(n)] for i in range(m)]
         # K_i e_j = alpha^(i+j): bit k of column j is entry (k, j)
-        mod = Gf2Poly(IRREDUCIBLE_POLY[n])
-        cols = [(Gf2Poly(1 << t) % mod).bits for t in range(n + m - 1)]
+        mod = IRREDUCIBLE_POLY[n]
+        cols = [poly_mod(1 << t, mod) for t in range(n + m - 1)]
         return [[sum(((cols[i + j] >> k) & 1) << j for j in range(n)) for k in range(n)]
                 for i in range(m)]
 
