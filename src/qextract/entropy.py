@@ -29,7 +29,8 @@ Three quantities are computed for a bipartite sub-normalized state:
   takes as many iterations as its normalized form.  The duality gap is
   known at every iteration, so the extended-precision certificate is
   computed once, when the iterate's own gap is at most half the
-  requested one; a solve takes about 8 iterations at gap 1e-6.  The
+  requested one; a solve that iterates takes about 8 iterations at gap
+  1e-6, and a set of pure blocks none (below).  The
   certificate runs at the same scale, and the bracket is shifted back
   by e bits.  It is two-sided: tr(sigma) at a sigma whose every slack
   passes Cholesky bounds 2^-Hmin from above, and the dual iterate Z,
@@ -77,6 +78,22 @@ Three quantities are computed for a bipartite sub-normalized state:
   s = min(gap / 8, 1), which whitening turns into a dual bound lower
   by at most log2(1 + s) bits.  A lifted certificate that failed
   Cholesky would send the solve back to every block in the full space.
+
+  The blocks the iterations would run on, reduced or not, are first
+  offered a candidate for pure blocks rho_x = v_x v_x^H, where
+  sigma >= rho_x is v_x^H sigma^-1 v_x <= 1: a weighted square-root
+  measurement, sigma = Q^1/2 with Q = sum_x q_x v_x v_x^H, whose weights
+  maximize the concave f(q) = 2 tr Q^1/2 - sum_x q_x.  Primal-dual
+  Newton steps on the count weights, each from one eigendecomposition
+  of Q, stop when the bracket that every q gives, sigma = kappa Q^1/2
+  with kappa = max_x v_x^H Q^-1/2 v_x above and
+  Z_x = q_x Q^-1/2 v_x v_x^H Q^-1/2 below, is within a quarter of the
+  gap.  sigma gets t 1, t the largest second eigenvalue of any block
+  plus rounding, and a set whose t costs more than half the gap is
+  rejected before any step.  The candidate is certified, and lifted,
+  like an iterate: one that misses the gap leaves the solve to the
+  iterations, and one whose lifted slack fails Cholesky sends it to the
+  full space.
 
 All entropies are in bits.  Every quantity works on one stack of
 blocks of one multiplicity m: when the target registers are classical
@@ -583,6 +600,93 @@ def _two_blocks(kernel: _SdpKernel, eig, gap: float):
     return sigma + t * kernel.eye_b, _mixed(kernel, z, gap)
 
 
+def _weight_step(x: np.ndarray, a: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """One primal-dual step of ``_pure`` from x = (q; y), the weights and
+    the slacks of a_x <= 1, with ``hess`` minus the Hessian of f.  The
+    Newton system of a - 1 + y = 0 and q y = target is
+    (hess + diag(y / q)) dq = a - 1 + target / q; the predictor's target
+    is 0, and the corrector's follows Mehrotra's rule, as in
+    ``_SdpKernel.iterate``."""
+    n = len(a)
+    q, y = x[:n], x[n:]
+    mat = hess + np.diag(y / q)
+
+    def toward(target):
+        dq = np.linalg.solve(mat, a - 1.0 + target / q)
+        dx = np.concatenate([dq, target / q - y - y / q * dq])
+        neg = dx < 0.0
+        return dx, min(1.0, STEP_FRACTION * float((x[neg] / -dx[neg]).min(initial=math.inf)))
+    mu = float(q @ y) / n
+    dx, step = toward(0.0)
+    ahead = x + step * dx
+    mu_aff = float(ahead[:n] @ ahead[n:]) / n
+    dx, step = toward(min(1.0, max(mu_aff, 0.0) / mu) ** 3 * mu)
+    return x + step * dx
+
+
+def _pure(kernel: _SdpKernel, eig, gap: float):
+    """The optimal (sigma; Z) of a classical target whose blocks are pure
+    up to rounding: a weighted square-root measurement, from Newton steps
+    on one weight per block.
+
+    With rho_x = v_x v_x^H, sigma >= rho_x is v_x^H sigma^-1 v_x <= 1,
+    and the Lagrange dual f(q) = 2 tr Q^1/2 - sum_x q_x, with
+    Q = sum_x q_x v_x v_x^H, is concave in q >= 0 with its maximum at
+    sigma = Q^1/2 (Mochon, PRA 73, 032328, 2006; Eldar, Megretski and
+    Verghese, IEEE Trans. Inf. Theory 49, 2003).  Its gradient is
+    a_x - 1, a_x = v_x^H Q^-1/2 v_x, and its Hessian comes from one
+    eigendecomposition Q = U diag(s^2) U^H with the divided differences
+    -1 / (s_i s_j (s_i + s_j)) of l^-1/2 (Daleckii-Krein).  Every q > 0
+    gives a bracket: sigma = kappa Q^1/2 with kappa = max_x a_x is
+    feasible, and Z_x = q_x Q^-1/2 v_x v_x^H Q^-1/2, whose sum is the
+    identity, guesses with probability sum_x q_x a_x^2.  The weights and
+    the slacks y of a_x <= 1 take primal-dual Newton steps with
+    Mehrotra's centering, from q_x = lambda_max(rho_x) and
+    y = START_MARGIN, until the bracket is within a quarter of the gap.
+
+    v_x is sqrt(lambda_max) times the top eigenvector of rho_x, and
+    sigma gets t 1 with t the largest other eigenvalue of any block plus
+    ``_rounding``, which covers every block's remainder, and every block
+    with lambda_max <= t, which gets no weight; Z is ``_mixed`` with the
+    identity.  Returns None for a quantum target, before any
+    step when t costs more than half the gap against
+    sum_x tr rho_x >= tr sigma*, when Q is not positive definite, and
+    after MAX_OUTER steps."""
+    if kernel.m != 1:
+        return None
+    d = kernel.d_b
+    vals, vecs = np.linalg.eigh(kernel.rho)
+    t = max(float(vals[:, :-1].max(initial=0.0)), 0.0) + _rounding(d, eig)
+    if _shift_too_costly(d, t, float(vals.sum()), gap):
+        return None
+    # a block whose top eigenvalue is at most t lies under t 1 already
+    live = vals[:, -1] > t
+    v = vecs[live, :, -1] * np.sqrt(vals[live, -1])[:, None]
+    n = len(v)
+    qy = np.concatenate([vals[live, -1], np.full(n, START_MARGIN)])
+    for it in range(MAX_OUTER + 1):
+        q = qy[:n]
+        lam, u = np.linalg.eigh(herm((v.T * q) @ v.conj()))
+        if not lam[0] > 0.0:
+            return None
+        s = np.sqrt(lam)
+        w = v @ u.conj()  # w[x, i] = u_i^H v_x
+        a = (np.abs(w) ** 2 / s).sum(axis=1)
+        kappa = float(a.max())
+        if math.log2(kappa * float(s.sum()) / float(q @ (a * a))) <= 0.25 * gap:
+            break
+        if it == MAX_OUTER:
+            return None
+        kw = (w.conj()[:, :, None] * w[:, None, :]).reshape(n, -1)
+        diff = 1.0 / (s[:, None] * s[None, :] * (s[:, None] + s[None, :]))
+        qy = _weight_step(qy, a, ((kw * diff.reshape(-1)) @ kw.conj().T).real)
+    p = (w / s) @ u.T  # p[x] = Q^-1/2 v_x
+    z = np.zeros_like(kernel.rho)
+    z[live] = q[:, None, None] * (p[:, :, None] * p.conj()[:, None, :])
+    sigma = herm((u * (kappa * s)) @ ct(u)) + t * kernel.eye_b
+    return sigma, _mixed(kernel, z, gap)
+
+
 def _candidate(kernel: _SdpKernel, eig, gap: float):
     """The no-iteration candidate of a classical target: exact for two
     blocks, else read off the marginal's eigenbasis."""
@@ -747,34 +851,45 @@ def _solve_sdp(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
 
     For a classical target, certify the no-iteration candidate first
     (Helstrom's for two blocks, else the one read off the eigenbasis of
-    the conditioning marginal), and return it if it meets the gap.  Otherwise drop the dominated blocks, offer the kept blocks'
+    the conditioning marginal), and return it if it meets the gap.
+    Otherwise drop the dominated blocks, offer the kept blocks'
     candidate if any were dropped, and solve on the support of the kept
     blocks' marginal; every iterate is certified on the original blocks,
     lifted through both reductions.  Solve in the full space if nothing
-    is reduced or a lifted certificate fails Cholesky."""
+    is reduced or a lifted certificate fails Cholesky.  Either solve
+    first offers the pure-block candidate of the blocks it would iterate
+    on, certified like an iterate."""
     full = _SdpKernel(m, rho, d_b)
-    eig = herm_eig(_ptrace(m, d_b, rho))
+    eig = kept_eig = herm_eig(_ptrace(m, d_b, rho))
     result = _offer(full, _candidate(full, eig, gap), gap) if m == 1 else None
     if result is not None:
         return result
     kept, undrop = _dominance(full, gap, eig)
     if undrop is not None:
-        eig = herm_eig(_ptrace(1, d_b, kept.rho))
-        candidate = _candidate(kept, eig, gap)
+        kept_eig = herm_eig(_ptrace(1, d_b, kept.rho))
+        candidate = _candidate(kept, kept_eig, gap)
         result = _offer(full, candidate and undrop(*candidate), gap)
         if result is not None:
             return result
     try:
-        reduced, unsupport = _support(kept, gap, eig)
+        reduced, unsupport = _support(kept, gap, kept_eig)
         lifts = [f for f in (unsupport, undrop) if f is not None]
         if lifts:
             def certify(sigma, z, it):
                 for lift in lifts:
                     sigma, z = lift(sigma, z)
                 return _certify(full, sigma, z, it)
+            candidate = _pure(reduced, kept_eig, gap)
+            if candidate is not None:
+                result = certify(*candidate, 0)
+                if result.gap <= gap:
+                    return result
             return _primal_dual(reduced, gap, certify)
     except np.linalg.LinAlgError:
-        pass  # a lifted slack failed Cholesky
+        pass  # a lifted slack, the candidate's or an iterate's, failed Cholesky
+    result = _offer(full, _pure(full, eig, gap), gap)
+    if result is not None:
+        return result
     return _primal_dual(full, gap, functools.partial(_certify, full))
 
 

@@ -562,6 +562,9 @@ class TestSolverFailureExit:
     def test_entropy_exit_4_prints_bracket(self, capsys, monkeypatch, kind):
         import qextract.entropy as ent
 
+        # the pure-block candidate settles this state with no iteration;
+        # switched off, the solve reaches the iteration cap
+        monkeypatch.setattr(ent, "_pure", lambda *args: None)
         monkeypatch.setattr(ent, "MAX_OUTER", 3)
         code, stdout, _ = run(capsys, "entropy", "--kind", kind,
                               "--state", f"{FIXTURES}/counterexample_eta.json",
@@ -594,6 +597,8 @@ class TestSolverFailureExit:
                 raise np.linalg.LinAlgError("singular slack matrix")
             return real(self, sigma, z)
 
+        # with the pure-block candidate off, as above, the solve iterates
+        monkeypatch.setattr(ent, "_pure", lambda *args: None)
         monkeypatch.setattr(ent._SdpKernel, "scaling", failing_once)
         code, stdout, _ = run(capsys, "entropy", "--kind", "hmin",
                               "--state", f"{FIXTURES}/counterexample_eta.json",

@@ -313,6 +313,14 @@ def _reduced_cases():
     return cases
 
 
+def _without_pure(monkeypatch):
+    """Switch the pure-block candidate off, so that pure blocks reach the
+    predictor-corrector."""
+    import qextract.entropy as ent
+
+    monkeypatch.setattr(ent, "_pure", lambda *args: None)
+
+
 class TestSolverSchedule:
     """The certificate runs once the duality gap of the iterate meets the
     request, so a converged solve certifies once, or twice after a miss."""
@@ -358,6 +366,8 @@ class TestSolverSchedule:
             return real(self, sigma, z)
 
         monkeypatch.setattr(ent._SdpKernel, "scaling", recording)
+        # the pure cq cases would settle with no iteration
+        _without_pure(monkeypatch)
         cases = []
         for rho, target, condition in _solver_cases() + _reduced_cases():
             d_t = int(np.prod([s.dim for s in rho.systems if s.name in target]))
@@ -448,6 +458,8 @@ class TestSupportReduction:
 
         monkeypatch.setattr(ent._SdpKernel, "scaling", recording)
         monkeypatch.setattr(ent._SdpKernel, "certificates", failing_once)
+        # pure blocks: the candidate would take the failing certificate
+        _without_pure(monkeypatch)
         r = np.random.default_rng(3)
         iso = _random_isometry(r, 6, 2)
         blocks = [iso @ b @ iso.conj().T for b in _pure_rank_blocks(r, 2, 1, 3)]
@@ -685,6 +697,8 @@ class TestDominatedBlocks:
 
         monkeypatch.setattr(ent, "_dominance", wrong)
         monkeypatch.setattr(ent._SdpKernel, "certificates", recording)
+        # pure blocks: the candidate would settle them in the full space
+        _without_pure(monkeypatch)
         kernels = self._record(monkeypatch, "_primal_dual")
         for gap in (1e-6, 1e-10):
             failed.clear()
@@ -746,6 +760,118 @@ class TestTwoBlocks:
         sdp = ent._primal_dual(full, 1e-6, functools.partial(ent._certify, full))
         assert sdp.iterations > 0
         assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
+
+
+def _pure_blocks(seed, d, count, zero, duplicates):
+    """count pure blocks on C^d of total trace in [0.1, 1): the first is
+    zero if ``zero``, and the last ``duplicates`` are exact copies of
+    earlier ones."""
+    r = np.random.default_rng(seed)
+    vecs = r.normal(size=(count, d)) + 1j * r.normal(size=(count, d))
+    weights = r.dirichlet([1.0] * count) * r.uniform(0.1, 1.0)
+    blocks = [p * np.outer(v, v.conj()) / np.vdot(v, v).real for p, v in zip(weights, vecs)]
+    if zero:
+        blocks[0] = np.zeros((d, d), dtype=complex)
+    for k in range(count - duplicates, count):
+        blocks[k] = blocks[int(r.integers(k))].copy()
+    return blocks
+
+
+class TestPureBlocks:
+    """Pure blocks are certified from an optimized weighted square-root
+    measurement, with no predictor-corrector iteration."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 16), count=st.integers(2, 16),
+           zero=st.booleans(), duplicates=st.integers(0, 3))
+    def test_certified_without_iterations(self, seed, d, count, zero, duplicates):
+        import qextract.entropy as ent
+
+        # at least one block is neither zero nor a copy
+        blocks = _pure_blocks(seed, d, count, zero, min(duplicates, count - 1 - zero))
+        full = ent._SdpKernel(1, np.array(blocks), d)
+        for gap in (1e-6, 1e-10):
+            res = h_min_blocks(blocks, gap=gap)
+            assert res.kind == SDP and res.iterations == 0
+            assert res.lower <= res.value <= res.upper and res.gap <= gap
+            assert res.sigma.shape == (d, d) and len(res.witness) == count
+            for b in blocks:
+                np.linalg.cholesky(res.sigma - b)
+            for w in res.witness:
+                np.linalg.cholesky(w)
+            try:
+                sdp = ent._primal_dual(full, gap, functools.partial(ent._certify, full))
+            except SolverConvergenceError as exc:
+                # exact duplicates can leave the full-space solve without a
+                # dual witness; its lower bound still stands
+                sdp = exc.best
+            assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
+
+    def test_mixed_set_rejected_before_any_step(self, monkeypatch):
+        import qextract.entropy as ent
+
+        real, steps = ent._weight_step, []
+
+        def counting(*args):
+            steps.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ent, "_weight_step", counting)
+        pure = np.array(_pure_blocks(5, 4, 6, False, 0))
+        r = np.random.default_rng(5)
+        w = r.normal(size=4) + 1j * r.normal(size=4)
+        mixed = pure.copy()
+        # a second eigenvalue of about 1e-4 in one block costs far more
+        # than the gap
+        mixed[2] += 1e-4 * np.outer(w, w.conj()) / np.vdot(w, w).real
+        gap = 1e-6
+        for blocks, offered in ((pure, True), (mixed, False)):
+            steps.clear()
+            kernel = ent._SdpKernel(1, blocks, 4)
+            eig = np.linalg.eigh(blocks.sum(axis=0))
+            assert (ent._pure(kernel, eig, gap) is not None) == offered
+            assert bool(steps) == offered
+        steps.clear()
+        res = h_min_blocks(mixed, gap=gap)
+        assert not steps
+        assert res.iterations > 0 and res.gap <= gap
+
+    @pytest.mark.parametrize("d, count", [(4, 6), (6, 3)])
+    def test_shrunk_candidate_is_refused(self, monkeypatch, d, count):
+        # (4, 6) offers the candidate in the full space, (6, 3) on the
+        # support of the marginal; either way the iterations settle it,
+        # in the full space only
+        import qextract.entropy as ent
+
+        blocks = _pure_blocks(3, d, count, False, 0)
+        expect = h_min_blocks(blocks, gap=1e-8)
+        real_pure, real_certificates = ent._pure, ent._SdpKernel.certificates
+        offered, refused = [], []
+
+        def shrunk(kernel, eig, gap):
+            candidate = real_pure(kernel, eig, gap)
+            if candidate is None:
+                return None
+            offered.append(kernel.d_b)
+            return (1.0 - 1e-6) * candidate[0], candidate[1]
+
+        def recording(self, sigma, z):
+            try:
+                return real_certificates(self, sigma, z)
+            except np.linalg.LinAlgError:
+                refused.append(self.d_b)
+                raise
+
+        monkeypatch.setattr(ent, "_pure", shrunk)
+        monkeypatch.setattr(ent._SdpKernel, "certificates", recording)
+        kernels = TestDominatedBlocks._record(monkeypatch, "_primal_dual")
+        res = h_min_blocks(blocks, gap=1e-8)
+        assert offered == [min(d, count)] and refused == [d]
+        assert [k.d_b for k in kernels] == [d] and res.iterations > 0
+        assert res.lower <= res.value <= res.upper and res.gap <= 1e-8
+        assert max(res.lower, expect.lower) <= min(res.upper, expect.upper)
+        for b in blocks:
+            np.linalg.cholesky(res.sigma - b)
 
 
 def _nt_oracle(blocks, sigma, zs, rhs):

@@ -541,11 +541,13 @@ class TestRowTable:
         assert np.array_equal(extractor.row_table(fam), reference_row_table(fam))
 
 
-# IP at n = 1..5 and the families of the deor-bound suite
+# IP at n = 1..5, the families of the deor-bound suite, and two n = 5
+# families, whose row table spans a second nibble of x
 TABLE_SPECS = [ExtractorSpec(IP, n) for n in range(1, 6)] + [
     ExtractorSpec(DEOR, f.n, f.m, f) for f in (
         build_field_family(2, 1), build_field_family(2, 2), build_field_family(3, 1),
-        build_field_family(3, 2), build_circulant_family(3, 1), build_circulant_family(3, 2))]
+        build_field_family(3, 2), build_circulant_family(3, 1), build_circulant_family(3, 2),
+        build_field_family(5, 2), build_circulant_family(5, 2))]
 
 
 class TestOutputTable:
