@@ -256,10 +256,6 @@ class RateResult:
     raw: float
     privatized: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "rate_condition_violated": self.flag,
-                "raw": self.raw, "privatized": self.privatized}
-
 
 def dira_rate(p: DiraParams) -> RateResult:
     """Extractable bits: floor of n/2 (2 k2 + h - 2) - log2(1/(2(eps-eps_s))) - c sqrt(n).

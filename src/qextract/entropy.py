@@ -27,16 +27,15 @@ Three quantities are computed for a bipartite sub-normalized state:
   two, 2^-e rho with its largest entry in [1/2, 1), and start from
   sigma = (5/4) lambda_max 1 at that scale, so a sub-normalized state
   takes as many iterations as its normalized form.  The duality gap is
-  known at every iteration, so the extended-precision certificate is
-  computed once, when the iterate's own gap is at most half the
-  requested one; a solve that iterates takes about 8 iterations at gap
-  1e-6, and a set of pure blocks none (below).  The
-  certificate runs at the same scale, and the bracket is shifted back
-  by e bits.  It is two-sided: tr(sigma) at a sigma whose every slack
-  passes Cholesky bounds 2^-Hmin from above, and the dual iterate Z,
-  whitened so that its partial traces sum to the identity (for
-  classical A: an explicit POVM), bounds it from below via its guessing
-  probability.  A solve that stops early (iteration cap, a slack or Z_x
+  known at every iteration, so the certificate is computed once, when
+  the iterate's own gap is at most half the requested one; a solve that
+  iterates takes about 8 iterations at gap 1e-6, and a set of pure
+  blocks none (below).  The certificate runs at the same scale, and the
+  bracket is shifted back by e bits.  It is two-sided: tr(sigma) at a
+  sigma whose every slack passes Cholesky bounds 2^-Hmin from above,
+  and the dual iterate Z, whitened in float64 so that its partial
+  traces sum to the identity (for classical A: an explicit POVM),
+  bounds it from below via its guessing probability.  A solve that stops early (iteration cap, a slack or Z_x
   that fails Cholesky, a scaling eigenvalue that is not positive)
   certifies its last iterate that passed and reports that bracket.  The
   reported value is the primal bound, so the value itself is always a
@@ -132,6 +131,9 @@ STEP_FRACTION = 0.95
 # the start sigma = (1 + START_MARGIN) lambda_max 1 clears every block by
 # START_MARGIN lambda_max; 1/4 took fewer iterations per solve than 1
 START_MARGIN = 0.25
+# largest entry of a state's weight off the support of its conditioning
+# marginal that the closed forms accept
+SUPPORT_TOL = 1e-9
 
 CLOSED_FORM = "closed-form"
 SDP = "sdp-primal-dual"
@@ -203,9 +205,9 @@ def _blocks(rho: DensityOperator, n_target: int):
     return d_a, np.array(rho.matrix)[None], d_b
 
 
-def _check_support(stack: np.ndarray, proj: np.ndarray, tol: float = 1e-9) -> None:
+def _check_support(stack: np.ndarray, proj: np.ndarray) -> None:
     residual = float(np.abs(stack - proj @ stack @ proj).max(initial=0.0))
-    if residual > tol:
+    if residual > SUPPORT_TOL:
         raise SupportError(
             f"state has weight {residual:.3e} outside the "
             "support of the conditioning marginal")
@@ -239,18 +241,6 @@ def h2_down(rho: DensityOperator, target, condition=()) -> EntropyResult:
 
 # ---------------------------------------------------------------------------
 # Min-entropy SDP
-
-
-def _inv_sqrt_ld(mat: np.ndarray) -> np.ndarray:
-    """Inverse square root of a well-conditioned PD matrix, refined from a
-    double precision seed by Newton-Schulz iterations in extended precision."""
-    y = frac_power(mat.astype(complex), -0.5).astype(np.clongdouble)
-    a = mat.astype(np.clongdouble)
-    eye = np.eye(mat.shape[0], dtype=np.clongdouble)
-    for _ in range(4):
-        y = 0.5 * y @ (3.0 * eye - a @ (y @ y))
-        y = herm(y)
-    return y
 
 
 @functools.lru_cache(maxsize=None)
@@ -498,28 +488,25 @@ class _SdpKernel:
 
         The primal bound tr(sigma) stands once every slack passes
         Cholesky (else LinAlgError).  The dual witness is Z itself,
-        whitened in extended precision so that its partial traces sum to
-        the identity, then scaled down so that residual rounding cannot
-        push that sum above the identity: tr_A[W] <= 1 is all weak
-        duality needs.  Each witness block must pass Cholesky; if one
-        does not there is no dual bound, reported as zero.
+        whitened in float64 by T^-1/2 with T = sum_x tr_A Z_x, so that its
+        partial traces sum to the identity, then scaled down so that
+        residual rounding cannot push that sum above the identity:
+        tr_A[W] <= 1 is all weak duality needs.  Each witness block must
+        pass Cholesky; if one does not there is no dual bound, reported
+        as zero.
         """
         d, m = self.d_b, self.m
+        primal = float(sigma.trace().real)
         np.linalg.cholesky(self.slacks(sigma))
-        zl = z.astype(np.clongdouble)
-        t_m12 = _lift(m, _inv_sqrt_ld(_ptrace(m, d, zl)))
-        witness = herm(t_m12 @ zl @ t_m12)
-        t_check = _ptrace(m, d, witness)
-        top = float(np.linalg.eigvalsh(herm(t_check).astype(complex)).max())
-        scale = max(1.0, top + 1e-14 * max(1.0, abs(top)))
-        witness = witness / scale
-        dual = float((witness.conj() * self.rho.astype(np.clongdouble)).sum().real)
-        witness = witness.astype(complex)
+        t_m12 = _lift(m, frac_power(_ptrace(m, d, z), -0.5))
+        witness = herm(t_m12 @ z @ t_m12)
+        top = float(np.linalg.eigvalsh(herm(_ptrace(m, d, witness))).max())
+        witness = witness / max(1.0, top + 1e-14 * max(1.0, abs(top)))
         try:
             np.linalg.cholesky(witness)
         except np.linalg.LinAlgError:
-            return float(sigma.trace().real), 0.0, None
-        return float(sigma.trace().real), dual, witness
+            return primal, 0.0, None
+        return primal, self.dual_value(witness), witness
 
 
 def _certify(kernel: _SdpKernel, sigma: np.ndarray, z, steps: int) -> EntropyResult:
@@ -803,8 +790,8 @@ def _primal_dual(kernel: _SdpKernel, gap: float, certify) -> EntropyResult:
         except np.linalg.LinAlgError:
             break  # a slack or Z_x failed Cholesky; certify the last iterate that passed
         last = (sigma, z, it)
-        # the duality gap is real at every iterate, so the
-        # extended-precision certificate runs once it meets the request
+        # the duality gap is real at every iterate, so the certificate
+        # runs once it meets the request
         dual = kernel.dual_value(z)
         if dual > 0 and math.log2(float(sigma.trace().real) / dual) <= 0.5 * gap:
             result = certify(sigma, z, it)
@@ -920,6 +907,9 @@ def h_min_blocks(blocks, gap: float = DEFAULT_GAP) -> EntropyResult:
     """
     check_gap(gap)
     rho = np.array(blocks, dtype=complex)
+    if rho.ndim != 3 or rho.shape[1] != rho.shape[2] or not rho.size:
+        raise ValueError(f"blocks must be a non-empty (count, d, d) stack, "
+                         f"got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("blocks must be finite")
     return _solve_hmin(1, rho, rho.shape[-1], gap)

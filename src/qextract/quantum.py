@@ -28,6 +28,7 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 CLASSICAL_TOL = 1e-12
 SUPPORT_RTOL = 1e-12
+PURE_TOL = 1e-10
 QUANTUM_DIM_CAP = 64
 TOTAL_DIM_CAP = 1024
 
@@ -175,9 +176,9 @@ class DensityOperator:
         have = self.names()
         return [have.index(n) for n in names]
 
-    def is_pure(self, tol: float = 1e-10) -> bool:
+    def is_pure(self) -> bool:
         vals = np.linalg.eigvalsh(herm(self.matrix))
-        return bool(vals[:-1].max(initial=0.0) <= tol)
+        return bool(vals[:-1].max(initial=0.0) <= PURE_TOL)
 
 
 def permute_systems(rho: DensityOperator, order) -> DensityOperator:

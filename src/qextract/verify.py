@@ -48,6 +48,13 @@ from .quantum import (
 )
 
 PASS_SLACK = 1e-9
+# largest deviation of an alt-model round trip that passes
+ROUNDTRIP_TOL = 1e-9
+# the random scenarios' local dimensions d_a, d_b, d_s and d_t run up to
+# INSTANCE_MAX_DIM, and each instrument is trace non-increasing with
+# probability TNI_FRACTION
+INSTANCE_MAX_DIM = 4
+TNI_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -345,7 +352,7 @@ def build_eta_nu(p: np.ndarray) -> tuple[CqState, CqState]:
     return cq(p, "X", "B"), cq(p.T, "Y", "A")
 
 
-def alt_model_channel(rho_xb: CqState, outcome_name: str = "X") -> Instrument:
+def alt_model_channel(rho_xb: CqState) -> Instrument:
     """Measurement that recreates a cq state from the purification of its
     quantum marginal.
 
@@ -359,7 +366,7 @@ def alt_model_channel(rho_xb: CqState, outcome_name: str = "X") -> Instrument:
     f = (white @ blocks @ white).swapaxes(1, 2)
     # the rows of the square root of each POVM element are its Kraus operators
     kraus = tuple(tuple(frac_power(e, 0.5)[:, None]) for e in f)
-    return Instrument((System("ref", len(rho_b)),), outcome_name, (), kraus)
+    return Instrument((System("ref", len(rho_b)),), "X", (), kraus)
 
 
 def alt_model_roundtrip_error(rho_xb: CqState) -> float:
@@ -404,9 +411,9 @@ def random_instrument(rng: np.random.Generator, system: System, n_bits: int,
     return Instrument((system,), outcome_name, outputs, kraus)
 
 
-def gen_random_instance(seed: int, n_bits: int | None = None, max_dim: int = 4,
-                        ext: ExtractorSpec | None = None, strong: bool = True,
-                        tni_fraction: float = 0.2) -> ScenarioInstance:
+def gen_random_instance(seed: int, n_bits: int | None = None,
+                        ext: ExtractorSpec | None = None,
+                        strong: bool = True) -> ScenarioInstance:
     """Seeded scenario: Haar pure input, Haar instruments on both sides."""
     rng = np.random.default_rng(seed)
     if ext is None:
@@ -414,16 +421,16 @@ def gen_random_instance(seed: int, n_bits: int | None = None, max_dim: int = 4,
             n_bits = int(rng.integers(1, 5))
         ext = ExtractorSpec(IP, n_bits)
     n_bits = ext.n
-    d_a = int(rng.integers(2, max_dim + 1))
-    d_b = int(rng.integers(2, max_dim + 1))
+    d_a = int(rng.integers(2, INSTANCE_MAX_DIM + 1))
+    d_b = int(rng.integers(2, INSTANCE_MAX_DIM + 1))
     lo_s = max(1, math.ceil(d_a / 2 ** n_bits))
     lo_t = max(1, math.ceil(d_b / 2 ** n_bits))
-    d_s = int(rng.integers(lo_s, max_dim + 1))
-    d_t = int(rng.integers(lo_t, max_dim + 1))
+    d_s = int(rng.integers(lo_s, INSTANCE_MAX_DIM + 1))
+    d_t = int(rng.integers(lo_t, INSTANCE_MAX_DIM + 1))
     a, b = System("A", d_a), System("B", d_b)
     rho = haar_state(rng, (a, b))
-    scale_m = float(rng.uniform(0.6, 1.0)) if rng.uniform() < tni_fraction else 1.0
-    scale_n = float(rng.uniform(0.6, 1.0)) if rng.uniform() < tni_fraction else 1.0
+    scale_m = float(rng.uniform(0.6, 1.0)) if rng.uniform() < TNI_FRACTION else 1.0
+    scale_n = float(rng.uniform(0.6, 1.0)) if rng.uniform() < TNI_FRACTION else 1.0
     m_inst = random_instrument(rng, a, n_bits, d_s, "X", "S", scale_m)
     n_inst = random_instrument(rng, b, n_bits, d_t, "Y", "T", scale_n)
     return ScenarioInstance(rho, m_inst, n_inst, ext, strong, seed=seed)
@@ -483,7 +490,7 @@ def run_counterexample(gap: float = 1e-8) -> dict:
     }
 
 
-def run_alt_model_suite(count: int = 50, seed: int = 0, tol: float = 1e-9) -> list[dict]:
+def run_alt_model_suite(count: int = 50, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -491,7 +498,7 @@ def run_alt_model_suite(count: int = 50, seed: int = 0, tol: float = 1e-9) -> li
         dq = int(rng.integers(2, 5))
         rho = random_cq_state(rng, nx, dq, cl_name="X", q_name="B")
         err = alt_model_roundtrip_error(rho)
-        out.append({"error": err, "passed": bool(err <= tol)})
+        out.append({"error": err, "passed": bool(err <= ROUNDTRIP_TOL)})
     return out
 
 

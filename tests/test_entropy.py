@@ -225,6 +225,13 @@ class TestHMin:
         with pytest.raises(ValueError, match="finite"):
             h_min_blocks(blocks)
 
+    @pytest.mark.parametrize("blocks", [[[1.0]], np.eye(2) / 2, np.zeros((2, 2, 3)),
+                                        np.zeros((0, 2, 2))],
+                             ids=["2d-list", "2d-array", "non-square", "empty"])
+    def test_blocks_must_be_a_stack_of_square_matrices(self, blocks):
+        with pytest.raises(ValueError, match=r"non-empty \(count, d, d\) stack"):
+            h_min_blocks(blocks)
+
     def test_iteration_cap_reports_bracket(self, monkeypatch):
         import qextract.entropy as ent
 
@@ -872,6 +879,75 @@ class TestPureBlocks:
         assert max(res.lower, expect.lower) <= min(res.upper, expect.upper)
         for b in blocks:
             np.linalg.cholesky(res.sigma - b)
+
+
+def _bracket_cases():
+    """name -> (m, stack of blocks, the path that must answer) for each way
+    the solver makes a bracket.  The path is the last of ``_commuting``,
+    ``_two_blocks``, ``_pure`` and ``_primal_dual`` to be called, with
+    the (m, count, d_b) of its kernel."""
+    r = np.random.default_rng(7)
+    iso = _random_isometry(r, 6, 3)
+    planted = np.array(_planted_blocks(7, 3, 3, [0, 1, 2], [0.5] * 3)[0])
+    quantum = rand_psd(r, 6, 0.8)
+    # a quantum target whose conditioning marginal has rank 2 of 4
+    lift = np.kron(np.eye(2), _random_isometry(r, 4, 2))
+    quantum_support = lift @ rand_psd(r, 4, 0.8) @ lift.conj().T
+    return {
+        "commuting": (1, np.array(_commuting_blocks(7, 4, 5, False, False, 0, False)[0]),
+                      ("_commuting", (1, 5, 4))),
+        "helstrom": (1, np.array([rand_psd(r, 3, 0.3), rand_psd(r, 3, 0.6)]),
+                     ("_two_blocks", (1, 2, 3))),
+        "pure": (1, np.array(_pure_blocks(7, 4, 6, False, 0)), ("_pure", (1, 6, 4))),
+        "dominance": (1, planted, ("_primal_dual", (1, 3, 3))),
+        # equal traces, so no block lies under another
+        "support": (1, np.array([iso @ rand_psd(r, 3, 0.25) @ iso.conj().T
+                                 for _ in range(4)]),
+                    ("_primal_dual", (1, 4, 3))),
+        "full": (1, np.array([rand_psd(r, 3, 0.25) for _ in range(4)]),
+                 ("_primal_dual", (1, 4, 3))),
+        "quantum": (2, quantum[None], ("_primal_dual", (2, 2, 3))),
+        "quantum-support": (2, quantum_support[None], ("_primal_dual", (2, 2, 2))),
+    }
+
+
+class TestWitnessContract:
+    """Every bracket is checked from its sigma and witness alone, with no
+    solver code: each slack 1 (x) sigma - rho_x and each W_x pass
+    Cholesky, lambda_max(sum_x tr_A W_x) <= 1, tr sigma = 2^-lower and
+    sum_x tr(W_x rho_x) = 2^-upper."""
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-10])
+    @pytest.mark.parametrize("name", list(_bracket_cases()))
+    def test_bracket_from_sigma_and_witness(self, monkeypatch, name, gap):
+        import qextract.entropy as ent
+
+        m, blocks, (path, shape) = _bracket_cases()[name]
+        calls = []
+        for fn in ("_commuting", "_two_blocks", "_pure", "_primal_dual"):
+            def recording(kernel, *args, _real=getattr(ent, fn), _fn=fn):
+                calls.append((_fn, (kernel.m, kernel.count, kernel.d_b)))
+                return _real(kernel, *args)
+            monkeypatch.setattr(ent, fn, recording)
+        d = blocks.shape[-1] // m
+        if m == 1:
+            res = h_min_blocks(blocks, gap=gap)
+        else:
+            rho = DensityOperator((System("A", m), System("B", d)), blocks[0])
+            res = h_min(rho, ["A"], ["B"], gap=gap)
+        assert calls[-1] == (path, shape)
+        assert res.gap <= gap
+        assert (res.iterations > 0) == (path == "_primal_dual")
+        for b in blocks:
+            np.linalg.cholesky(np.kron(np.eye(m), res.sigma) - b)
+        assert res.sigma.trace().real == pytest.approx(2.0 ** -res.lower, rel=1e-12)
+        assert len(res.witness) == len(blocks)
+        for w in res.witness:
+            np.linalg.cholesky(w)
+        total = sum(np.einsum("aiaj->ij", w.reshape(m, d, m, d)) for w in res.witness)
+        assert np.linalg.eigvalsh(0.5 * (total + total.conj().T)).max() <= 1.0
+        guess = sum(np.vdot(w, b).real for w, b in zip(res.witness, blocks))
+        assert guess == pytest.approx(2.0 ** -res.upper, rel=1e-12)
 
 
 def _nt_oracle(blocks, sigma, zs, rhs):
