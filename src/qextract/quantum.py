@@ -112,7 +112,7 @@ class DensityOperator:
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {dim}")
-        if not np.allclose(mat, mat.conj().T, atol=HERM_TOL):
+        if not np.abs(mat - mat.conj().T).max() <= HERM_TOL:  # NaN fails too
             raise ValueError("state is not Hermitian within 1e-10")
         vals = np.linalg.eigvalsh(herm(mat))
         if vals.min(initial=0.0) < -PSD_TOL:
@@ -252,7 +252,6 @@ class Instrument:
     outcome_name: str
     output_systems: tuple[System, ...]
     kraus: tuple[tuple[np.ndarray, ...], ...]
-    labels: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_systems", tuple(self.input_systems))
@@ -276,8 +275,6 @@ class Instrument:
         if not top <= 1.0 + PSD_TOL:
             raise ValueError(f"instrument is not trace non-increasing: sum K*K has "
                              f"eigenvalue {top:.6f}")
-        if self.labels is not None and len(self.labels) != len(self.kraus):
-            raise ValueError("label count does not match outcome count")
         counts = [len(ops) for ops in self.kraus]
         owner = np.repeat(np.arange(len(counts)), counts)
         for frozen in (stack, owner):
@@ -466,9 +463,13 @@ def state_from_json(d: dict) -> DensityOperator:
 
 
 def instrument_from_json(d: dict, outcome_name: str = "X") -> Instrument:
+    """Instrument whose outcome y is the y-th entry of ``outcomes``; the
+    entries' labels must be distinct integers."""
     ins = _systems_from_json(d["input_systems"])
     outs = _systems_from_json(d["output_systems"])
     shape = (_dim(outs), _dim(ins))
+    labels = [_json_int(o["label"], "outcome label") for o in d["outcomes"]]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"outcome labels {labels} are not distinct")
     kraus = tuple(tuple(_matrix_from_json(k, shape) for k in o["kraus"]) for o in d["outcomes"])
-    labels = tuple(_json_int(o["label"], "outcome label") for o in d["outcomes"])
-    return Instrument(ins, outcome_name, outs, kraus, labels)
+    return Instrument(ins, outcome_name, outs, kraus)

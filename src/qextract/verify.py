@@ -5,11 +5,13 @@ pair of instruments producing n-bit outcomes X and Y plus quantum side
 information S and T, and an extractor.  Everything here is exact:
 output states are assembled blockwise over the classical outcome values
 and trace distances come from full eigendecompositions, so a reported
-epsilon carries no sampling noise.  The outputs z come from the stream
-kernel itself (``extractor.output_table`` runs ``extract_blocks`` over
-every block pair), so the bound checks measure epsilon of the bits
-``qextract extract`` writes, and double as a differential test of the
-kernels against the per-pair oracle.
+epsilon carries no sampling noise.  The near instrument's blocks are
+summed by output value z at each y before the linear far instrument
+acts, on 2^(n+m) sums rather than 4^n blocks (x, y).  The outputs z come
+from the stream kernel itself (``extractor.output_table`` runs
+``extract_blocks`` over every block pair), so the bound checks measure
+epsilon of the bits ``qextract extract`` writes, and double as a
+differential test of the kernels against the per-pair oracle.
 
 The bound checks compare the measured epsilon against the security
 formulas evaluated at the *certified lower bounds* of the entropy
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +86,11 @@ class ScenarioInstance:
         if m_names | n_names != named or m_names & n_names:
             raise ValueError("instrument inputs must partition the state's systems")
 
+    @cached_property
+    def near_blocks(self) -> np.ndarray:
+        """The near instrument's branches tau_x on (S, B), one per x."""
+        return _branch_blocks(self.m_inst, self.rho_ab)
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -126,33 +134,24 @@ def _branch_blocks(inst: Instrument, rho: DensityOperator) -> np.ndarray:
     return instrument_blocks(inst, permute_systems(rho, acted + rest))
 
 
-def _scenario_blocks(inst: ScenarioInstance) -> np.ndarray:
-    """Exact output blocks rho_{ST and X=x, Y=y} of the scenario, as one
-    (2^n, 2^n, d_s d_t, d_s d_t) array indexed by [x, y]."""
-    tau = _branch_blocks(inst.m_inst, inst.rho_ab)  # x -> on (S, B)
-    d_s, d_b = inst.m_inst.output_dim, inst.n_inst.input_dim
-    d = d_s * inst.n_inst.output_dim
-    # the branches act on the first factor: B in (B, S), then T in (T, S)
-    t5 = tau.reshape(-1, d_s, d_b, d_s, d_b).transpose(0, 2, 1, 4, 3)
-    blocks = inst.n_inst.branches(t5).transpose(1, 0, 3, 2, 5, 4)  # [y, x] -> [x, y]
-    return blocks.reshape(len(tau), -1, d, d)
-
-
 def measured_epsilon(inst: ScenarioInstance) -> float:
     """Exact half trace distance of the extracted output from uniform.
 
     Strong mode keeps the Y register next to the side information; weak
-    mode marginalizes it.  One einsum sorts every block (x, y) into the
-    output value z that the stream kernel gives it, and one stacked
-    eigvalsh gives every trace norm.
+    mode marginalizes it.  One product sums the near blocks tau_x by output
+    z at each y into G[y, z], outcome y's Kraus operators act on B of
+    G[y, .] only, and one stacked eigvalsh gives every trace norm.
     """
-    blocks = _scenario_blocks(inst)
-    m_vals = 2 ** inst.ext.m
+    far, m_vals = inst.n_inst, 2 ** inst.ext.m
     onehot = (output_table(inst.ext)[..., None] == np.arange(m_vals)).astype(float)
-    if inst.strong:
-        az = np.einsum("xyz,xyab->yzab", onehot, blocks)  # per y: z -> block
-    else:
-        az = np.einsum("xyz,xyab->zab", onehot, blocks)[None]
+    grouped = np.tensordot(onehot, inst.near_blocks, axes=(0, 0))  # [y, z]
+    d_s, d_b, d_t = inst.m_inst.output_dim, far.input_dim, far.output_dim
+    # Kraus operator k acts on B of its outcome's sums, on (S, B, S, B)
+    g = grouped[far.kraus_outcome].reshape(-1, m_vals, d_s, d_b, d_s, d_b)
+    half = np.einsum("kai,kzsirj->kzsarj", far.kraus_stack, g)
+    out = np.einsum("kzsarj,kbj->kzsarb", half, far.kraus_stack.conj())
+    az = far.outcome_sums(out) if inst.strong else out.sum(axis=0, keepdims=True)
+    az = az.reshape(len(az), m_vals, d_s * d_t, d_s * d_t)  # per y: z -> on (S, T)
     diff = az - az.sum(axis=1, keepdims=True) / m_vals
     vals = np.linalg.eigvalsh(herm(diff))
     return 0.5 * float(np.abs(vals).sum())
@@ -164,11 +163,10 @@ def scenario_entropies(inst: ScenarioInstance, gap: float = DEFAULT_GAP):
     k1 conditions X on S and the untouched far input; k2 conditions Y
     on the near input alone in strong mode, adding T in weak mode.
     """
-    k1 = h_min_blocks(_branch_blocks(inst.m_inst, inst.rho_ab), gap=gap)
+    k1 = h_min_blocks(inst.near_blocks, gap=gap)
     omega = _branch_blocks(inst.n_inst, inst.rho_ab)  # on (T, A)
     if inst.strong:
-        d_t = inst.n_inst.output_dim
-        d_a = omega.shape[-1] // d_t
+        d_t, d_a = inst.n_inst.output_dim, inst.m_inst.input_dim
         omega = np.einsum("yiaib->yab", omega.reshape(-1, d_t, d_a, d_t, d_a))
     k2 = h_min_blocks(omega, gap=gap)
     return k1, k2

@@ -35,7 +35,8 @@ class TestGenFamily:
         assert code == 0
         payload = json.loads(stdout)
         assert payload["construction"] == "field-mult"
-        fam = json.load(open(out))
+        with open(out) as f:
+            fam = json.load(f)
         assert fam == {"n": 8, "m": 8, "r": 0, "construction": "field-mult"}
         assert list(fam) == ["n", "m", "r", "construction"]
 
@@ -44,7 +45,8 @@ class TestGenFamily:
         code, stdout, _ = run(capsys, "gen-family", "--n", "5", "--m", "3",
                               "--r", "1", "--out", str(out))
         assert code == 0
-        assert json.load(open(out))["construction"] == "circulant"
+        with open(out) as f:
+            assert json.load(f)["construction"] == "circulant"
 
     def test_invalid_combination_exits_2(self, capsys, tmp_path):
         out = tmp_path / "fam.json"
@@ -681,6 +683,14 @@ class TestMalformedJsonShapes:
                                {"systems": [system], "matrix": [[[entry, 0.0]]]})
             self.check(capsys, "entropy", "--kind", "hinf", "--state", state)
 
+    def test_state_not_hermitian(self, capsys, tmp_path):
+        # off by 1e-9, ten times the tolerance, on entries of 0.3
+        for skew in (1e-9, float("nan")):
+            state = self.write(tmp_path, "s.json", {
+                "systems": [{"name": "A", "dim": 2}],
+                "matrix": [[[0.5, 0.0], [0.3, 0.0]], [[0.3 + skew, 0.0], [0.5, 0.0]]]})
+            self.check(capsys, "entropy", "--kind", "hmin", "--state", state)
+
     def test_state_not_positive(self, capsys, tmp_path):
         state = self.write(tmp_path, "s.json", {"systems": [{"name": "A", "dim": 1}],
                                                 "matrix": [[[-1.0, 0.0]]]})
@@ -690,6 +700,14 @@ class TestMalformedJsonShapes:
         inst = self.write(tmp_path, "i.json", {
             "input_systems": [{"name": "B", "dim": 2}], "output_systems": [],
             "outcomes": [{"label": 0, "kraus": [[[[1.0, 0.0]]]]}]})
+        self.check(capsys, "entropy", "--kind", "k2",
+                   "--state", f"{FIXTURES}/maximally_entangled.json", "--instrument", inst)
+
+    def test_instrument_duplicate_labels(self, capsys, tmp_path):
+        # outcome y is the y-th entry, so a repeated label names nothing
+        doc = measurement(4)
+        doc["outcomes"][1]["label"] = 0
+        inst = self.write(tmp_path, "i.json", doc)
         self.check(capsys, "entropy", "--kind", "k2",
                    "--state", f"{FIXTURES}/maximally_entangled.json", "--instrument", inst)
 
@@ -855,8 +873,8 @@ class TestFixtureFreshness:
         names = os.listdir(str(tmp_path))
         assert len(names) == 4
         for name in names:
-            fresh = json.load(open(tmp_path / name))
-            checked_in = json.load(open(os.path.join(FIXTURES, name)))
+            with open(tmp_path / name) as f, open(os.path.join(FIXTURES, name)) as g:
+                fresh, checked_in = json.load(f), json.load(g)
             assert fresh == checked_in, name
 
 

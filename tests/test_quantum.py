@@ -45,6 +45,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityOperator((System("A", 2),), np.array([[0.5, 1.0], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("skew, ok", [(5e-11, True), (1e-9, False), (np.nan, False)])
+    def test_hermitian_to_absolute_tolerance(self, skew, ok):
+        # allclose's default rtol once let 0.3 against 0.3 + 5e-7 through
+        mat = np.array([[0.5, 0.3], [0.3 + skew, 0.5]])
+        if ok:
+            DensityOperator((System("A", 2),), mat)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                DensityOperator((System("A", 2),), mat)
+
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityOperator((System("A", 2),), np.diag([1.1, -0.1]))
@@ -318,7 +328,10 @@ class TestSerialization:
                "outcomes": [{"label": 0, "kraus": [[[[1.0, 0.0], [0.0, 0.0]]]]},
                             {"label": 1, "kraus": [[[[0.0, 0.0], [0.0, -0.5]]]]}]}
         inst = instrument_from_json(json.loads(json.dumps(doc)), outcome_name="Y")
-        assert inst.num_outcomes == 2 and inst.labels == (0, 1)
+        assert inst.num_outcomes == 2
         assert inst.outcome_system == System("Y", 2, classical=True)
         assert np.array_equal(inst.kraus[0][0], [[1.0, 0.0]])
         assert np.array_equal(inst.kraus[1][0], [[0.0, -0.5j]])
+        doc["outcomes"][1]["label"] = 0
+        with pytest.raises(ValueError, match="not distinct"):
+            instrument_from_json(doc)

@@ -144,6 +144,36 @@ class TestBatchedEpsilon:
                                     inst.ext, strong=strong)
         assert measured_epsilon(inst) == pytest.approx(loop_epsilon(inst), abs=1e-12)
 
+    @pytest.mark.parametrize("strong, split_kraus", [(True, False), (False, False),
+                                                     (True, True)])
+    def test_n4_matches_loop_oracle(self, strong, split_kraus):
+        # n = 4 groups 256 blocks (x, y) into 32 sums (y, z); seed 13 has
+        # d_s = d_b = d_t = 4, so a split far instrument has 4 operators per y
+        inst = gen_random_instance(13, n_bits=4, strong=strong)
+        if split_kraus:
+            inst = ScenarioInstance(inst.rho_ab, inst.m_inst, _trace_out_side(inst.n_inst),
+                                    inst.ext, strong=strong)
+            assert {len(ops) for ops in inst.n_inst.kraus} == {4}
+        assert measured_epsilon(inst) == pytest.approx(loop_epsilon(inst), abs=1e-12)
+
+    @pytest.mark.parametrize("check, ext", [
+        (check_ip_bound, None),
+        (check_deor_bound, ExtractorSpec(DEOR, FAMILIES[3].n, FAMILIES[3].m, FAMILIES[3]))])
+    def test_each_instrument_evaluated_once(self, monkeypatch, check, ext):
+        # the near instrument's branches serve k1 and epsilon, the far
+        # instrument's serve k2; epsilon applies the far Kraus operators itself
+        acted = []
+        branches = Instrument.branches
+
+        def spy(self, t):
+            acted.append(self)
+            return branches(self, t)
+
+        monkeypatch.setattr(Instrument, "branches", spy)
+        inst = gen_random_instance(13, n_bits=3, ext=ext, strong=True)
+        check(inst)
+        assert acted == [inst.m_inst, inst.n_inst]
+
 
 def _trace_out_side(inst: Instrument) -> Instrument:
     """Compose an instrument with discarding its quantum output."""
