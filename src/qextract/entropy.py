@@ -50,8 +50,7 @@ Three quantities are computed for a bipartite sub-normalized state:
   the full space: sigma gets a small multiple of the identity on the
   dropped directions, paid for from a quarter of the gap, and each Z_x
   an equal share of them, so the partial traces still sum to the
-  identity.  A lifted slack that failed Cholesky would send the solve
-  back to the full space.
+  identity.
 
   A classical target is first offered one candidate from the
   eigenbasis V of the same marginal: sigma = V diag(p) V^H + t 1 with
@@ -75,8 +74,7 @@ Three quantities are computed for a bipartite sub-normalized state:
   iterations run on them.  Certificates still run on every block:
   sigma is unchanged, and each dropped Z_x is (s / count) 1 with
   s = min(gap / 8, 1), which whitening turns into a dual bound lower
-  by at most log2(1 + s) bits.  A lifted certificate that failed
-  Cholesky would send the solve back to every block in the full space.
+  by at most log2(1 + s) bits.
 
   The blocks the iterations would run on, reduced or not, are first
   offered a candidate for pure blocks rho_x = v_x v_x^H, where
@@ -91,8 +89,18 @@ Three quantities are computed for a bipartite sub-normalized state:
   plus rounding, and a set whose t costs more than half the gap is
   rejected before any step.  The candidate is certified, and lifted,
   like an iterate: one that misses the gap leaves the solve to the
-  iterations, and one whose lifted slack fails Cholesky sends it to the
-  full space.
+  iterations.
+
+  A solve is one pass over four stages, and the first certificate
+  that meets the gap ends it: (1) a classical target's candidate of
+  every block; (2) its domination, then the kept blocks' candidate;
+  (3) support reduction, then a classical target's pure-block
+  candidate; (4) the iterations.  Each reduction composes its lift
+  into the certificate of every later stage.  One rule covers every
+  failure: a certificate that fails Cholesky, a candidate's or a lifted
+  iterate's, sends the solve to the iterations on every block in the
+  full space, so a wrong candidate or reduction costs time but never
+  soundness.
 
 All entropies are in bits.  Every quantity works on one stack of
 blocks of one multiplicity m: when the target registers are classical
@@ -635,12 +643,9 @@ def _pure(kernel: _SdpKernel, eig, gap: float):
     sigma gets t 1 with t the largest other eigenvalue of any block plus
     ``_rounding``, which covers every block's remainder, and every block
     with lambda_max <= t, which gets no weight; Z is ``_mixed`` with the
-    identity.  Returns None for a quantum target, before any
-    step when t costs more than half the gap against
-    sum_x tr rho_x >= tr sigma*, when Q is not positive definite, and
-    after MAX_OUTER steps."""
-    if kernel.m != 1:
-        return None
+    identity.  Returns None before any step when t costs more than half
+    the gap against sum_x tr rho_x >= tr sigma*, when Q is not positive
+    definite, and after MAX_OUTER steps."""
     d = kernel.d_b
     vals, vecs = np.linalg.eigh(kernel.rho)
     t = max(float(vals[:, :-1].max(initial=0.0)), 0.0) + _rounding(d, eig)
@@ -680,15 +685,12 @@ def _candidate(kernel: _SdpKernel, eig, gap: float):
     return (_two_blocks if kernel.count == 2 else _commuting)(kernel, eig, gap)
 
 
-def _offer(full: _SdpKernel, candidate, gap: float) -> EntropyResult | None:
-    """The certificate of ``candidate`` on ``full`` if it meets the gap."""
-    if candidate is None:
-        return None
-    try:
-        result = _certify(full, *candidate, 0)
-    except np.linalg.LinAlgError:
-        return None  # a slack failed Cholesky
-    return result if result.gap <= gap else None
+def _lifted(certify, lift):
+    """``certify`` of the iterates that ``lift`` maps back, or ``certify``
+    itself when there is no lift."""
+    if lift is None:
+        return certify
+    return lambda sigma, z, it: certify(*lift(sigma, z), it)
 
 
 def _support(kernel: _SdpKernel, gap: float, eig):
@@ -753,8 +755,6 @@ def _dominance(kernel: _SdpKernel, gap: float, eig):
     dropped.
     """
     count, d, rho = kernel.count, kernel.d_b, kernel.rho
-    if kernel.m != 1 or count < 2:
-        return kernel, None
     diag = np.einsum("xii->xi", rho).real
     t = _rounding(d, eig)
     rank = np.argsort(np.argsort(-diag.sum(axis=1), kind="stable"))
@@ -836,48 +836,48 @@ def _solve_hmin(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
 def _solve_sdp(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
     """Min-entropy of the blocks rho of multiplicity m on C^d_b, d_b >= 2.
 
-    For a classical target, certify the no-iteration candidate first
-    (Helstrom's for two blocks, else the one read off the eigenbasis of
-    the conditioning marginal), and return it if it meets the gap.
-    Otherwise drop the dominated blocks, offer the kept blocks'
-    candidate if any were dropped, and solve on the support of the kept
-    blocks' marginal; every iterate is certified on the original blocks,
-    lifted through both reductions.  Solve in the full space if nothing
-    is reduced or a lifted certificate fails Cholesky.  Either solve
-    first offers the pure-block candidate of the blocks it would iterate
-    on, certified like an iterate."""
+    One pass over four stages, each ending the solve when its candidate's
+    certificate meets the gap:
+    1. a classical target's candidate of every block (Helstrom's for two
+       blocks, else the one read off the conditioning marginal);
+    2. a classical target's domination, then the kept blocks' candidate
+       if any block was dropped;
+    3. support reduction of the kept blocks, then a classical target's
+       pure-block candidate;
+    4. the predictor-corrector iterations.
+    Each reduction composes its lift into the one ``certify``, so every
+    candidate and iterate is certified on the original blocks.  Any
+    certificate that fails Cholesky, a candidate's or a lifted
+    iterate's, sends the solve to the iterations on every block in the
+    full space."""
     full = _SdpKernel(m, rho, d_b)
-    eig = kept_eig = herm_eig(_ptrace(m, d_b, rho))
-    result = _offer(full, _candidate(full, eig, gap), gap) if m == 1 else None
-    if result is not None:
-        return result
-    kept, undrop = _dominance(full, gap, eig)
-    if undrop is not None:
-        kept_eig = herm_eig(_ptrace(1, d_b, kept.rho))
-        candidate = _candidate(kept, kept_eig, gap)
-        result = _offer(full, candidate and undrop(*candidate), gap)
-        if result is not None:
-            return result
+    kernel, eig = full, herm_eig(_ptrace(m, d_b, rho))
+    certify = on_full = functools.partial(_certify, full)
+
+    def settled(candidate) -> EntropyResult | None:
+        """The certificate of ``candidate`` if it meets the gap."""
+        if candidate is not None:
+            result = certify(*candidate, 0)
+            if result.gap <= gap:
+                return result
+        return None
     try:
-        reduced, unsupport = _support(kept, gap, kept_eig)
-        lifts = [f for f in (unsupport, undrop) if f is not None]
-        if lifts:
-            def certify(sigma, z, it):
-                for lift in lifts:
-                    sigma, z = lift(sigma, z)
-                return _certify(full, sigma, z, it)
-            candidate = _pure(reduced, kept_eig, gap)
-            if candidate is not None:
-                result = certify(*candidate, 0)
-                if result.gap <= gap:
+        if m == 1:
+            if (result := settled(_candidate(kernel, eig, gap))) is not None:
+                return result
+            kernel, undrop = _dominance(kernel, gap, eig)
+            if undrop is not None:
+                certify = _lifted(certify, undrop)
+                eig = herm_eig(_ptrace(1, d_b, kernel.rho))
+                if (result := settled(_candidate(kernel, eig, gap))) is not None:
                     return result
-            return _primal_dual(reduced, gap, certify)
+        kernel, unsupport = _support(kernel, gap, eig)
+        certify = _lifted(certify, unsupport)
+        if m == 1 and (result := settled(_pure(kernel, eig, gap))) is not None:
+            return result
+        return _primal_dual(kernel, gap, certify)
     except np.linalg.LinAlgError:
-        pass  # a lifted slack, the candidate's or an iterate's, failed Cholesky
-    result = _offer(full, _pure(full, eig, gap), gap)
-    if result is not None:
-        return result
-    return _primal_dual(full, gap, functools.partial(_certify, full))
+        return _primal_dual(full, gap, on_full)
 
 
 def check_gap(gap: float) -> None:
@@ -912,6 +912,9 @@ def h_min_blocks(blocks, gap: float = DEFAULT_GAP) -> EntropyResult:
                          f"got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("blocks must be finite")
+    trace = float(np.einsum("xii->", rho).real)
+    if not trace > 0.0:
+        raise ValueError(f"the stack's trace must be positive, got {trace!r}")
     return _solve_hmin(1, rho, rho.shape[-1], gap)
 
 

@@ -232,6 +232,13 @@ class TestHMin:
         with pytest.raises(ValueError, match=r"non-empty \(count, d, d\) stack"):
             h_min_blocks(blocks)
 
+    @pytest.mark.parametrize("blocks", [np.zeros((2, 1, 1)), -np.eye(2)[None],
+                                        np.zeros((3, 2, 2))],
+                             ids=["zero-closed-form", "negative", "zero-solver"])
+    def test_stack_without_positive_trace_rejected(self, blocks):
+        with pytest.raises(ValueError, match="stack's trace must be positive"):
+            h_min_blocks(blocks)
+
     def test_iteration_cap_reports_bracket(self, monkeypatch):
         import qextract.entropy as ent
 
@@ -565,7 +572,8 @@ class TestCommutingBlocks:
             # the argmax candidate misses the gap; seeds 0 and 1 drop a
             # dominated block, and the two kept blocks' exact candidate
             # answers, the others iterate
-            assert ent._offer(kernel, ent._commuting(kernel, eig, gap), gap) is None
+            candidate = ent._commuting(kernel, eig, gap)
+            assert candidate is None or ent._certify(kernel, *candidate, 0).gap > gap
             res = h_min_blocks(blocks, gap=gap)
             assert res.lower <= res.value <= res.upper and res.gap <= gap
             sdp = ent._primal_dual(kernel, gap, functools.partial(ent._certify, kernel))
@@ -948,6 +956,67 @@ class TestWitnessContract:
         assert np.linalg.eigvalsh(0.5 * (total + total.conj().T)).max() <= 1.0
         guess = sum(np.vdot(w, b).real for w, b in zip(res.witness, blocks))
         assert guess == pytest.approx(2.0 ** -res.upper, rel=1e-12)
+
+
+class TestFailedCertificate:
+    """Any certificate that fails Cholesky, a candidate's or a lifted
+    iterate's, sends the solve to the iterations on every block in the
+    full space."""
+
+    def test_failed_candidate_iterates_in_the_full_space(self, monkeypatch):
+        import qextract.entropy as ent
+
+        # commuting blocks: the unchanged candidate settles them
+        blocks, _ = _commuting_blocks(7, 4, 5, False, False, 0, False)
+        real_candidate, real_certificates = ent._candidate, ent._SdpKernel.certificates
+        refused = []
+
+        def shrunk(kernel, eig, gap):
+            sigma, z = real_candidate(kernel, eig, gap)
+            return (1.0 - 1e-6) * sigma, z
+
+        def recording(self, sigma, z):
+            try:
+                return real_certificates(self, sigma, z)
+            except np.linalg.LinAlgError:
+                refused.append(self.count)
+                raise
+
+        monkeypatch.setattr(ent, "_candidate", shrunk)
+        monkeypatch.setattr(ent._SdpKernel, "certificates", recording)
+        dominance = TestDominatedBlocks._record(monkeypatch, "_dominance")
+        kernels = TestDominatedBlocks._record(monkeypatch, "_primal_dual")
+        for gap in (1e-6, 1e-10):
+            refused.clear()
+            kernels.clear()
+            res = h_min_blocks(blocks, gap=gap)
+            assert refused == [5] and not dominance
+            assert [(k.count, k.d_b) for k in kernels] == [(5, 4)]
+            assert res.iterations > 0
+            assert res.lower <= res.value <= res.upper and res.gap <= gap
+            for b in blocks:
+                np.linalg.cholesky(res.sigma - b)
+
+    def test_no_suite_certificate_fails(self, monkeypatch):
+        import qextract.entropy as ent
+        from qextract import dira, verify
+
+        real = ent._SdpKernel.certificates
+        calls, refused = [], []
+
+        def recording(self, sigma, z):
+            calls.append(1)
+            try:
+                return real(self, sigma, z)
+            except np.linalg.LinAlgError:
+                refused.append(self.count)
+                raise
+
+        monkeypatch.setattr(ent._SdpKernel, "certificates", recording)
+        verify.run_ip_suite(40)
+        verify.run_deor_suite(24)
+        dira.run_chaining_suite(40)
+        assert calls and not refused
 
 
 def _nt_oracle(blocks, sigma, zs, rhs):

@@ -28,6 +28,7 @@ from qextract.verify import (
     measured_epsilon,
     measurement_instrument,
     random_cq_state,
+    run_deor_suite,
     run_tightness,
 )
 
@@ -173,6 +174,23 @@ class TestBatchedEpsilon:
         inst = gen_random_instance(13, n_bits=3, ext=ext, strong=True)
         check(inst)
         assert acted == [inst.m_inst, inst.n_inst]
+
+    def test_each_output_table_built_once(self, monkeypatch):
+        # twelve instances over the deor suite's six families
+        from qextract import extractor
+
+        real, jobs = extractor.extract_blocks, []
+
+        def spy(job, *args):
+            jobs.append(job.spec)
+            return real(job, *args)
+
+        monkeypatch.setattr(extractor, "extract_blocks", spy)
+        extractor.output_table.cache_clear()
+        run_deor_suite(12)
+        assert 1 <= len(jobs) <= 6
+        with pytest.raises(ValueError, match="read-only"):
+            extractor.output_table(jobs[0])[0, 0] = 1
 
 
 def _trace_out_side(inst: Instrument) -> Instrument:
