@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import DEFAULT_GAP, EntropyResult, h_min_blocks
-from .quantum import CqState, System, random_cq_state
+from .quantum import CqState, System, random_cq_state, simplex
 
 BIAS_TOL = 1e-9
 MAX_EXACT_BITS = 8
@@ -173,27 +173,35 @@ def gen_random_sv_spec(seed: int, n: int | None = None,
                        mu: float | None = None) -> SvSourceSpec:
     """Seeded adversarial source: memory-correlated steps with outcome
     probabilities pushed to the bias boundary, and an initial memory
-    entangled (classically) with a quantum adversary system."""
+    entangled (classically) with a quantum adversary system.
+
+    The draws, and their order, are part of the contract: a seed names a
+    source, and the chaining suite and the benchmark's chain schedule name
+    their instances by seed.  ``tests/test_dira.py::TestGenRandomSvSpec``
+    checks it, exactly, against a loop oracle that makes one generator
+    call per draw.
+    """
     rng = np.random.default_rng(seed)
     if n is None:
         n = int(rng.integers(2, 5))
     if mu is None:
-        mu = float(rng.choice([0.0, 0.1, 0.25, 0.4]))
+        mu = (0.0, 0.1, 0.25, 0.4)[int(rng.integers(0, 4))]
+    lo, hi = 0.5 - mu, 0.5 + mu
     d_r = int(rng.integers(1, 5))
     steps = []
     d_in = d_r
-    for i in range(n):
+    for _ in range(n):
         d_out = int(rng.integers(1, 5))
-        kernel = np.zeros((2, d_out, d_in))
+        coins = np.empty((2, d_in))
+        e = np.empty((2, d_in, d_out))
         for r in range(d_in):
-            if rng.uniform() < 0.5:
-                p_one = 0.5 + mu if rng.uniform() < 0.5 else 0.5 - mu
-            else:
-                p_one = float(rng.uniform(0.5 - mu, 0.5 + mu))
-            for x, px in enumerate((1.0 - p_one, p_one)):
-                split = rng.dirichlet(np.ones(d_out))
-                kernel[x, :, r] = px * split
-        steps.append(SvStep(kernel))
+            coins[:, r] = rng.random(2)
+            e[:, r] = rng.standard_exponential((2, d_out))
+        pick, u = coins
+        # at the bias boundary half the time, else uniform between the bounds
+        p_one = np.where(pick < 0.5, np.where(u < 0.5, hi, lo), lo + (hi - lo) * u)
+        kernel = np.stack([1.0 - p_one, p_one])[:, :, None] * simplex(e)
+        steps.append(SvStep(np.ascontiguousarray(kernel.swapaxes(1, 2))))
         d_in = d_out
     d_e = int(rng.integers(1, 5))
     rho_init = random_cq_state(rng, d_r, d_e, cl_name="R0", q_name="E")

@@ -19,6 +19,7 @@ only (eigenvalues below 1e-12 of the largest are treated as zero).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -88,6 +89,34 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.abs(vals).sum())
 
 
+def _check_blocks(blocks: np.ndarray, systems: tuple[System, ...]) -> None:
+    """Raise ValueError unless a (count, d, d) stack of blocks over
+    ``systems`` are the diagonal blocks of a state: each Hermitian within
+    HERM_TOL and PSD within PSD_TOL, their total trace in (0, 1 + PSD_TOL],
+    and each classical system diagonal within CLASSICAL_TOL in every block."""
+    if not np.abs(blocks - ct(blocks)).max() <= HERM_TOL:  # NaN fails too
+        raise ValueError("state is not Hermitian within 1e-10")
+    vals = np.linalg.eigvalsh(herm(blocks))
+    if vals.min(initial=0.0) < -PSD_TOL:
+        raise ValueError(f"state has eigenvalue {vals.min():.3e} below -1e-10")
+    tr = float(np.trace(blocks, axis1=1, axis2=2).real.sum())
+    if not 0.0 < tr <= 1.0 + PSD_TOL:
+        raise ValueError(f"state trace {tr:.6g} outside (0, 1]")
+    dims = tuple(s.dim for s in systems)
+    t = blocks.reshape((len(blocks),) + dims + dims)
+    k = len(dims)
+    for p, s in enumerate(systems):
+        if not s.classical or s.dim == 1:
+            continue
+        off = np.moveaxis(t, (1 + p, 1 + k + p), (0, 1)).copy()
+        idx = np.arange(s.dim)
+        off[idx, idx] = 0
+        if np.abs(off).max(initial=0.0) > CLASSICAL_TOL:
+            raise ValueError(
+                f"classical system {s.name!r} has off-diagonal weight "
+                f"{np.abs(off).max():.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """PSD operator with trace in (0, 1] over labelled tensor factors."""
@@ -96,6 +125,13 @@ class DensityOperator:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        self._admit(np.array(self.matrix, dtype=complex), None)
+
+    def _admit(self, mat: np.ndarray, blocks: np.ndarray | None) -> None:
+        """Check the systems and ``mat`` and store both.  ``blocks``, when
+        given, is the stack of the diagonal blocks of ``mat`` over the
+        systems after the first, and ``mat`` is zero off them: the state
+        checks then run on the blocks alone."""
         systems = tuple(self.systems)
         object.__setattr__(self, "systems", systems)
         names = [s.name for s in systems]
@@ -109,18 +145,12 @@ class DensityOperator:
         if dim > TOTAL_DIM_CAP:
             raise DimensionCapError(
                 f"total dimension {dim} exceeds the cap of {TOTAL_DIM_CAP}")
-        mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {dim}")
-        if not np.abs(mat - mat.conj().T).max() <= HERM_TOL:  # NaN fails too
-            raise ValueError("state is not Hermitian within 1e-10")
-        vals = np.linalg.eigvalsh(herm(mat))
-        if vals.min(initial=0.0) < -PSD_TOL:
-            raise ValueError(f"state has eigenvalue {vals.min():.3e} below -1e-10")
-        tr = float(mat.trace().real)
-        if not 0.0 < tr <= 1.0 + PSD_TOL:
-            raise ValueError(f"state trace {tr:.6g} outside (0, 1]")
-        self._check_classical_diagonal(mat)
+        if blocks is None:
+            _check_blocks(mat[None], systems)
+        else:
+            _check_blocks(blocks, systems[1:])
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -136,22 +166,6 @@ class DensityOperator:
         object.__setattr__(rho, "systems", tuple(systems))
         object.__setattr__(rho, "matrix", mat)
         return rho
-
-    def _check_classical_diagonal(self, mat: np.ndarray) -> None:
-        dims = self.dims
-        t = mat.reshape(dims + dims)
-        k = len(dims)
-        for p, s in enumerate(self.systems):
-            if not s.classical or s.dim == 1:
-                continue
-            moved = np.moveaxis(t, (p, k + p), (0, 1))
-            off = moved.copy()
-            idx = np.arange(s.dim)
-            off[idx, idx] = 0
-            if np.abs(off).max(initial=0.0) > CLASSICAL_TOL:
-                raise ValueError(
-                    f"classical system {s.name!r} has off-diagonal weight "
-                    f"{np.abs(off).max():.3e}")
 
     # -- structure helpers ---------------------------------------------------
 
@@ -282,7 +296,8 @@ class Instrument:
         object.__setattr__(self, "kraus_stack", stack)
         object.__setattr__(self, "kraus_outcome", owner)
         object.__setattr__(self, "kraus", tuple(
-            tuple(part) for part in np.split(stack, np.cumsum(counts)[:-1])))
+            tuple(stack[end - count:end])
+            for count, end in zip(counts, itertools.accumulate(counts))))
 
     @property
     def input_dim(self) -> int:
@@ -325,8 +340,8 @@ def diagonal_blocks(mat: np.ndarray, count: int) -> np.ndarray:
 class CqState(DensityOperator):
     """State whose first system is classical; its blocks form one stack."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _admit(self, mat: np.ndarray, blocks: np.ndarray | None) -> None:
+        super()._admit(mat, blocks)
         if not self.systems[0].classical:
             raise ValueError("first system of a cq state must be classical")
 
@@ -348,7 +363,10 @@ class CqState(DensityOperator):
             raise ValueError(f"blocks of shape {blocks.shape} are not {c} square blocks")
         mat = np.zeros((c, d, c, d), dtype=complex)
         mat[np.arange(c), :, np.arange(c), :] = blocks
-        return cls((outcome,) + tuple(rest), mat.reshape(c * d, c * d))
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "systems", (outcome,) + tuple(rest))
+        rho._admit(mat.reshape(c * d, c * d), blocks)
+        return rho
 
 
 def apply_instrument(inst: Instrument, rho: DensityOperator) -> CqState:
@@ -390,16 +408,31 @@ def instrument_blocks(inst: Instrument, rho: DensityOperator) -> np.ndarray:
     return inst.branches(t).reshape(-1, d, d)
 
 
+def simplex(e: np.ndarray) -> np.ndarray:
+    """Standard exponential draws normalized along the last axis as numpy's
+    Dirichlet sampler normalizes them: a sequential sum, then one multiply
+    by its inverse.  So ``simplex(rng.standard_exponential(k))`` is the
+    Dirichlet(1, ..., 1) draw ``rng.dirichlet(np.ones(k))``: the same
+    numbers from the same draws."""
+    return e * (1.0 / e.cumsum(axis=-1)[..., -1:])
+
+
 def random_cq_state(rng: np.random.Generator, n_classical: int, d_q: int,
                     cl_name: str = "Z", q_name: str = "E",
                     trace: float = 1.0) -> CqState:
-    """Seeded cq state: Dirichlet weights times ``trace`` on normalized Wishart blocks."""
-    blocks = []
-    weights = rng.dirichlet(np.ones(n_classical)) * trace
-    for w in weights:
-        g = rng.normal(size=(d_q, d_q)) + 1j * rng.normal(size=(d_q, d_q))
-        m = g @ g.conj().T
-        blocks.append(w * m / m.trace().real)
+    """Seeded cq state: Dirichlet weights times ``trace`` on normalized Wishart blocks.
+
+    The draws from ``rng``, and their order, are part of the contract: a
+    seed names a state, and the verify suites name their instances by
+    seed.  ``tests/test_quantum.py::TestRandomCqState`` checks it, exactly,
+    against a loop oracle that draws each block with its own calls.
+    """
+    weights = simplex(rng.standard_exponential(n_classical)) * trace
+    g = rng.normal(size=(n_classical, 2, d_q, d_q))  # block x: real part, then imaginary
+    g = g[:, 0] + 1j * g[:, 1]
+    m = g @ ct(g)
+    # np.trace sums each diagonal in the order ndarray.trace does; einsum does not
+    blocks = weights[:, None, None] * m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
     return CqState.from_blocks(System(cl_name, n_classical, classical=True),
                                (System(q_name, d_q),), blocks)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qextract.gf2 import WORD, BitMatrix, MatrixFamily
+from qextract.quantum import CqState, System
 
 
 @pytest.fixture
@@ -14,6 +15,19 @@ def rand_psd(rng, dim, trace=1.0):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T + 1e-3 * np.eye(dim)
     return m * (trace / m.trace().real)
+
+
+def loop_cq_state(rng, n_classical, d_q, cl_name="Z", q_name="E", trace=1.0):
+    """Loop oracle for ``random_cq_state``: one Dirichlet call for the
+    weights, then two normal calls and one product per block."""
+    blocks = []
+    weights = rng.dirichlet(np.ones(n_classical)) * trace
+    for w in weights:
+        g = rng.normal(size=(d_q, d_q)) + 1j * rng.normal(size=(d_q, d_q))
+        m = g @ g.conj().T
+        blocks.append(w * m / m.trace().real)
+    return CqState.from_blocks(System(cl_name, n_classical, classical=True),
+                               (System(q_name, d_q),), blocks)
 
 
 def rand_herm(rng, dim, scale=1.0):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import outcome_probs
+from conftest import loop_cq_state, outcome_probs
 from qextract.dira import (
     DiraParams,
     SvSourceSpec,
@@ -56,6 +56,61 @@ def joint_distribution(cond_probs):
             hist |= bit << i
         probs[v] = p
     return probs
+
+
+def loop_sv_spec(seed, n=None, mu=None):
+    """Loop oracle for ``gen_random_sv_spec``: one generator call per draw,
+    a Dirichlet call per (row, bit) of each kernel."""
+    rng = np.random.default_rng(seed)
+    if n is None:
+        n = int(rng.integers(2, 5))
+    if mu is None:
+        mu = float(rng.choice([0.0, 0.1, 0.25, 0.4]))
+    d_r = int(rng.integers(1, 5))
+    steps = []
+    d_in = d_r
+    for i in range(n):
+        d_out = int(rng.integers(1, 5))
+        kernel = np.zeros((2, d_out, d_in))
+        for r in range(d_in):
+            if rng.uniform() < 0.5:
+                p_one = 0.5 + mu if rng.uniform() < 0.5 else 0.5 - mu
+            else:
+                p_one = float(rng.uniform(0.5 - mu, 0.5 + mu))
+            for x, px in enumerate((1.0 - p_one, p_one)):
+                split = rng.dirichlet(np.ones(d_out))
+                kernel[x, :, r] = px * split
+        steps.append(SvStep(kernel))
+        d_in = d_out
+    d_e = int(rng.integers(1, 5))
+    rho_init = loop_cq_state(rng, d_r, d_e, cl_name="R0", q_name="E")
+    return SvSourceSpec(mu, tuple(steps), rho_init)
+
+
+class TestGenRandomSvSpec:
+    """A seed names a source: the chaining suite and the benchmark's chain
+    schedule pick their instances by seed."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.mu == want.mu
+        assert len(got.steps) == len(want.steps)
+        for a, b in zip(got.steps, want.steps):
+            assert np.array_equal(a.kernel, b.kernel)
+        assert np.array_equal(got.rho_init.matrix, want.rho_init.matrix)
+        assert got.rho_init.systems == want.rho_init.systems
+
+    def test_matches_loop_oracle(self):
+        for seed in range(2000):
+            self.assert_same(gen_random_sv_spec(seed), loop_sv_spec(seed))
+
+    def test_matches_loop_oracle_with_overrides(self):
+        # n from 1 to 6 and biases off the drawn grid, up to the boundary
+        for seed in range(2000):
+            n = 1 + seed % 6 if seed % 3 != 1 else None
+            mu = (0.0, 0.05, 0.3, 0.49)[seed % 4] if seed % 3 != 0 else None
+            self.assert_same(gen_random_sv_spec(seed, n=n, mu=mu),
+                             loop_sv_spec(seed, n=n, mu=mu))
 
 
 class TestSvStep:

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import outcome_probs, rand_herm, rand_psd, trace
+from conftest import loop_cq_state, outcome_probs, rand_herm, rand_psd, trace
 from qextract.quantum import (
+    CLASSICAL_TOL,
+    HERM_TOL,
+    PSD_TOL,
     CqState,
     DensityOperator,
     DimensionCapError,
@@ -18,6 +21,8 @@ from qextract.quantum import (
     partial_trace,
     permute_systems,
     purify,
+    random_cq_state,
+    simplex,
     state_from_json,
     state_to_json,
     trace_norm,
@@ -101,6 +106,99 @@ class TestValidation:
         for blocks in (np.full((2, 1, 2), 0.25), np.full((3, 2, 2), 1 / 6)):
             with pytest.raises(ValueError, match="square blocks"):
                 CqState.from_blocks(x, (b,), blocks)
+
+
+def _error_kind(call):
+    """None if ``call()`` returns, else the exception class and which
+    state check raised it."""
+    try:
+        call()
+    except ValueError as exc:
+        kinds = ("Hermitian", "eigenvalue", "trace", "off-diagonal")
+        return type(exc), [k for k in kinds if k in str(exc)]
+    return None
+
+
+class TestBlockStackValidation:
+    """CqState.from_blocks checks its block stack, not the block-diagonal
+    matrix; it must accept and reject exactly what the constructor does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), count=st.integers(1, 4),
+           d_q=st.integers(1, 3), d_c=st.integers(0, 3), total=st.floats(0.05, 1.0),
+           mutation=st.sampled_from(["none", "anti-hermitian", "negative", "trace",
+                                     "classical"]),
+           size=st.floats(1e-9, 1e-3))
+    def test_from_blocks_agrees_with_the_full_matrix(self, seed, count, d_q, d_c, total,
+                                                     mutation, size):
+        rng = np.random.default_rng(seed)
+        # rest: a quantum system and, when d_c > 0, a classical one that an
+        # earlier instrument could have produced
+        rest = (System("B", d_q),) + ((System("C", d_c, classical=True),) if d_c else ())
+        d_c = max(d_c, 1)
+        d = d_q * d_c
+        weights = rng.dirichlet(np.ones(count * d_c)).reshape(count, d_c) * total
+        blocks = np.zeros((count, d_q, d_c, d_q, d_c), dtype=complex)
+        for x in range(count):
+            for c in range(d_c):
+                blocks[x, :, c, :, c] = rand_psd(rng, d_q, weights[x, c])
+        blocks = blocks.reshape(count, d, d)
+        x, i, j = rng.integers(count), rng.integers(d), rng.integers(d)
+        if mutation == "anti-hermitian":
+            blocks[x, i, j] += 1j * size
+            if i != j:
+                blocks[x, j, i] += 1j * size
+            assert np.abs(blocks - blocks.conj().swapaxes(1, 2)).max() > HERM_TOL
+        elif mutation == "negative":
+            lam = np.linalg.eigvalsh(blocks[x]).min()
+            blocks[x] -= (lam + PSD_TOL + size) * np.eye(d)
+        elif mutation == "trace":
+            blocks *= (1.0 + PSD_TOL + size) / total
+        elif mutation == "classical" and d_c > 1:
+            # Hermitian weight between two values of C, at index q d_c + c
+            j = j // d_c * d_c + (i % d_c + 1) % d_c
+            blocks[x, i, j] += size
+            blocks[x, j, i] += size
+            assert size > CLASSICAL_TOL
+        else:
+            mutation = "none"
+        full = np.zeros((count * d, count * d), dtype=complex)
+        for y in range(count):
+            full[y * d:(y + 1) * d, y * d:(y + 1) * d] = blocks[y]
+        outcome = System("X", count, classical=True)
+        want = _error_kind(lambda: CqState((outcome,) + rest, full))
+        assert _error_kind(lambda: CqState.from_blocks(outcome, rest, blocks)) == want
+        if mutation != "none":
+            assert want is not None
+        else:
+            rho = CqState.from_blocks(outcome, rest, blocks)
+            assert np.array_equal(rho.matrix, full)
+            assert rho.systems == (outcome,) + rest
+
+
+class TestRandomCqState:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_simplex_is_numpys_flat_dirichlet(self, k):
+        for seed in range(100):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(simplex(b.standard_exponential(k)), a.dirichlet(np.ones(k)))
+            assert np.array_equal(simplex(b.standard_exponential((3, k))),
+                                  a.dirichlet(np.ones(k), size=3))
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_matches_loop_oracle(self):
+        # the draws are part of the contract: the xor and alt-model suites
+        # name their states by seed, and keep drawing from the same generator
+        for seed in range(2000):
+            shape = np.random.default_rng(seed + 10 ** 6)
+            c, d_q = int(shape.integers(1, 9)), int(shape.integers(1, 9))
+            trace = float(shape.uniform(0.01, 1.0)) if seed % 2 else 1.0
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = loop_cq_state(a, c, d_q, cl_name="X", q_name="B", trace=trace)
+            got = random_cq_state(b, c, d_q, cl_name="X", q_name="B", trace=trace)
+            assert np.array_equal(got.matrix, want.matrix), seed
+            assert got.systems == want.systems
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestDerivedOperators:
@@ -204,6 +302,11 @@ class TestInstrument:
         inst = Instrument((System("A", d_in),), "Y", outs, kraus)
         rho = DensityOperator((System("A", d_in), System("R", d_rest)),
                               rand_psd(rng, d_in * d_rest))
+        # kraus keeps the constructor's lists, as views of the stack
+        assert [len(ops) for ops in inst.kraus] == counts
+        for ops, want in zip(inst.kraus, kraus):
+            assert all(np.array_equal(k, w) and k.base is inst.kraus_stack
+                       for k, w in zip(ops, want))
         blocks = instrument_blocks(inst, rho)
         assert blocks.shape == (len(counts), d_out * d_rest, d_out * d_rest)
         eye = np.eye(d_rest)
