@@ -35,66 +35,47 @@ MAX_EXACT_BITS = 8
 
 
 @dataclass(frozen=True)
-class SvStep:
-    """One source step: kernel[x, r_out, r_in] = P(bit x, new memory | memory)."""
-
-    kernel: np.ndarray
-
-    def __post_init__(self) -> None:
-        k = np.asarray(self.kernel, dtype=float)
-        if k.ndim != 3 or k.shape[0] != 2:
-            raise ValueError("kernel must have shape (2, d_out, d_in)")
-        if not (np.isfinite(k).all() and k.min() >= 0):
-            raise ValueError("kernel has negative or non-finite entries")
-        col = k.sum(axis=(0, 1))
-        if np.abs(col - 1.0).max() > 1e-12:
-            raise ValueError("kernel columns must sum to one (trace preserving)")
-        k.setflags(write=False)
-        object.__setattr__(self, "kernel", k)
-
-    @property
-    def d_in(self) -> int:
-        return self.kernel.shape[2]
-
-    @property
-    def d_out(self) -> int:
-        return self.kernel.shape[1]
-
-    def bit_probs(self) -> np.ndarray:
-        """P(x | r_in), shape (2, d_in)."""
-        return self.kernel.sum(axis=1)
-
-
-@dataclass(frozen=True)
 class SvSourceSpec:
-    """Bias-mu source: chained steps plus the initial (memory, adversary) state.
+    """Bias-mu source: chained step kernels plus the initial (memory,
+    adversary) state.
 
-    ``rho_init`` is a cq state over (classical memory, quantum side
-    information); when omitted the memory starts uniform with trivial
-    side information.
+    ``steps[i]`` is step i's kernel, a read-only float64 array of shape
+    (2, d_out, d_in) with kernel[x, r_out, r_in] = P(bit x, new memory |
+    memory); each step's d_in is the previous step's d_out.  ``rho_init``
+    is a cq state over (classical memory, quantum side information); when
+    omitted the memory starts uniform with trivial side information.
     """
 
     mu: float
-    steps: tuple[SvStep, ...]
+    steps: tuple[np.ndarray, ...]
     rho_init: CqState | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mu < 0.5:
             raise ValueError("bias must lie in [0, 1/2)")
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not self.steps:
+        steps = tuple(np.asarray(k, dtype=float) for k in self.steps)
+        if not steps:
             raise ValueError("need at least one step")
-        d = self.steps[0].d_in
-        for i, s in enumerate(self.steps):
-            if s.d_in != d:
-                raise ValueError(f"step {i} expects memory {s.d_in}, previous emits {d}")
-            d = s.d_out
-            worst = float(s.bit_probs().max())
+        for i, k in enumerate(steps):
+            if k.ndim != 3 or k.shape[0] != 2 or 0 in k.shape:
+                raise ValueError(f"step {i}: kernel must have shape (2, d_out, d_in) "
+                                 f"with d_out, d_in >= 1, got {k.shape}")
+            if not (np.isfinite(k).all() and k.min() >= 0):
+                raise ValueError(f"step {i}: kernel has negative or non-finite entries")
+            probs = k.sum(axis=1)  # P(x | r_in)
+            if np.abs(probs.sum(axis=0) - 1.0).max() > 1e-12:
+                raise ValueError(f"step {i}: kernel columns must sum to one (trace preserving)")
+            if i and k.shape[2] != d:
+                raise ValueError(f"step {i} expects memory {k.shape[2]}, previous emits {d}")
+            d = k.shape[1]
+            worst = float(probs.max())
             if worst > 0.5 + self.mu + BIAS_TOL:
                 raise ValueError(
                     f"step {i} leaks outcome probability {worst:.6f} "
                     f"> 1/2 + mu = {0.5 + self.mu:.6f}")
-        if self.rho_init is not None and self.rho_init.num_classical != self.steps[0].d_in:
+            k.setflags(write=False)
+        object.__setattr__(self, "steps", steps)
+        if self.rho_init is not None and self.rho_init.num_classical != steps[0].shape[2]:
             raise ValueError("initial memory dimension does not match first step")
 
     @property
@@ -105,7 +86,7 @@ class SvSourceSpec:
         """Stack of the adversary's operators for each initial memory value."""
         if self.rho_init is not None:
             return self.rho_init.blocks()
-        d = self.steps[0].d_in
+        d = self.steps[0].shape[2]
         return np.full((d, 1, 1), 1.0 / d, dtype=complex)
 
 
@@ -118,10 +99,10 @@ def _exact_blocks(spec: SvSourceSpec) -> np.ndarray:
     # of the string at bit i of v: each step's bit x becomes the high bit
     state = spec.initial_blocks()[None]
     d_e = state.shape[-1]
-    for step in spec.steps:
+    for kernel in spec.steps:
         # kernel[x, r', r] state[v, r] -> state[x 2^i + v, r']
-        state = np.einsum("xsr,vrab->xvsab", step.kernel, state).reshape(
-            -1, step.d_out, d_e, d_e)
+        state = np.einsum("xsr,vrab->xvsab", kernel, state).reshape(
+            -1, kernel.shape[1], d_e, d_e)
     return state.sum(axis=1)
 
 
@@ -201,7 +182,7 @@ def gen_random_sv_spec(seed: int, n: int | None = None,
         # at the bias boundary half the time, else uniform between the bounds
         p_one = np.where(pick < 0.5, np.where(u < 0.5, hi, lo), lo + (hi - lo) * u)
         kernel = np.stack([1.0 - p_one, p_one])[:, :, None] * simplex(e)
-        steps.append(SvStep(np.ascontiguousarray(kernel.swapaxes(1, 2))))
+        steps.append(np.ascontiguousarray(kernel.swapaxes(1, 2)))
         d_in = d_out
     d_e = int(rng.integers(1, 5))
     rho_init = random_cq_state(rng, d_r, d_e, cl_name="R0", q_name="E")

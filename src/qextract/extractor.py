@@ -389,8 +389,10 @@ def output_table(spec: ExtractorSpec) -> np.ndarray:
     in x-major order, packed as the stream format says, and each block's
     m output bits are read back LSB-first.  The table grows as 4^n, so it
     is meant for the small n of the exact bound checks.  It is built once
-    per spec while the spec stays among the 16 most recently used; specs
-    compare their family by identity.
+    per spec while the spec stays among the 16 most recently used.  Specs
+    compare their family by value: ``MatrixFamily`` equality reads (n, m,
+    r, construction, words) and its hash reads the words, so equal
+    families built apart share one entry.
     """
     n, m = spec.n, spec.m
     bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
@@ -447,6 +449,11 @@ def write_atomic(path: str, pieces: Iterable[bytes]) -> int:
     """Write the concatenation of ``pieces`` to ``path`` through a temporary
     file in the same directory and one rename, so that a failure leaves no
     partial output.  Returns the number of bytes written.
+
+    The output is readable by its owner only (mode 0600), whatever the
+    umask: ``tempfile.mkstemp`` makes the temporary file so and the rename
+    keeps its mode, also over an existing file of another mode.  Extracted
+    bits are secret randomness, so this is deliberate.
 
     Each piece is written as it arrives.  The output is checked and the
     temporary file made before the first piece is asked for.  An

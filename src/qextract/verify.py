@@ -33,8 +33,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .dira import run_chaining_suite
 from .entropy import DEFAULT_GAP, EntropyResult, check_gap, h_min_blocks
 from .extractor import DEOR, IP, ExtractorSpec, output_table
+from .gf2 import build_circulant_family, build_field_family
 from .quantum import (
     CqState,
     DensityOperator,
@@ -444,8 +446,6 @@ def run_ip_suite(count: int = 200, seed: int = 0, gap: float = 1e-6) -> list[Bou
 
 
 def run_deor_suite(count: int = 100, seed: int = 0, gap: float = 1e-6) -> list[BoundReport]:
-    from .gf2 import build_circulant_family, build_field_family
-
     exts = [ExtractorSpec(DEOR, f.n, f.m, f) for f in (
         build_field_family(2, 1), build_field_family(2, 2),
         build_field_family(3, 1), build_field_family(3, 2),
@@ -500,12 +500,6 @@ def run_alt_model_suite(count: int = 50, seed: int = 0) -> list[dict]:
     return out
 
 
-def _chaining_suite(count: int, seed: int, gap: float) -> list[dict]:
-    from .dira import run_chaining_suite  # kept off verify's own import time
-
-    return run_chaining_suite(count, seed, gap)
-
-
 # name -> (count c, seed s, gap g) -> checks; tightness and counterexample run one each
 SUITES = {
     "ip-bound": lambda c, s, g: [r.to_json_dict() for r in run_ip_suite(c, s, g)],
@@ -513,7 +507,7 @@ SUITES = {
     "xor": lambda c, s, g: [r.to_json_dict() for r in run_xor_suite(c, s)],
     "tightness": lambda c, s, g: [run_tightness().to_json_dict()],
     "counterexample": lambda c, s, g: [run_counterexample(min(g, 1e-8))],
-    "chaining": _chaining_suite,
+    "chaining": run_chaining_suite,
     "alt-model": lambda c, s, g: run_alt_model_suite(c, s),
 }
 

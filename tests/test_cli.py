@@ -207,6 +207,32 @@ class TestExtract:
         assert out.read_bytes() == b""
 
 
+class TestOutputFileMode:
+    """Extracted bits are secret randomness: every output file is 0600."""
+
+    @pytest.fixture(autouse=True)
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    @pytest.mark.parametrize("replace", [False, True])
+    def test_outputs_are_owner_only(self, capsys, tmp_path, replace):
+        x, y = tmp_path / "x", tmp_path / "y"
+        x.write_bytes(bytes(range(16)))
+        y.write_bytes(bytes(range(16, 32)))
+        fam, z = tmp_path / "fam.json", tmp_path / "z"
+        commands = (("gen-family", "--n", "5", "--m", "3", "--r", "1", "--out", str(fam)),
+                    ("extract", "--n", "32", "--x", str(x), "--y", str(y), "--blocks", "4",
+                     "--out", str(z)))
+        for out, argv in zip((fam, z), commands):
+            if replace:
+                out.write_bytes(b"old")
+                out.chmod(0o644)
+            assert run(capsys, *argv)[0] == 0
+            assert out.stat().st_mode & 0o777 == 0o600, argv[0]
+
+
 class TestEntropy:
     def test_counterexample_fixture(self, capsys):
         code, stdout, _ = run(capsys, "entropy", "--kind", "hmin",

@@ -7,7 +7,6 @@ from conftest import loop_cq_state, outcome_probs
 from qextract.dira import (
     DiraParams,
     SvSourceSpec,
-    SvStep,
     check_chaining,
     dira_epsilon,
     dira_rate,
@@ -18,8 +17,8 @@ from qextract.entropy import h_inf_down, h_min_blocks
 
 
 def memoryless(p_one):
-    """A step with no memory that emits 1 with probability p_one."""
-    return SvStep(np.array([[[1.0 - p_one]], [[p_one]]]))
+    """The kernel of a step with no memory that emits 1 with probability p_one."""
+    return np.array([[[1.0 - p_one]], [[p_one]]])
 
 
 def classical_sv_chain(cond_probs):
@@ -37,7 +36,7 @@ def classical_sv_chain(cond_probs):
             p1 = table[r]
             kernel[0, r, r] = 1.0 - p1          # new bit appended at the top
             kernel[1, r + d, r] = p1
-        steps.append(SvStep(kernel))
+        steps.append(kernel)
         d = d_out
     return steps
 
@@ -80,7 +79,7 @@ def loop_sv_spec(seed, n=None, mu=None):
             for x, px in enumerate((1.0 - p_one, p_one)):
                 split = rng.dirichlet(np.ones(d_out))
                 kernel[x, :, r] = px * split
-        steps.append(SvStep(kernel))
+        steps.append(kernel)
         d_in = d_out
     d_e = int(rng.integers(1, 5))
     rho_init = loop_cq_state(rng, d_r, d_e, cl_name="R0", q_name="E")
@@ -96,7 +95,7 @@ class TestGenRandomSvSpec:
         assert got.mu == want.mu
         assert len(got.steps) == len(want.steps)
         for a, b in zip(got.steps, want.steps):
-            assert np.array_equal(a.kernel, b.kernel)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
         assert np.array_equal(got.rho_init.matrix, want.rho_init.matrix)
         assert got.rho_init.systems == want.rho_init.systems
 
@@ -113,32 +112,60 @@ class TestGenRandomSvSpec:
                              loop_sv_spec(seed, n=n, mu=mu))
 
 
-class TestSvStep:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            SvStep(np.ones((3, 1, 1)))
-        with pytest.raises(ValueError, match="negative"):
-            SvStep(np.array([[[-0.1]], [[1.1]]]))
-        with pytest.raises(ValueError, match="sum to one"):
-            SvStep(np.array([[[0.3]], [[0.3]]]))
+class TestSpecValidation:
+    @staticmethod
+    def rejects(kernel, match):
+        """The message for a bad kernel as the first step, and as the
+        second step after a good one, where it names step 1."""
+        with pytest.raises(ValueError, match=f"^step 0.*{match}"):
+            SvSourceSpec(0.0, (kernel,))
+        with pytest.raises(ValueError, match=f"^step 1.*{match}"):
+            SvSourceSpec(0.0, (memoryless(0.5), kernel))
 
-    def test_non_finite_rejected(self):
+    def test_shape(self):
+        self.rejects(np.ones((3, 1, 1)), "shape")
+        self.rejects(np.ones((2, 1)), "shape")
+
+    def test_empty_kernels(self):
+        # rejected with the shape message, not numpy's empty reduction error
+        self.rejects(np.ones((2, 0, 1)), "shape")
+        self.rejects(np.ones((2, 1, 0)), "shape")
+
+    def test_negative_entry(self):
+        self.rejects(np.array([[[-0.1]], [[1.1]]]), "negative")
+
+    def test_non_finite(self):
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="non-finite"):
-                SvStep(np.full((2, 1, 1), bad))
-        with pytest.raises(ValueError, match="non-finite"):
-            SvStep(np.array([[[0.5]], [[np.nan]]]))
+            self.rejects(np.full((2, 1, 1), bad), "non-finite")
+        self.rejects(np.array([[[0.5]], [[np.nan]]]), "non-finite")
 
-    def test_bias_enforced(self):
-        with pytest.raises(ValueError, match="leaks outcome probability"):
-            SvSourceSpec(0.1, (memoryless(0.7),))
-        SvSourceSpec(0.2, (memoryless(0.7),))  # fine at mu = 0.2
+    def test_columns_sum_to_one(self):
+        self.rejects(np.array([[[0.3]], [[0.3]]]), "sum to one")
 
     def test_memory_dims_chained(self):
-        s1 = SvStep(np.full((2, 2, 1), 0.25))
-        s2 = memoryless(0.5)  # expects memory dim 1, gets 2
-        with pytest.raises(ValueError, match="memory"):
-            SvSourceSpec(0.0, (s1, s2))
+        # the first step emits memory 2; the second expects 1
+        with pytest.raises(ValueError, match="^step 1 expects memory 1, previous emits 2"):
+            SvSourceSpec(0.0, (np.full((2, 2, 1), 0.25), memoryless(0.5)))
+
+    def test_bias_enforced(self):
+        with pytest.raises(ValueError, match="^step 0 leaks outcome probability"):
+            SvSourceSpec(0.1, (memoryless(0.7),))
+        with pytest.raises(ValueError, match="^step 1 leaks outcome probability"):
+            SvSourceSpec(0.1, (memoryless(0.5), memoryless(0.7)))
+        SvSourceSpec(0.2, (memoryless(0.7),))  # fine at mu = 0.2
+
+    def test_steps_are_read_only(self):
+        for spec in (gen_random_sv_spec(3), SvSourceSpec(0.0, (memoryless(0.5),) * 2)):
+            for kernel in spec.steps:
+                with pytest.raises(ValueError, match="read-only"):
+                    kernel[0, 0, 0] = 0.5
+
+    def test_nested_list_stored_as_float64(self):
+        spec = SvSourceSpec(0.0, ([[[0.5]], [[0.5]]],))
+        (kernel,) = spec.steps
+        assert isinstance(kernel, np.ndarray) and kernel.dtype == np.float64
+        assert np.array_equal(kernel, memoryless(0.5))
+        assert not kernel.flags.writeable
 
 
 class TestExactSimulation:
@@ -200,7 +227,7 @@ class TestChaining:
         kernel2[1, 0, 0] = 0.75
         kernel2[0, 0, 1] = 0.75
         kernel2[1, 0, 1] = 0.25
-        spec = SvSourceSpec(0.25, (SvStep(kernel1), SvStep(kernel2)))
+        spec = SvSourceSpec(0.25, (kernel1, kernel2))
         rep = check_chaining(spec)
         assert rep.holds
         assert rep.slack >= -1e-8

@@ -338,7 +338,7 @@ class TestInstrument:
 
 
 class TestNorms:
-    """trace_norm, which every measured epsilon of the verify suites sums."""
+    """trace_norm, which the xor-lemma check sums."""
 
     def test_zero_difference(self, rng):
         rho = rand_psd(rng, 4)

@@ -27,8 +27,9 @@ from qextract import cli  # noqa: E402
 DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "..", "tests", "golden", "verify.json")
 GAP = 1e-6  # the verify command's default gap
 SEEDS = (0, 5)
-# the suites whose instances are drawn by gen_random_sv_spec and random_cq_state
-RUNS = (("chaining", 200), ("xor", 200), ("alt-model", 50))
+# every suite; tightness and counterexample run one check whatever the count
+RUNS = (("ip-bound", 200), ("deor-bound", 100), ("tightness", 1), ("counterexample", 1),
+        ("chaining", 200), ("xor", 200), ("alt-model", 50))
 EXACT = ("seed", "kind", "n", "m", "r", "strong", "passed")
 CLOSE = ("measured", "bound", "lhs_sq", "rhs_sq")
 BRACKET = ("lower", "upper")
