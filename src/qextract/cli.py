@@ -86,7 +86,7 @@ def _entropy_payload(kind: str, result, gap: float) -> dict:
         "gap": _finite(result.gap),
         "iterations": result.iterations,
         "requested_gap": gap,
-        "certificate": result.kind,
+        "certificate": result.stage,
     }
     if kind == "pguess":
         # the bracket, converged or not, is in probability; its gap is the

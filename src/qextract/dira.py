@@ -53,7 +53,8 @@ class SvSourceSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mu < 0.5:
             raise ValueError("bias must lie in [0, 1/2)")
-        steps = tuple(np.asarray(k, dtype=float) for k in self.steps)
+        # copies, so that freezing them leaves the caller's arrays writeable
+        steps = tuple(np.array(k, dtype=float) for k in self.steps)
         if not steps:
             raise ValueError("need at least one step")
         for i, k in enumerate(steps):

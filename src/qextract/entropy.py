@@ -102,6 +102,13 @@ Three quantities are computed for a bipartite sub-normalized state:
   full space, so a wrong candidate or reduction costs time but never
   soundness.
 
+  Every bracket records how it was found (``EntropyResult``): the
+  stage whose certificate made it, the predictor-corrector iterations
+  and the pure-block candidate's weight steps it took, the block count
+  and the dimension the certifying stage kept after domination and
+  support reduction, and whether a failed certificate sent the solve
+  to the full space.
+
 All entropies are in bits.  Every quantity works on one stack of
 blocks of one multiplicity m: when the target registers are classical
 the constraint splits into one d_b x d_b block per classical value
@@ -143,10 +150,6 @@ START_MARGIN = 0.25
 # marginal that the closed forms accept
 SUPPORT_TOL = 1e-9
 
-CLOSED_FORM = "closed-form"
-SDP = "sdp-primal-dual"
-
-
 class SupportError(ValueError):
     """The state has weight outside the support of the conditioner."""
 
@@ -158,7 +161,8 @@ class SolverConvergenceError(RuntimeError):
         self.best = best
         super().__init__(
             f"solver reached gap {best.gap:.3e}, requested less; "
-            f"best bracket [{best.lower:.9f}, {best.upper:.9f}]")
+            f"best bracket [{best.lower:.9f}, {best.upper:.9f}] at stage {best.stage}, "
+            f"after {best.iterations} iterations and {best.weight_steps} weight steps")
 
 
 @dataclass(frozen=True)
@@ -169,13 +173,29 @@ class EntropyResult:
     min-entropy the primal bound, which is proven.  ``p_guess`` returns a
     probability, 2^-H of the min-entropy bracket, so its ``value`` is
     its ``upper``.
+
+    ``stage`` names the step whose certificate made the bracket:
+    ``closed-form``, the ``commuting`` or ``helstrom`` candidate of a
+    classical target, before or after domination, its ``pure``-block
+    candidate, or the predictor-corrector ``iterations``.  The rest of
+    the record is 0 (False) for a closed form: ``iterations`` counts
+    predictor-corrector iterations only, ``weight_steps`` the Newton
+    steps of the pure-block candidate, ``kept_blocks`` and ``kept_dim``
+    are the block count and the conditioning dimension that the
+    certifying stage ran on, after ``_dominance`` and ``_support``, and
+    ``fallback`` says that a certificate failed Cholesky and sent the
+    solve to the iterations on every block in the full space.
     """
 
     value: float
     lower: float
     upper: float
-    kind: str
+    stage: str
     iterations: int = 0
+    weight_steps: int = 0
+    kept_blocks: int = 0
+    kept_dim: int = 0
+    fallback: bool = False
     sigma: np.ndarray | None = field(default=None, repr=False, compare=False)
     witness: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
@@ -237,14 +257,14 @@ def h_inf_down(rho: DensityOperator, target, condition=()) -> EntropyResult:
     """Non-optimized conditional entropy of order infinity, closed form."""
     g = _conditioned(rho, target, condition, -0.5)
     value = -math.log2(float(np.linalg.eigvalsh(herm(g))[:, -1].max()))
-    return EntropyResult(value, value, value, CLOSED_FORM)
+    return EntropyResult(value, value, value, "closed-form")
 
 
 def h2_down(rho: DensityOperator, target, condition=()) -> EntropyResult:
     """Collision-type conditional entropy of order 2, closed form."""
     g = _conditioned(rho, target, condition, -0.25)
     value = -math.log2(float(np.vdot(g, g).real))
-    return EntropyResult(value, value, value, CLOSED_FORM)
+    return EntropyResult(value, value, value, "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +537,14 @@ class _SdpKernel:
         return primal, self.dual_value(witness), witness
 
 
-def _certify(kernel: _SdpKernel, sigma: np.ndarray, z, steps: int) -> EntropyResult:
+def _certify(kernel: _SdpKernel, sigma: np.ndarray, z, record: dict) -> EntropyResult:
+    """The bracket that (sigma; Z) certifies on ``kernel``'s blocks, with
+    the ``EntropyResult`` fields of ``record`` saying how it was found."""
     primal, dual, witness = kernel.certificates(sigma, z)
     lower = -math.log2(primal)
     upper = -math.log2(dual) if dual > 0 else math.inf
-    return EntropyResult(lower, lower, max(upper, lower), SDP, steps, sigma=sigma.copy(),
-                         witness=tuple(witness) if witness is not None else None)
+    return EntropyResult(lower, lower, max(upper, lower), sigma=sigma.copy(),
+                         witness=tuple(witness) if witness is not None else None, **record)
 
 
 def _rounding(d: int, eig) -> float:
@@ -643,14 +665,15 @@ def _pure(kernel: _SdpKernel, eig, gap: float):
     sigma gets t 1 with t the largest other eigenvalue of any block plus
     ``_rounding``, which covers every block's remainder, and every block
     with lambda_max <= t, which gets no weight; Z is ``_mixed`` with the
-    identity.  Returns None before any step when t costs more than half
-    the gap against sum_x tr rho_x >= tr sigma*, when Q is not positive
-    definite, and after MAX_OUTER steps."""
+    identity.  Returns the candidate, or None before any step when t
+    costs more than half the gap against sum_x tr rho_x >= tr sigma*,
+    when Q is not positive definite, and after MAX_OUTER steps, with the
+    number of steps taken."""
     d = kernel.d_b
     vals, vecs = np.linalg.eigh(kernel.rho)
     t = max(float(vals[:, :-1].max(initial=0.0)), 0.0) + _rounding(d, eig)
     if _shift_too_costly(d, t, float(vals.sum()), gap):
-        return None
+        return None, 0
     # a block whose top eigenvalue is at most t lies under t 1 already
     live = vals[:, -1] > t
     v = vecs[live, :, -1] * np.sqrt(vals[live, -1])[:, None]
@@ -660,7 +683,7 @@ def _pure(kernel: _SdpKernel, eig, gap: float):
         q = qy[:n]
         lam, u = np.linalg.eigh(herm((v.T * q) @ v.conj()))
         if not lam[0] > 0.0:
-            return None
+            return None, it
         s = np.sqrt(lam)
         w = v @ u.conj()  # w[x, i] = u_i^H v_x
         a = (np.abs(w) ** 2 / s).sum(axis=1)
@@ -668,7 +691,7 @@ def _pure(kernel: _SdpKernel, eig, gap: float):
         if math.log2(kappa * float(s.sum()) / float(q @ (a * a))) <= 0.25 * gap:
             break
         if it == MAX_OUTER:
-            return None
+            return None, it
         kw = (w.conj()[:, :, None] * w[:, None, :]).reshape(n, -1)
         diff = 1.0 / (s[:, None] * s[None, :] * (s[:, None] + s[None, :]))
         qy = _weight_step(qy, a, ((kw * diff.reshape(-1)) @ kw.conj().T).real)
@@ -676,13 +699,15 @@ def _pure(kernel: _SdpKernel, eig, gap: float):
     z = np.zeros_like(kernel.rho)
     z[live] = q[:, None, None] * (p[:, :, None] * p.conj()[:, None, :])
     sigma = herm((u * (kappa * s)) @ ct(u)) + t * kernel.eye_b
-    return sigma, _mixed(kernel, z, gap)
+    return (sigma, _mixed(kernel, z, gap)), it
 
 
 def _candidate(kernel: _SdpKernel, eig, gap: float):
-    """The no-iteration candidate of a classical target: exact for two
-    blocks, else read off the marginal's eigenbasis."""
-    return (_two_blocks if kernel.count == 2 else _commuting)(kernel, eig, gap)
+    """The stage and the no-iteration candidate of a classical target:
+    exact for two blocks, else read off the marginal's eigenbasis."""
+    if kernel.count == 2:
+        return "helstrom", _two_blocks(kernel, eig, gap)
+    return "commuting", _commuting(kernel, eig, gap)
 
 
 def _lifted(certify, lift):
@@ -690,7 +715,7 @@ def _lifted(certify, lift):
     itself when there is no lift."""
     if lift is None:
         return certify
-    return lambda sigma, z, it: certify(*lift(sigma, z), it)
+    return lambda sigma, z, record: certify(*lift(sigma, z), record)
 
 
 def _support(kernel: _SdpKernel, gap: float, eig):
@@ -774,9 +799,14 @@ def _dominance(kernel: _SdpKernel, gap: float, eig):
     return _SdpKernel(1, rho[~drop], d), lift
 
 
-def _primal_dual(kernel: _SdpKernel, gap: float, certify) -> EntropyResult:
+def _primal_dual(kernel: _SdpKernel, gap: float, certify, record: dict) -> EntropyResult:
     """Predictor-corrector iterations on ``kernel`` until ``certify``
-    (iterate, steps) -> EntropyResult brackets the entropy within gap."""
+    (iterate, record) -> EntropyResult brackets the entropy within gap.
+    Each certificate's record is ``record`` at stage ``iterations``, with
+    the iterations taken."""
+
+    def certified(sigma, z, it):
+        return certify(sigma, z, dict(record, stage="iterations", iterations=it))
     sigma, z = kernel.start()
     # the last iterate whose slacks and Z_x all passed Cholesky; the
     # start is strictly feasible by construction
@@ -794,13 +824,13 @@ def _primal_dual(kernel: _SdpKernel, gap: float, certify) -> EntropyResult:
         # runs once it meets the request
         dual = kernel.dual_value(z)
         if dual > 0 and math.log2(float(sigma.trace().real) / dual) <= 0.5 * gap:
-            result = certify(sigma, z, it)
+            result = certified(sigma, z, it)
             if best is None or result.gap < best.gap:
                 best = result
             if best.gap <= gap:
                 return best
     if best is None or best.iterations < last[2]:
-        result = certify(*last)
+        result = certified(*last)
         if best is None or result.gap < best.gap:
             best = result
     if best.gap <= gap:
@@ -820,7 +850,7 @@ def _solve_hmin(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
     if d_b == 1:
         lam = float(np.linalg.eigvalsh(herm(rho))[:, -1].max())
         value = -math.log2(lam)
-        return EntropyResult(value, value, value, CLOSED_FORM,
+        return EntropyResult(value, value, value, "closed-form",
                              sigma=np.array([[lam]], dtype=complex))
     e = math.frexp(float(np.abs(rho).max()))[1]
 
@@ -849,35 +879,43 @@ def _solve_sdp(m: int, rho: np.ndarray, d_b: int, gap: float) -> EntropyResult:
     candidate and iterate is certified on the original blocks.  Any
     certificate that fails Cholesky, a candidate's or a lifted
     iterate's, sends the solve to the iterations on every block in the
-    full space."""
+    full space.  Each bracket records its stage, the weight steps so
+    far, and the blocks and dimension of the kernel it ran on."""
     full = _SdpKernel(m, rho, d_b)
     kernel, eig = full, herm_eig(_ptrace(m, d_b, rho))
     certify = on_full = functools.partial(_certify, full)
+    weight_steps = 0
 
-    def settled(candidate) -> EntropyResult | None:
+    def record(kernel: _SdpKernel, fallback: bool) -> dict:
+        return dict(weight_steps=weight_steps, kept_blocks=len(kernel.rho),
+                    kept_dim=kernel.d_b, fallback=fallback)
+
+    def settled(stage: str, candidate) -> EntropyResult | None:
         """The certificate of ``candidate`` if it meets the gap."""
         if candidate is not None:
-            result = certify(*candidate, 0)
+            result = certify(*candidate, dict(record(kernel, False), stage=stage))
             if result.gap <= gap:
                 return result
         return None
     try:
         if m == 1:
-            if (result := settled(_candidate(kernel, eig, gap))) is not None:
+            if (result := settled(*_candidate(kernel, eig, gap))) is not None:
                 return result
             kernel, undrop = _dominance(kernel, gap, eig)
             if undrop is not None:
                 certify = _lifted(certify, undrop)
                 eig = herm_eig(_ptrace(1, d_b, kernel.rho))
-                if (result := settled(_candidate(kernel, eig, gap))) is not None:
+                if (result := settled(*_candidate(kernel, eig, gap))) is not None:
                     return result
         kernel, unsupport = _support(kernel, gap, eig)
         certify = _lifted(certify, unsupport)
-        if m == 1 and (result := settled(_pure(kernel, eig, gap))) is not None:
-            return result
-        return _primal_dual(kernel, gap, certify)
+        if m == 1:
+            candidate, weight_steps = _pure(kernel, eig, gap)
+            if (result := settled("pure", candidate)) is not None:
+                return result
+        return _primal_dual(kernel, gap, certify, record(kernel, False))
     except np.linalg.LinAlgError:
-        return _primal_dual(full, gap, on_full)
+        return _primal_dual(full, gap, on_full, record(full, True))
 
 
 def check_gap(gap: float) -> None:
@@ -934,8 +972,8 @@ def p_guess(rho: DensityOperator, target, condition=(),
                          "are quantum")
 
     def to_prob(h: EntropyResult) -> EntropyResult:
-        return EntropyResult(2.0 ** -h.value, 2.0 ** -h.upper, 2.0 ** -h.lower,
-                             h.kind, h.iterations, sigma=h.sigma, witness=h.witness)
+        return dataclasses.replace(h, value=2.0 ** -h.value, lower=2.0 ** -h.upper,
+                                   upper=2.0 ** -h.lower)
     try:
         h = h_min(rho, target, condition, gap=gap)
     except SolverConvergenceError as exc:

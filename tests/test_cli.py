@@ -257,6 +257,14 @@ class TestEntropy:
         assert code == 0
         assert abs(json.loads(stdout)["value_bits"] - 3.0) < 1e-6
 
+    @pytest.mark.parametrize("name, stage", [("product_uniform_n3", "commuting"),
+                                             ("counterexample_eta", "pure"),
+                                             ("maximally_entangled", "iterations")])
+    def test_certificate_names_the_stage(self, capsys, name, stage):
+        code, stdout, _ = run(capsys, "entropy", "--kind", "hmin",
+                              "--state", f"{FIXTURES}/{name}.json")
+        assert code == 0 and json.loads(stdout)["certificate"] == stage
+
     def test_pguess(self, capsys):
         code, stdout, _ = run(capsys, "entropy", "--kind", "pguess",
                               "--state", f"{FIXTURES}/counterexample_eta.json")
@@ -592,7 +600,7 @@ class TestSolverFailureExit:
 
         # the pure-block candidate settles this state with no iteration;
         # switched off, the solve reaches the iteration cap
-        monkeypatch.setattr(ent, "_pure", lambda *args: None)
+        monkeypatch.setattr(ent, "_pure", lambda *args: (None, 0))
         monkeypatch.setattr(ent, "MAX_OUTER", 3)
         code, stdout, _ = run(capsys, "entropy", "--kind", kind,
                               "--state", f"{FIXTURES}/counterexample_eta.json",
@@ -600,7 +608,7 @@ class TestSolverFailureExit:
                               "--gap", "1e-10")
         assert code == 4
         payload = json.loads(stdout)
-        assert payload["converged"] is False
+        assert payload["converged"] is False and payload["certificate"] == "iterations"
         assert payload["lower"] <= payload["upper"]
         if kind == "pguess":
             # the bracket is in probability, as in a converged run
@@ -626,7 +634,7 @@ class TestSolverFailureExit:
             return real(self, sigma, z)
 
         # with the pure-block candidate off, as above, the solve iterates
-        monkeypatch.setattr(ent, "_pure", lambda *args: None)
+        monkeypatch.setattr(ent, "_pure", lambda *args: (None, 0))
         monkeypatch.setattr(ent._SdpKernel, "scaling", failing_once)
         code, stdout, _ = run(capsys, "entropy", "--kind", "hmin",
                               "--state", f"{FIXTURES}/counterexample_eta.json",

@@ -160,6 +160,16 @@ class TestSpecValidation:
                 with pytest.raises(ValueError, match="read-only"):
                     kernel[0, 0, 0] = 0.5
 
+    def test_caller_arrays_stay_writeable(self):
+        # the spec freezes copies, whether it is built or fails at step 1
+        good, bad = memoryless(0.5), np.array([[[0.3]], [[0.3]]])
+        spec = SvSourceSpec(0.0, (good, good))
+        with pytest.raises(ValueError, match="^step 1.*sum to one"):
+            SvSourceSpec(0.0, (good, bad))
+        assert good.flags.writeable and bad.flags.writeable
+        good[0, 0, 0] = 0.25
+        assert spec.steps[0][0, 0, 0] == spec.steps[1][0, 0, 0] == 0.5
+
     def test_nested_list_stored_as_float64(self):
         spec = SvSourceSpec(0.0, ([[[0.5]], [[0.5]]],))
         (kernel,) = spec.steps

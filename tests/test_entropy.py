@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from conftest import rand_herm, rand_psd, zero_set_distribution
 from qextract.entropy import (
-    CLOSED_FORM,
-    SDP,
     SolverConvergenceError,
     SupportError,
     h2_down,
@@ -56,7 +54,7 @@ class TestHInfDown:
     def test_maximally_entangled(self):
         res = h_inf_down(maximally_entangled(), ["A"], ["B"])
         assert res.value == pytest.approx(-1.0, abs=1e-10)
-        assert res.kind == CLOSED_FORM
+        assert res.stage == "closed-form"
 
     def test_dense_oracle(self, rng):
         # independent evaluation without any block or support shortcuts
@@ -130,7 +128,7 @@ class TestHMin:
         x = System("X", 2, classical=True)
         rho = DensityOperator((x,), np.eye(2) / 2)
         res = h_min(rho, ["X"], [])
-        assert res.value == 1.0 and res.kind == CLOSED_FORM
+        assert res.value == 1.0 and res.stage == "closed-form"
 
     def test_trivial_condition_closed_form(self, rng):
         # a quantum target on a one-dimensional conditioner: -log2 lambda_max
@@ -140,20 +138,20 @@ class TestHMin:
         for condition in (["B"], []):
             target = ["A"] if condition else ["A", "B"]
             res = h_min(rho, target, condition)
-            assert res.kind == CLOSED_FORM and res.iterations == 0
+            assert res.stage == "closed-form" and res.iterations == 0
             assert res.value == pytest.approx(-math.log2(lam), abs=1e-12)
             assert res.sigma.shape == (1, 1)
         # 1x1 blocks of a classical target: -log2 max_x rho_x
         probs = rng.dirichlet([1.0] * 5)
         res = h_min_blocks([np.array([[p]]) for p in probs])
-        assert res.kind == CLOSED_FORM
+        assert res.stage == "closed-form"
         assert res.value == -math.log2(probs.max())
         assert res.sigma[0, 0] == probs.max()
 
     def test_maximally_entangled(self):
         res = h_min(maximally_entangled(), ["A"], ["B"])
         assert res.value == pytest.approx(-1.0, abs=1e-7)
-        assert res.kind == SDP
+        assert res.stage == "iterations"
 
     def test_helstrom_oracle(self, rng):
         for _ in range(20):
@@ -250,6 +248,9 @@ class TestHMin:
         assert best.lower <= best.upper
         assert np.isfinite(best.lower)
         assert best.gap > 1e-10
+        assert best.stage == "iterations" and 0 < best.iterations <= 4
+        assert (f"at stage iterations, after {best.iterations} iterations and "
+                f"{best.weight_steps} weight steps") in str(exc.value)
 
     def test_singular_slack_in_first_iteration_reports_bracket(self, monkeypatch):
         import qextract.entropy as ent
@@ -332,7 +333,51 @@ def _without_pure(monkeypatch):
     predictor-corrector."""
     import qextract.entropy as ent
 
-    monkeypatch.setattr(ent, "_pure", lambda *args: None)
+    monkeypatch.setattr(ent, "_pure", lambda *args: (None, 0))
+
+
+def _iterated(blocks, gap):
+    """The predictor-corrector iterations alone, on every block of a
+    classical target in the full space."""
+    import qextract.entropy as ent
+
+    full = ent._SdpKernel(1, np.array(blocks), np.shape(blocks)[-1])
+    return ent._primal_dual(full, gap, functools.partial(ent._certify, full), {})
+
+
+def _fixture_h_min(name):
+    """h_min of a fixture state, its first system given the rest, as
+    ``qextract entropy`` reads it."""
+    with open(os.path.join(FIXTURES, name)) as f:
+        rho = state_from_json(json.load(f))
+    names = list(rho.names())
+    return h_min(rho, names[:1], names[1:])
+
+
+class TestStageRecord:
+    """Each bracket names the stage whose certificate made it, and the
+    record alone tells which."""
+
+    def test_closed_form(self, rng):
+        res = h_min_blocks([np.array([[p]]) for p in rng.dirichlet([1.0] * 5)])
+        assert (res.stage, res.iterations, res.weight_steps) == ("closed-form", 0, 0)
+
+    def test_commuting(self):
+        res = _fixture_h_min("product_uniform_n3.json")
+        assert (res.stage, res.iterations, res.weight_steps) == ("commuting", 0, 0)
+
+    def test_helstrom(self, rng):
+        res = h_min_blocks([rand_psd(rng, 3, 0.3), rand_psd(rng, 3, 0.6)])
+        assert (res.stage, res.iterations, res.kept_blocks) == ("helstrom", 0, 2)
+
+    def test_pure(self):
+        res = _fixture_h_min("counterexample_eta.json")
+        assert (res.stage, res.iterations) == ("pure", 0)
+
+    def test_iterations(self):
+        res = _fixture_h_min("maximally_entangled.json")
+        assert (res.stage, res.iterations, res.weight_steps) == ("iterations", 7, 0)
+        assert (res.kept_blocks, res.kept_dim, res.fallback) == (1, 2, False)
 
 
 class TestSolverSchedule:
@@ -370,16 +415,6 @@ class TestSolverSchedule:
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10])
     def test_reduced_solve_certifies_in_the_full_space(self, monkeypatch, gap):
-        import qextract.entropy as ent
-
-        real = ent._SdpKernel.scaling
-        sizes = []
-
-        def recording(self, sigma, z):
-            sizes.append(sigma.shape[0])
-            return real(self, sigma, z)
-
-        monkeypatch.setattr(ent._SdpKernel, "scaling", recording)
         # the pure cq cases would settle with no iteration
         _without_pure(monkeypatch)
         cases = []
@@ -392,10 +427,9 @@ class TestSolverSchedule:
         assert len(cases) == 8
         for rho, target, condition, d_t, rank in cases:
             d_b = rho.dim // d_t
-            sizes.clear()
             res = h_min(rho, target, condition, gap=gap)
             # every iteration runs on the support, and only there
-            assert set(sizes) == {rank}
+            assert (res.stage, res.kept_dim, res.fallback) == ("iterations", rank, False)
             assert res.gap <= gap
             assert res.sigma.shape == (d_b, d_b)
             m = 1 if rho.systems[0].classical else d_t
@@ -457,29 +491,25 @@ class TestSupportReduction:
     def test_failed_lift_solves_in_the_full_space(self, monkeypatch):
         import qextract.entropy as ent
 
-        real_scaling, real_certificates = ent._SdpKernel.scaling, ent._SdpKernel.certificates
-        sizes, certified = [], []
-
-        def recording(self, sigma, z):
-            sizes.append(sigma.shape[0])
-            return real_scaling(self, sigma, z)
+        real, certified = ent._SdpKernel.certificates, []
 
         def failing_once(self, sigma, z):
             certified.append(1)
             if len(certified) == 1:
                 raise np.linalg.LinAlgError("lifted slack is not positive definite")
-            return real_certificates(self, sigma, z)
+            return real(self, sigma, z)
 
-        monkeypatch.setattr(ent._SdpKernel, "scaling", recording)
-        monkeypatch.setattr(ent._SdpKernel, "certificates", failing_once)
         # pure blocks: the candidate would take the failing certificate
         _without_pure(monkeypatch)
         r = np.random.default_rng(3)
         iso = _random_isometry(r, 6, 2)
         blocks = [iso @ b @ iso.conj().T for b in _pure_rank_blocks(r, 2, 1, 3)]
+        reduced = h_min_blocks(blocks, gap=1e-8)
+        assert (reduced.stage, reduced.kept_dim, reduced.fallback) == ("iterations", 2, False)
+        monkeypatch.setattr(ent._SdpKernel, "certificates", failing_once)
         res = h_min_blocks(blocks, gap=1e-8)
         assert res.gap <= 1e-8
-        assert sizes[0] == 2 and sizes[-1] == 6
+        assert (res.stage, res.kept_dim, res.fallback) == ("iterations", 6, True)
         expect = h_min_blocks([iso.conj().T @ b @ iso for b in blocks], gap=1e-8)
         assert max(res.lower, expect.lower) <= min(res.upper, expect.upper)
 
@@ -537,19 +567,17 @@ class TestCommutingBlocks:
            ties=st.booleans(), zero=st.booleans(), drop=st.integers(0, 5),
            proportional=st.booleans())
     def test_certified_without_iterations(self, seed, d, count, ties, zero, drop, proportional):
-        import qextract.entropy as ent
-
         blocks, diags = _commuting_blocks(seed, d, count, ties, zero, min(drop, d - 1),
                                           proportional)
         assume(diags.sum() > 0)
         expect = -math.log2(diags.max(axis=0).sum())
-        kernel = ent._SdpKernel(1, np.array(blocks), d)
         for gap in (1e-6, 1e-8, 1e-10):
             res = h_min_blocks(blocks, gap=gap)
-            assert res.kind == SDP and res.iterations == 0
+            assert res.stage == ("helstrom" if count == 2 else "commuting")
+            assert res.iterations == 0 and res.kept_blocks == count
             assert res.gap <= gap
             assert res.lower - 1e-12 <= expect <= res.upper + 1e-12
-            sdp = ent._primal_dual(kernel, gap, functools.partial(ent._certify, kernel))
+            sdp = _iterated(blocks, gap)
             assert sdp.iterations > 0
             assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
 
@@ -573,21 +601,25 @@ class TestCommutingBlocks:
             # dominated block, and the two kept blocks' exact candidate
             # answers, the others iterate
             candidate = ent._commuting(kernel, eig, gap)
-            assert candidate is None or ent._certify(kernel, *candidate, 0).gap > gap
+            assert candidate is None or ent._certify(kernel, *candidate,
+                                                     {"stage": "commuting"}).gap > gap
             res = h_min_blocks(blocks, gap=gap)
             assert res.lower <= res.value <= res.upper and res.gap <= gap
-            sdp = ent._primal_dual(kernel, gap, functools.partial(ent._certify, kernel))
+            assert (res.stage, res.kept_blocks) == (("helstrom", 2) if seed < 2
+                                                    else ("iterations", 3))
+            sdp = _iterated(blocks, gap)
             assert sdp.iterations > 0
             assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
 
     def test_wide_gap_without_a_dual_witness(self):
         # at gap 16 and 32 the mix s = gap / 8 exceeds 1 and leaves the
         # argmax Z_x indefinite, so the candidate has no dual bound and the
-        # SDP answers
+        # iterations answer
         blocks, _ = _commuting_blocks(7, 4, 5, False, False, 0, False)
         for gap in (16.0, 32.0):
             res = h_min_blocks(blocks, gap=gap)
             assert res.lower <= res.value <= res.upper and res.gap <= gap
+            assert res.stage == "iterations"
 
 
 def _planted_blocks(seed, d, base, kinds, scales):
@@ -612,77 +644,44 @@ class TestDominatedBlocks:
     predictor-corrector runs, and the solve still certifies on every
     block."""
 
-    @staticmethod
-    def _record(monkeypatch, name):
-        import qextract.entropy as ent
-
-        real, kernels = getattr(ent, name), []
-
-        def recording(kernel, *args):
-            kernels.append(kernel)
-            return real(kernel, *args)
-
-        monkeypatch.setattr(ent, name, recording)
-        return kernels
-
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 5), base=st.integers(2, 4),
            kinds=st.lists(st.integers(0, 2), min_size=1, max_size=6),
            scales=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=6, max_size=6))
     def test_solves_on_the_kept_blocks(self, seed, d, base, kinds, scales):
-        import qextract.entropy as ent
-
         blocks, tops = _planted_blocks(seed, d, base, kinds, scales)
         # no base block lies under another
         assume(all(np.linalg.eigvalsh(y - x)[0] < -1e-9
                    for x in tops for y in tops if x is not y))
-        full = ent._SdpKernel(1, np.array(blocks), d)
-        e = math.frexp(float(np.abs(full.rho).max()))[1]
         for gap in (1e-6, 1e-10):
-            with pytest.MonkeyPatch.context() as patch:
-                kernels = self._record(patch, "_primal_dual")
-                res = h_min_blocks(blocks, gap=gap)
+            res = h_min_blocks(blocks, gap=gap)
             assert res.lower <= res.value <= res.upper and res.gap <= gap
             try:
-                sdp = ent._primal_dual(full, gap, functools.partial(ent._certify, full))
+                sdp = _iterated(blocks, gap)
             except SolverConvergenceError as exc:
                 # exact duplicates can leave the full-space solve without a
                 # dual witness; its lower bound still stands
                 sdp = exc.best
             assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
-            if base == 2:
-                # two kept blocks take their exact candidate
-                assert not kernels and res.iterations == 0
-                continue
-            # the first predictor-corrector kernel holds the base blocks only,
-            # at the solver's power-of-two scale
-            kept = kernels[0].rho * 2.0 ** e
-            assert len(kept) == base
-            assert all(any(np.array_equal(k, y) for y in tops) for k in kept)
+            # the solve ran on the base blocks only, and two kept blocks take
+            # their exact candidate
+            assert (res.kept_blocks, res.fallback) == (base, False)
+            assert res.stage == ("helstrom" if base == 2 else "iterations")
+            alone = h_min_blocks(tops, gap=gap)
+            assert max(res.lower, alone.lower) <= min(res.upper, alone.upper)
 
     @pytest.mark.parametrize("seed", [0, 10, 12, 14])
-    def test_chaining_source_keeps_one_block(self, monkeypatch, seed):
+    def test_chaining_source_keeps_one_block(self, seed):
         # every conditional operator of these sources lies under one of
         # them, so its candidate certifies with no iteration (8, 7, 7 and 6
         # iterations in the full space)
-        import qextract.entropy as ent
         from qextract import dira
 
         blocks = dira._exact_blocks(dira.gen_random_sv_spec(seed))
-        real = ent._dominance
-        kept = []
-
-        def recording(kernel, gap, eig):
-            reduced, lift = real(kernel, gap, eig)
-            kept.append(reduced.count)
-            return reduced, lift
-
-        monkeypatch.setattr(ent, "_dominance", recording)
         res = h_min_blocks(blocks, gap=1e-6)
-        assert kept == [1]
-        assert res.iterations == 0 and res.gap <= 1e-6
-        full = ent._SdpKernel(1, np.array(blocks), blocks.shape[-1])
-        sdp = ent._primal_dual(full, 1e-6, functools.partial(ent._certify, full))
+        assert (res.stage, res.kept_blocks, res.iterations) == ("commuting", 1, 0)
+        assert res.gap <= 1e-6
+        sdp = _iterated(blocks, 1e-6)
         assert sdp.iterations > 0
         assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
 
@@ -695,35 +694,21 @@ class TestDominatedBlocks:
         # the detector sees the largest block as zero, so drops it although
         # no other block covers it
         j = int(np.argmax([b.trace().real for b in blocks]))
-        real_dominance, real_certificates = ent._dominance, ent._SdpKernel.certificates
-        failed = []
+        real = ent._dominance
 
         def wrong(kernel, gap, eig):
             rho = kernel.rho.copy()
             rho[j] = 0.0
-            return real_dominance(ent._SdpKernel(1, rho, kernel.d_b), gap, eig)
-
-        def recording(self, sigma, z):
-            try:
-                return real_certificates(self, sigma, z)
-            except np.linalg.LinAlgError:
-                failed.append(self.count)
-                raise
+            return real(ent._SdpKernel(1, rho, kernel.d_b), gap, eig)
 
         monkeypatch.setattr(ent, "_dominance", wrong)
-        monkeypatch.setattr(ent._SdpKernel, "certificates", recording)
         # pure blocks: the candidate would settle them in the full space
         _without_pure(monkeypatch)
-        kernels = self._record(monkeypatch, "_primal_dual")
         for gap in (1e-6, 1e-10):
-            failed.clear()
-            kernels.clear()
             res = h_min_blocks(blocks, gap=gap)
-            assert failed and set(failed) == {3}
-            assert kernels[-1].count == 3
+            assert (res.stage, res.kept_blocks, res.fallback) == ("iterations", 3, True)
             assert res.lower <= res.value <= res.upper and res.gap <= gap
-            full = ent._SdpKernel(1, np.array(blocks), 3)
-            sdp = ent._primal_dual(full, gap, functools.partial(ent._certify, full))
+            sdp = _iterated(blocks, gap)
             assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
 
 
@@ -735,44 +720,40 @@ class TestTwoBlocks:
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 6), rank=st.integers(1, 6),
            ratio=st.floats(1e-6, 1.0), zero=st.booleans())
     def test_certified_without_iterations(self, seed, d, rank, ratio, zero):
-        import qextract.entropy as ent
-
         r = np.random.default_rng(seed)
         b0, b1 = (np.zeros((d, d), complex) if zero else ratio * rand_psd(r, d),
                   _pure_rank_blocks(r, d, min(rank, d), 1)[0])
         expect = -math.log2(helstrom_p_guess(b0, b1))
-        full = ent._SdpKernel(1, np.array([b0, b1]), d)
         for gap in (1e-6, 1e-10):
             res = h_min_blocks([b0, b1], gap=gap)
-            assert res.kind == SDP and res.iterations == 0
+            assert res.stage == "helstrom" and res.iterations == 0
             assert res.lower <= res.value <= res.upper and res.gap <= gap
             assert res.lower - 1e-12 <= expect <= res.upper + 1e-12
-            sdp = ent._primal_dual(full, gap, functools.partial(ent._certify, full))
+            sdp = _iterated([b0, b1], gap)
             assert sdp.iterations > 0
             assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
 
     @pytest.mark.parametrize("gap", [16.0, 32.0])
     def test_wide_gap_without_a_dual_witness(self, gap):
-        # s = gap / 8 exceeds 1 and leaves Z indefinite, so the SDP answers
+        # s = gap / 8 exceeds 1 and leaves Z indefinite, so the iterations answer
         r = np.random.default_rng(3)
         blocks = [rand_psd(r, 3, 0.3), rand_psd(r, 3, 0.6)]
         res = h_min_blocks(blocks, gap=gap)
         assert res.lower <= res.value <= res.upper and res.gap <= gap
+        assert res.stage == "iterations"
 
     @pytest.mark.parametrize("seed", [4, 9, 13, 23])
-    def test_chaining_source_keeps_two_blocks(self, monkeypatch, seed):
+    def test_chaining_source_keeps_two_blocks(self, seed):
         # two blocks of these sources cover every other one (7, 8, 8 and 7
         # iterations in the full space)
-        import qextract.entropy as ent
         from qextract import dira
 
         blocks = dira._exact_blocks(dira.gen_random_sv_spec(seed))
-        kernels = TestDominatedBlocks._record(monkeypatch, "_two_blocks")
         res = h_min_blocks(blocks, gap=1e-6)
-        assert [k.count for k in kernels] == [2]
-        assert res.iterations == 0 and res.gap <= 1e-6
-        full = ent._SdpKernel(1, np.array(blocks), blocks.shape[-1])
-        sdp = ent._primal_dual(full, 1e-6, functools.partial(ent._certify, full))
+        assert len(blocks) > 2
+        assert (res.stage, res.kept_blocks, res.iterations) == ("helstrom", 2, 0)
+        assert res.gap <= 1e-6
+        sdp = _iterated(blocks, 1e-6)
         assert sdp.iterations > 0
         assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
 
@@ -800,14 +781,12 @@ class TestPureBlocks:
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 16), count=st.integers(2, 16),
            zero=st.booleans(), duplicates=st.integers(0, 3))
     def test_certified_without_iterations(self, seed, d, count, zero, duplicates):
-        import qextract.entropy as ent
-
         # at least one block is neither zero nor a copy
         blocks = _pure_blocks(seed, d, count, zero, min(duplicates, count - 1 - zero))
-        full = ent._SdpKernel(1, np.array(blocks), d)
         for gap in (1e-6, 1e-10):
             res = h_min_blocks(blocks, gap=gap)
-            assert res.kind == SDP and res.iterations == 0
+            # zeros and copies can leave a set that an earlier candidate settles
+            assert res.stage in ("commuting", "helstrom", "pure") and res.iterations == 0
             assert res.lower <= res.value <= res.upper and res.gap <= gap
             assert res.sigma.shape == (d, d) and len(res.witness) == count
             for b in blocks:
@@ -815,23 +794,16 @@ class TestPureBlocks:
             for w in res.witness:
                 np.linalg.cholesky(w)
             try:
-                sdp = ent._primal_dual(full, gap, functools.partial(ent._certify, full))
+                sdp = _iterated(blocks, gap)
             except SolverConvergenceError as exc:
                 # exact duplicates can leave the full-space solve without a
                 # dual witness; its lower bound still stands
                 sdp = exc.best
             assert max(res.lower, sdp.lower) <= min(res.upper, sdp.upper)
 
-    def test_mixed_set_rejected_before_any_step(self, monkeypatch):
+    def test_mixed_set_rejected_before_any_step(self):
         import qextract.entropy as ent
 
-        real, steps = ent._weight_step, []
-
-        def counting(*args):
-            steps.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(ent, "_weight_step", counting)
         pure = np.array(_pure_blocks(5, 4, 6, False, 0))
         r = np.random.default_rng(5)
         w = r.normal(size=4) + 1j * r.normal(size=4)
@@ -841,15 +813,14 @@ class TestPureBlocks:
         mixed[2] += 1e-4 * np.outer(w, w.conj()) / np.vdot(w, w).real
         gap = 1e-6
         for blocks, offered in ((pure, True), (mixed, False)):
-            steps.clear()
             kernel = ent._SdpKernel(1, blocks, 4)
             eig = np.linalg.eigh(blocks.sum(axis=0))
-            assert (ent._pure(kernel, eig, gap) is not None) == offered
-            assert bool(steps) == offered
-        steps.clear()
-        res = h_min_blocks(mixed, gap=gap)
-        assert not steps
-        assert res.iterations > 0 and res.gap <= gap
+            candidate, steps = ent._pure(kernel, eig, gap)
+            assert (candidate is not None) == offered and bool(steps) == offered
+            res = h_min_blocks(blocks, gap=gap)
+            assert res.stage == ("pure" if offered else "iterations")
+            assert bool(res.weight_steps) == offered and (res.iterations > 0) != offered
+            assert res.gap <= gap
 
     @pytest.mark.parametrize("d, count", [(4, 6), (6, 3)])
     def test_shrunk_candidate_is_refused(self, monkeypatch, d, count):
@@ -860,29 +831,19 @@ class TestPureBlocks:
 
         blocks = _pure_blocks(3, d, count, False, 0)
         expect = h_min_blocks(blocks, gap=1e-8)
-        real_pure, real_certificates = ent._pure, ent._SdpKernel.certificates
-        offered, refused = [], []
+        assert (expect.stage, expect.kept_dim) == ("pure", min(d, count))
+        real = ent._pure
 
         def shrunk(kernel, eig, gap):
-            candidate = real_pure(kernel, eig, gap)
+            candidate, steps = real(kernel, eig, gap)
             if candidate is None:
-                return None
-            offered.append(kernel.d_b)
-            return (1.0 - 1e-6) * candidate[0], candidate[1]
-
-        def recording(self, sigma, z):
-            try:
-                return real_certificates(self, sigma, z)
-            except np.linalg.LinAlgError:
-                refused.append(self.d_b)
-                raise
+                return None, steps
+            return ((1.0 - 1e-6) * candidate[0], candidate[1]), steps
 
         monkeypatch.setattr(ent, "_pure", shrunk)
-        monkeypatch.setattr(ent._SdpKernel, "certificates", recording)
-        kernels = TestDominatedBlocks._record(monkeypatch, "_primal_dual")
         res = h_min_blocks(blocks, gap=1e-8)
-        assert offered == [min(d, count)] and refused == [d]
-        assert [k.d_b for k in kernels] == [d] and res.iterations > 0
+        assert (res.stage, res.kept_dim, res.fallback) == ("iterations", d, True)
+        assert res.weight_steps == expect.weight_steps and res.iterations > 0
         assert res.lower <= res.value <= res.upper and res.gap <= 1e-8
         assert max(res.lower, expect.lower) <= min(res.upper, expect.upper)
         for b in blocks:
@@ -890,10 +851,9 @@ class TestPureBlocks:
 
 
 def _bracket_cases():
-    """name -> (m, stack of blocks, the path that must answer) for each way
-    the solver makes a bracket.  The path is the last of ``_commuting``,
-    ``_two_blocks``, ``_pure`` and ``_primal_dual`` to be called, with
-    the (m, count, d_b) of its kernel."""
+    """name -> (m, stack of blocks, its record) for each way the solver
+    makes a bracket.  The record is the stage that must answer, with the
+    block count and the dimension it kept."""
     r = np.random.default_rng(7)
     iso = _random_isometry(r, 6, 3)
     planted = np.array(_planted_blocks(7, 3, 3, [0, 1, 2], [0.5] * 3)[0])
@@ -903,19 +863,19 @@ def _bracket_cases():
     quantum_support = lift @ rand_psd(r, 4, 0.8) @ lift.conj().T
     return {
         "commuting": (1, np.array(_commuting_blocks(7, 4, 5, False, False, 0, False)[0]),
-                      ("_commuting", (1, 5, 4))),
+                      ("commuting", 5, 4)),
         "helstrom": (1, np.array([rand_psd(r, 3, 0.3), rand_psd(r, 3, 0.6)]),
-                     ("_two_blocks", (1, 2, 3))),
-        "pure": (1, np.array(_pure_blocks(7, 4, 6, False, 0)), ("_pure", (1, 6, 4))),
-        "dominance": (1, planted, ("_primal_dual", (1, 3, 3))),
+                     ("helstrom", 2, 3)),
+        "pure": (1, np.array(_pure_blocks(7, 4, 6, False, 0)), ("pure", 6, 4)),
+        "dominance": (1, planted, ("iterations", 3, 3)),
         # equal traces, so no block lies under another
         "support": (1, np.array([iso @ rand_psd(r, 3, 0.25) @ iso.conj().T
                                  for _ in range(4)]),
-                    ("_primal_dual", (1, 4, 3))),
+                    ("iterations", 4, 3)),
         "full": (1, np.array([rand_psd(r, 3, 0.25) for _ in range(4)]),
-                 ("_primal_dual", (1, 4, 3))),
-        "quantum": (2, quantum[None], ("_primal_dual", (2, 2, 3))),
-        "quantum-support": (2, quantum_support[None], ("_primal_dual", (2, 2, 2))),
+                 ("iterations", 4, 3)),
+        "quantum": (2, quantum[None], ("iterations", 1, 3)),
+        "quantum-support": (2, quantum_support[None], ("iterations", 1, 2)),
     }
 
 
@@ -927,25 +887,17 @@ class TestWitnessContract:
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-10])
     @pytest.mark.parametrize("name", list(_bracket_cases()))
-    def test_bracket_from_sigma_and_witness(self, monkeypatch, name, gap):
-        import qextract.entropy as ent
-
-        m, blocks, (path, shape) = _bracket_cases()[name]
-        calls = []
-        for fn in ("_commuting", "_two_blocks", "_pure", "_primal_dual"):
-            def recording(kernel, *args, _real=getattr(ent, fn), _fn=fn):
-                calls.append((_fn, (kernel.m, kernel.count, kernel.d_b)))
-                return _real(kernel, *args)
-            monkeypatch.setattr(ent, fn, recording)
+    def test_bracket_from_sigma_and_witness(self, name, gap):
+        m, blocks, record = _bracket_cases()[name]
         d = blocks.shape[-1] // m
         if m == 1:
             res = h_min_blocks(blocks, gap=gap)
         else:
             rho = DensityOperator((System("A", m), System("B", d)), blocks[0])
             res = h_min(rho, ["A"], ["B"], gap=gap)
-        assert calls[-1] == (path, shape)
-        assert res.gap <= gap
-        assert (res.iterations > 0) == (path == "_primal_dual")
+        assert (res.stage, res.kept_blocks, res.kept_dim) == record
+        assert res.gap <= gap and not res.fallback
+        assert (res.iterations > 0) == (res.stage == "iterations")
         for b in blocks:
             np.linalg.cholesky(np.kron(np.eye(m), res.sigma) - b)
         assert res.sigma.trace().real == pytest.approx(2.0 ** -res.lower, rel=1e-12)
@@ -968,55 +920,30 @@ class TestFailedCertificate:
 
         # commuting blocks: the unchanged candidate settles them
         blocks, _ = _commuting_blocks(7, 4, 5, False, False, 0, False)
-        real_candidate, real_certificates = ent._candidate, ent._SdpKernel.certificates
-        refused = []
+        real = ent._candidate
 
         def shrunk(kernel, eig, gap):
-            sigma, z = real_candidate(kernel, eig, gap)
-            return (1.0 - 1e-6) * sigma, z
-
-        def recording(self, sigma, z):
-            try:
-                return real_certificates(self, sigma, z)
-            except np.linalg.LinAlgError:
-                refused.append(self.count)
-                raise
+            stage, (sigma, z) = real(kernel, eig, gap)
+            return stage, ((1.0 - 1e-6) * sigma, z)
 
         monkeypatch.setattr(ent, "_candidate", shrunk)
-        monkeypatch.setattr(ent._SdpKernel, "certificates", recording)
-        dominance = TestDominatedBlocks._record(monkeypatch, "_dominance")
-        kernels = TestDominatedBlocks._record(monkeypatch, "_primal_dual")
         for gap in (1e-6, 1e-10):
-            refused.clear()
-            kernels.clear()
             res = h_min_blocks(blocks, gap=gap)
-            assert refused == [5] and not dominance
-            assert [(k.count, k.d_b) for k in kernels] == [(5, 4)]
-            assert res.iterations > 0
+            assert (res.stage, res.kept_blocks, res.kept_dim) == ("iterations", 5, 4)
+            assert res.fallback and res.weight_steps == 0 and res.iterations > 0
             assert res.lower <= res.value <= res.upper and res.gap <= gap
             for b in blocks:
                 np.linalg.cholesky(res.sigma - b)
 
-    def test_no_suite_certificate_fails(self, monkeypatch):
-        import qextract.entropy as ent
+    def test_no_suite_certificate_fails(self):
         from qextract import dira, verify
 
-        real = ent._SdpKernel.certificates
-        calls, refused = [], []
-
-        def recording(self, sigma, z):
-            calls.append(1)
-            try:
-                return real(self, sigma, z)
-            except np.linalg.LinAlgError:
-                refused.append(self.count)
-                raise
-
-        monkeypatch.setattr(ent._SdpKernel, "certificates", recording)
-        verify.run_ip_suite(40)
-        verify.run_deor_suite(24)
-        dira.run_chaining_suite(40)
-        assert calls and not refused
+        results = [res for rep in verify.run_ip_suite(40) + verify.run_deor_suite(24)
+                   for res in (rep.k1, rep.k2)]
+        results += [dira.check_chaining(dira.gen_random_sv_spec(s), gap=1e-6).entropy
+                    for s in range(40)]
+        assert any(res.stage != "closed-form" for res in results)
+        assert not any(res.fallback for res in results)
 
 
 def _nt_oracle(blocks, sigma, zs, rhs):
@@ -1104,8 +1031,8 @@ class TestPowerOfTwoScale:
         blocks = random_cq_state(np.random.default_rng(5), 3, 3).blocks()
         base = h_min_blocks(blocks)
         res = h_min_blocks(2.0 ** -k * blocks)
-        assert base.kind == SDP and base.iterations > 0
-        assert res.iterations == base.iterations
+        assert base.stage == res.stage == "iterations"
+        assert res.iterations == base.iterations > 0
         tol = 4 * math.ulp(k + 1.0)
         assert abs(res.lower - k - base.lower) <= tol
         assert abs(res.upper - k - base.upper) <= tol
