@@ -18,7 +18,8 @@ Output files are written to a temporary name and atomically renamed, so
 a failed command never leaves partial output behind.
 
 The environment variable ``QEXTRACT_GAP`` overrides the default
-certificate gap of ``entropy`` only; ``verify`` keeps its default of 1e-6.
+certificate gap of ``entropy`` only; ``verify`` keeps its default,
+``verify.SUITE_GAP`` (1e-6).
 A gap that is not positive and finite exits 2 for every kind and suite.
 ``verify`` prints the checks of ``verify.run_suite``, which sets each one's ``passed``.
 """
@@ -114,28 +115,24 @@ class BadInputError(Exception):
 
 def _load_input(path: str, build):
     """``build`` applied to the JSON document in the file at ``path``.
-    Any error in the document's content is bad input data."""
+    Any error in the document's text or content is bad input data: one
+    that is not JSON or not UTF-8 (ValueError), nested too deep to parse
+    (RecursionError), or that lacks a field or holds a wrong one."""
     with open(path) as f:
-        data = json.load(f)
-    try:
-        return build(data)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise BadInputError(f"{path}: {exc}") from exc
-
-
-def _load_family(path: str):
-    from .gf2 import MatrixFamily
-
-    return _load_input(path, MatrixFamily.from_json_dict)
+        try:
+            return build(json.load(f))
+        except (ValueError, TypeError, OverflowError, KeyError, RecursionError) as exc:
+            raise BadInputError(f"{path}: {exc}") from exc
 
 
 def cmd_extract(args) -> int:
     from .extractor import DEOR, IP, ExtractionJob, ExtractorSpec, extract_file
+    from .gf2 import MatrixFamily
 
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     if args.family is not None:
-        fam = _load_family(args.family)
+        fam = _load_input(args.family, MatrixFamily.from_json_dict)
         spec = ExtractorSpec(DEOR, fam.n, fam.m, fam)
     else:
         spec = ExtractorSpec(IP, args.n)
@@ -168,7 +165,7 @@ def cmd_entropy(args) -> int:
         if inst.input_dim != rho.dim:
             raise BadInputError(f"{args.instrument}: instrument input dimension "
                                 f"{inst.input_dim} does not match the state's {rho.dim}")
-        value = ent.k2_functional(inst, rho)
+        value = _finite(ent.k2_functional(inst, rho))
         _emit({"quantity": "k2", "value_bits": value, "lower": value,
                "upper": value, "gap": 0.0, "iterations": 0,
                "certificate": "closed-form"}, args.plain)
@@ -192,11 +189,17 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_suite
+    from .entropy import SolverConvergenceError
+    from .verify import SUITE_GAP, run_suite
 
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    checks = run_suite(args.suite, args.count, args.seed, args.gap)
+    gap = args.gap if args.gap is not None else SUITE_GAP
+    try:
+        checks = run_suite(args.suite, args.count, args.seed, gap)
+    except SolverConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     _emit(checks, args.plain)
     return EXIT_OK if all(c["passed"] for c in checks) else EXIT_VERIFY_FAIL
 
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suite name; an unknown one exits 2 and lists the suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--gap", type=float, default=1e-6)
+    p.add_argument("--gap", type=float, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dira-rate", help="output length and security calculator")
@@ -292,23 +295,13 @@ def main(argv=None) -> int:
     except OutputError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError,
-            BadInputError) as exc:
+    except (OSError, BadInputError) as exc:
         # every other OSError comes from opening or reading an input file
         print(f"error: bad input data: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
-    except RuntimeError as exc:
-        # a solver failure outside cmd_entropy, which prints its bracket;
-        # entropy is imported here only, as extract never needs it
-        from .entropy import SolverConvergenceError
-
-        if not isinstance(exc, SolverConvergenceError):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

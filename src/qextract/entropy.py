@@ -27,19 +27,20 @@ Three quantities are computed for a bipartite sub-normalized state:
   two, 2^-e rho with its largest entry in [1/2, 1), and start from
   sigma = (5/4) lambda_max 1 at that scale, so a sub-normalized state
   takes as many iterations as its normalized form.  The duality gap is
-  known at every iteration, so the certificate is computed once, when
-  the iterate's own gap is at most half the requested one; a solve that
-  iterates takes about 8 iterations at gap 1e-6, and a set of pure
-  blocks none (below).  The certificate runs at the same scale, and the
-  bracket is shifted back by e bits.  It is two-sided: tr(sigma) at a
-  sigma whose every slack passes Cholesky bounds 2^-Hmin from above,
-  and the dual iterate Z, whitened in float64 so that its partial
-  traces sum to the identity (for classical A: an explicit POVM),
-  bounds it from below via its guessing probability.  A solve that stops early (iteration cap, a slack or Z_x
-  that fails Cholesky, a scaling eigenvalue that is not positive)
-  certifies its last iterate that passed and reports that bracket.  The
-  reported value is the primal bound, so the value itself is always a
-  certified lower bound on the entropy.
+  known at every iteration, so the certificate runs on every iterate
+  whose own gap is at most half the requested one, until one meets the
+  request; a solve that iterates takes about 8 iterations at gap 1e-6,
+  and a set of pure blocks none (below).  The certificate runs at the
+  same scale, and the bracket is shifted back by e bits.  It is
+  two-sided: tr(sigma) at a sigma whose every slack passes Cholesky
+  bounds 2^-Hmin from above, and the dual iterate Z, whitened in
+  float64 so that its partial traces sum to the identity (for classical
+  A: an explicit POVM), bounds it from below via its guessing
+  probability.  A solve that stops early (iteration cap, a slack or Z_x
+  that fails Cholesky, a scaling eigenvalue that is not positive) also
+  certifies its last iterate that passed Cholesky, and reports the
+  tightest bracket certified.  The reported value is the primal bound,
+  so the value itself is always a certified lower bound on the entropy.
 
   The iterations run on the support of the conditioning marginal
   M = sum_x tr_A rho_x, the only space the blocks of a PSD state
@@ -139,6 +140,9 @@ from .quantum import (
 )
 
 DEFAULT_GAP = 1e-8
+# how far a verified quantity may cross its bound, in the bound's own
+# unit, and still pass: float64 rounding of the two sides
+PASS_SLACK = 1e-9
 # cap on predictor-corrector iterations per solve
 MAX_OUTER = 60
 # largest fraction of the step to the boundary of the cone
@@ -990,7 +994,8 @@ def k2_functional(inst: Instrument, sigma_b: DensityOperator | np.ndarray) -> fl
 
     Evaluates -log2 of the summed squared overlap of the adjoint images
     of the identity, sandwiched by the fourth root of the reference:
-    the per-outcome terms are tr[(s^1/4 N_y*[1] s^1/4)^2].
+    the per-outcome terms are tr[(s^1/4 N_y*[1] s^1/4)^2].  With no
+    overlap at all, the functional is infinite.
     """
     mat = sigma_b.matrix if isinstance(sigma_b, DensityOperator) else np.asarray(sigma_b)
     if mat.shape != (inst.input_dim, inst.input_dim):
@@ -1001,4 +1006,5 @@ def k2_functional(inst: Instrument, sigma_b: DensityOperator | np.ndarray) -> fl
     ops = inst.kraus_stack
     # N_y*[1] = sum of K* K over the Kraus operators K of outcome y
     g = quarter @ inst.outcome_sums(np.einsum("kai,kaj->kij", ops.conj(), ops)) @ quarter
-    return -math.log2(float(np.vdot(g, g).real))
+    overlap = float(np.vdot(g, g).real)
+    return -math.log2(overlap) if overlap > 0 else math.inf

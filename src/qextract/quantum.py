@@ -91,10 +91,13 @@ def trace_norm(mat: np.ndarray) -> float:
 
 def _check_blocks(blocks: np.ndarray, systems: tuple[System, ...]) -> None:
     """Raise ValueError unless a (count, d, d) stack of blocks over
-    ``systems`` are the diagonal blocks of a state: each Hermitian within
-    HERM_TOL and PSD within PSD_TOL, their total trace in (0, 1 + PSD_TOL],
-    and each classical system diagonal within CLASSICAL_TOL in every block."""
-    if not np.abs(blocks - ct(blocks)).max() <= HERM_TOL:  # NaN fails too
+    ``systems`` are the diagonal blocks of a state: finite, each Hermitian
+    within HERM_TOL and PSD within PSD_TOL, their total trace in
+    (0, 1 + PSD_TOL], and each classical system diagonal within
+    CLASSICAL_TOL in every block."""
+    if not np.isfinite(blocks).all():
+        raise ValueError("state has non-finite entries")
+    if not np.abs(blocks - ct(blocks)).max() <= HERM_TOL:
         raise ValueError("state is not Hermitian within 1e-10")
     vals = np.linalg.eigvalsh(herm(blocks))
     if vals.min(initial=0.0) < -PSD_TOL:
@@ -134,6 +137,8 @@ class DensityOperator:
         checks then run on the blocks alone."""
         systems = tuple(self.systems)
         object.__setattr__(self, "systems", systems)
+        if not systems:
+            raise ValueError("state needs at least one system")
         names = [s.name for s in systems]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate system names in {names}")

@@ -33,8 +33,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dira import run_chaining_suite
-from .entropy import DEFAULT_GAP, EntropyResult, check_gap, h_min_blocks
+from .dira import check_chaining, gen_random_sv_spec
+from .entropy import DEFAULT_GAP, PASS_SLACK, EntropyResult, check_gap, h_min_blocks
 from .extractor import DEOR, IP, ExtractorSpec, output_table
 from .gf2 import build_circulant_family, build_field_family
 from .quantum import (
@@ -52,7 +52,9 @@ from .quantum import (
     trace_norm,
 )
 
-PASS_SLACK = 1e-9
+# the certificate gap of every suite that certifies entropies, unless
+# the caller (``qextract verify --gap``) names another
+SUITE_GAP = 1e-6
 # largest deviation of an alt-model round trip that passes
 ROUNDTRIP_TOL = 1e-9
 # the random scenarios' local dimensions d_a, d_b, d_s and d_t run up to
@@ -411,15 +413,13 @@ def random_instrument(rng: np.random.Generator, system: System, n_bits: int,
     return Instrument((system,), outcome_name, outputs, kraus)
 
 
-def gen_random_instance(seed: int, n_bits: int | None = None,
-                        ext: ExtractorSpec | None = None,
+def gen_random_instance(seed: int, ext: ExtractorSpec | None = None,
                         strong: bool = True) -> ScenarioInstance:
-    """Seeded scenario: Haar pure input, Haar instruments on both sides."""
+    """Seeded scenario: Haar pure input, Haar instruments on both sides.
+    With no ``ext``, the inner product on a drawn 1 to 4 bits."""
     rng = np.random.default_rng(seed)
     if ext is None:
-        if n_bits is None:
-            n_bits = int(rng.integers(1, 5))
-        ext = ExtractorSpec(IP, n_bits)
+        ext = ExtractorSpec(IP, int(rng.integers(1, 5)))
     n_bits = ext.n
     d_a = int(rng.integers(2, INSTANCE_MAX_DIM + 1))
     d_b = int(rng.integers(2, INSTANCE_MAX_DIM + 1))
@@ -440,12 +440,12 @@ def gen_random_instance(seed: int, n_bits: int | None = None,
 # Suites
 
 
-def run_ip_suite(count: int = 200, seed: int = 0, gap: float = 1e-6) -> list[BoundReport]:
+def run_ip_suite(count: int, seed: int, gap: float) -> list[BoundReport]:
     return [check_ip_bound(gen_random_instance(s, strong=s % 2 == 0), gap=gap)
             for s in range(seed, seed + count)]
 
 
-def run_deor_suite(count: int = 100, seed: int = 0, gap: float = 1e-6) -> list[BoundReport]:
+def run_deor_suite(count: int, seed: int, gap: float) -> list[BoundReport]:
     exts = [ExtractorSpec(DEOR, f.n, f.m, f) for f in (
         build_field_family(2, 1), build_field_family(2, 2),
         build_field_family(3, 1), build_field_family(3, 2),
@@ -455,7 +455,7 @@ def run_deor_suite(count: int = 100, seed: int = 0, gap: float = 1e-6) -> list[B
     return [check_deor_bound(inst, gap=gap) for inst in insts]
 
 
-def run_xor_suite(count: int = 200, seed: int = 0) -> list[XorReport]:
+def run_xor_suite(count: int, seed: int) -> list[XorReport]:
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(count):
@@ -467,12 +467,14 @@ def run_xor_suite(count: int = 200, seed: int = 0) -> list[XorReport]:
     return reports
 
 
-def run_tightness(n: int = 2) -> TightnessReport:
+def run_tightness(n: int) -> TightnessReport:
     return TightnessReport(**vars(check_ip_bound(gen_tightness(n))))
 
 
-def run_counterexample(gap: float = 1e-8) -> dict:
-    """Reproduce both numeric endpoints of the Markov separation."""
+def run_counterexample(gap: float) -> dict:
+    """Reproduce both numeric endpoints of the Markov separation, at
+    ``gap`` or the tighter ``DEFAULT_GAP``."""
+    gap = min(gap, DEFAULT_GAP)
     _, eta, nu, _ = gen_markov_counterexample()
     hx = h_min_blocks(eta.blocks(), gap=gap)
     hy = h_min_blocks(nu.blocks(), gap=gap)
@@ -488,7 +490,13 @@ def run_counterexample(gap: float = 1e-8) -> dict:
     }
 
 
-def run_alt_model_suite(count: int = 50, seed: int = 0) -> list[dict]:
+def run_chaining_suite(count: int, seed: int, gap: float) -> list[dict]:
+    """Chaining checks of ``gen_random_sv_spec(seed + i)``, JSON-ready with their seeds."""
+    return [dict(check_chaining(gen_random_sv_spec(s), gap=gap).to_json_dict(), seed=s)
+            for s in range(seed, seed + count)]
+
+
+def run_alt_model_suite(count: int, seed: int) -> list[dict]:
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -505,14 +513,14 @@ SUITES = {
     "ip-bound": lambda c, s, g: [r.to_json_dict() for r in run_ip_suite(c, s, g)],
     "deor-bound": lambda c, s, g: [r.to_json_dict() for r in run_deor_suite(c, s, g)],
     "xor": lambda c, s, g: [r.to_json_dict() for r in run_xor_suite(c, s)],
-    "tightness": lambda c, s, g: [run_tightness().to_json_dict()],
-    "counterexample": lambda c, s, g: [run_counterexample(min(g, 1e-8))],
+    "tightness": lambda c, s, g: [run_tightness(2).to_json_dict()],
+    "counterexample": lambda c, s, g: [run_counterexample(g)],
     "chaining": run_chaining_suite,
     "alt-model": lambda c, s, g: run_alt_model_suite(c, s),
 }
 
 
-def run_suite(name: str, count: int, seed: int, gap: float = 1e-6) -> list[dict]:
+def run_suite(name: str, count: int, seed: int, gap: float) -> list[dict]:
     """The checks of suite ``name``, JSON-ready, each with its ``suite``,
     ``seed`` (a check that sets its own keeps it) and verdict ``passed``."""
     if name not in SUITES:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from qextract import extractor, verify
 from qextract.cli import build_parser, main
 from qextract.extractor import IP, ExtractionJob, ExtractorSpec, extract_blocks
-from qextract.verify import SUITES, run_suite, run_tightness
+from qextract.verify import SUITE_GAP, SUITES, run_suite, run_tightness
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -382,6 +382,24 @@ class TestEntropy:
         else:
             assert json.loads(out)["quantity"] == "k2"
 
+    def test_k2_without_overlap_prints_null(self, capsys, tmp_path):
+        # the state holds only |0>; the instrument reads only |1>, or nothing
+        state = tmp_path / "s.json"
+        state.write_text(json.dumps({"systems": [{"name": "A", "dim": 2}],
+                                     "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}))
+        reads_one = {"input_systems": [{"name": "A", "dim": 2}], "output_systems": [],
+                     "outcomes": [{"label": 0, "kraus": [[[[0, 0], [1, 0]]]]}]}
+        no_kraus = dict(reads_one, outcomes=[{"label": 0, "kraus": []},
+                                             {"label": 1, "kraus": []}])
+        inst = tmp_path / "i.json"
+        for doc in (reads_one, no_kraus):
+            inst.write_text(json.dumps(doc))
+            code, stdout, err = run(capsys, "entropy", "--kind", "k2",
+                                    "--state", str(state), "--instrument", str(inst))
+            assert code == 0 and err == ""
+            payload = json.loads(stdout)
+            assert payload["value_bits"] is payload["lower"] is payload["upper"] is None
+
     def test_plain_output(self, capsys):
         code, stdout, _ = run(capsys, "--plain", "entropy", "--kind", "hinf",
                               "--state", f"{FIXTURES}/maximally_entangled.json",
@@ -488,7 +506,7 @@ class TestVerifySuites:
     def test_library_checks_match_the_cli(self, capsys, suite):
         code, stdout, _ = run(capsys, "verify", "--suite", suite, "--count", "2",
                               "--seed", "3")
-        checks = run_suite(suite, 2, 3)
+        checks = run_suite(suite, 2, 3, SUITE_GAP)
         assert code == 0 and json.loads(stdout) == checks
         for check in checks:
             assert check["suite"] == suite and check["passed"] is True
@@ -502,7 +520,7 @@ class TestVerifySuites:
         (check,) = json.loads(stdout)
         assert check["measured"] < check["bound"] and check["margin"] > 0
         assert code == 1 and check["passed"] is False
-        assert run_tightness().passed is False
+        assert run_tightness(2).passed is False
 
     def test_unknown_suite_exits_2_and_names_the_suites(self, capsys):
         code, stdout, err = run(capsys, "verify", "--suite", "nope")
@@ -691,6 +709,38 @@ class TestMalformedJsonShapes:
         assert code == 3
         assert err.startswith("error: bad input data:") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+        return err
+
+    def test_nesting_too_deep_to_parse(self, capsys, tmp_path):
+        # 200,000 brackets exhaust the JSON parser's recursion
+        deep = tmp_path / "deep.json"
+        x = tmp_path / "x.bin"
+        x.write_bytes(b"\x00" * 8)
+        for text, argv in (
+                ("[" * 200_000, ("entropy", "--kind", "hmin", "--state", str(deep))),
+                ("[" * 200_000, ("entropy", "--kind", "k2", "--instrument", str(deep),
+                                 "--state", f"{FIXTURES}/maximally_entangled.json")),
+                ('{"n": ' + "[" * 200_000, ("extract", "--family", str(deep), "--x", str(x),
+                                            "--y", str(x), "--blocks", "1",
+                                            "--out", str(tmp_path / "out.bin")))):
+            deep.write_text(text)
+            assert "recursion" in self.check(capsys, *argv)
+        assert not (tmp_path / "out.bin").exists()
+
+    def test_state_without_systems(self, capsys, tmp_path):
+        state = self.write(tmp_path, "s.json", {"systems": [], "matrix": [[[1.0, 0.0]]]})
+        err = self.check(capsys, "entropy", "--kind", "hmin", "--state", state)
+        assert "at least one system" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("literal", ["Infinity", "1e400", "NaN"])
+    def test_state_non_finite_entry(self, capsys, tmp_path, literal):
+        # JSON has no such numbers, but Python's parser reads all three
+        state = tmp_path / "s.json"
+        state.write_text('{"systems": [{"name": "A", "dim": 2}], "matrix": '
+                         f'[[[0.5, 0.0], [0.3, 0.0]], [[{literal}, 0.0], [0.5, 0.0]]]}}')
+        err = self.check(capsys, "entropy", "--kind", "hmin", "--state", str(state))
+        assert "non-finite" in err
 
     def test_state_matrix_entries_not_pairs(self, capsys, tmp_path):
         state = self.write(tmp_path, "s.json",

@@ -938,7 +938,8 @@ class TestFailedCertificate:
     def test_no_suite_certificate_fails(self):
         from qextract import dira, verify
 
-        results = [res for rep in verify.run_ip_suite(40) + verify.run_deor_suite(24)
+        results = [res for rep in verify.run_ip_suite(40, 0, verify.SUITE_GAP)
+                   + verify.run_deor_suite(24, 0, verify.SUITE_GAP)
                    for res in (rep.k1, rep.k2)]
         results += [dira.check_chaining(dira.gen_random_sv_spec(s), gap=1e-6).entropy
                     for s in range(40)]
@@ -1123,6 +1124,15 @@ class TestK2Functional:
             out = partial_trace(out, ["T"])
             h2 = h2_down(out, ["Y"], ["R"]).value
             assert val >= h2 - 1e-9
+
+    def test_no_overlap_is_infinite(self):
+        # the only Kraus operator reads |1>, which the reference never holds
+        b = System("B", 2)
+        sigma = DensityOperator((b,), np.diag([1.0, 0.0]))
+        reads_one = Instrument((b,), "Y", (), ((np.array([[0.0, 1.0]], dtype=complex),),))
+        no_kraus = Instrument((b,), "Y", (), ((), ()))
+        assert k2_functional(reads_one, sigma) == math.inf
+        assert k2_functional(no_kraus, sigma) == math.inf
 
     def test_dimension_mismatch(self, rng):
         b = System("B", 3)

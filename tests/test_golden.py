@@ -8,6 +8,7 @@ to a relative 1e-12; and each certified bracket, which must overlap the
 recorded one (to a relative 1e-12) and be no wider than the requested gap.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -98,3 +99,13 @@ def test_comparison_rejects_each_kind_of_departure():
     nested = {"k1": {"lower": 1.0, "upper": 1.0}, "passed": True}
     shifted = {"k1": {"lower": 1.1, "upper": 1.1}, "passed": True}
     assert "k1" in check_mismatches(shifted, nested, 1e-6)[0]
+
+
+def test_golden_record_names_every_suite_once():
+    # a new suite cannot ship without a golden record
+    from qextract.verify import SUITES
+
+    spec = importlib.util.spec_from_file_location("make_golden", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert sorted(suite for suite, _ in tool.RUNS) == sorted(SUITES)

@@ -52,12 +52,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("skew, ok", [(5e-11, True), (1e-9, False), (np.nan, False)])
     def test_hermitian_to_absolute_tolerance(self, skew, ok):
-        # allclose's default rtol once let 0.3 against 0.3 + 5e-7 through
+        # allclose's default rtol once let 0.3 against 0.3 + 5e-7 through;
+        # NaN is refused as non-finite before the Hermiticity test
         mat = np.array([[0.5, 0.3], [0.3 + skew, 0.5]])
         if ok:
             DensityOperator((System("A", 2),), mat)
         else:
-            with pytest.raises(ValueError, match="Hermitian"):
+            with pytest.raises(ValueError, match="non-finite" if np.isnan(skew) else "Hermitian"):
                 DensityOperator((System("A", 2),), mat)
 
     def test_negative_eigenvalue_rejected(self):
@@ -91,6 +92,17 @@ class TestValidation:
             Instrument((System("B", 1000000),), "Y", (), ((),))
         with pytest.raises(DimensionCapError, match="instrument"):
             Instrument((System("B", 2),), "Y", (System("T", 1000000),), ((),))
+
+    def test_no_systems_rejected(self):
+        with pytest.raises(ValueError, match="at least one system"):
+            DensityOperator((), np.eye(1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, complex(0.3, np.inf)])
+    def test_non_finite_rejected_before_any_arithmetic(self, entry):
+        mat = np.array([[0.5, 0.3], [entry, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator((System("A", 2),), mat)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

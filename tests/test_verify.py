@@ -14,6 +14,7 @@ from qextract.quantum import CqState, DensityOperator, Instrument, System, trace
 from qextract.verify import (
     MARKOV_COUNTEREXAMPLE_HMIN,
     MARKOV_EXTENSION_HMIN,
+    SUITE_GAP,
     ScenarioInstance,
     _branch_blocks,
     alt_model_roundtrip_error,
@@ -81,7 +82,7 @@ class TestMeasuredEpsilon:
 
     def test_monotone_under_discarding_side_information(self):
         for seed in range(6):
-            inst = gen_random_instance(seed, n_bits=2, strong=False)
+            inst = gen_random_instance(seed, ExtractorSpec(IP, 2), strong=False)
             dropped = ScenarioInstance(
                 inst.rho_ab, _trace_out_side(inst.m_inst), inst.n_inst,
                 inst.ext, strong=False)
@@ -137,8 +138,9 @@ class TestBatchedEpsilon:
     @given(seed=st.integers(0, 2 ** 31 - 1), family=st.sampled_from([None] + FAMILIES),
            n_bits=st.integers(1, 3), strong=st.booleans(), split_kraus=st.booleans())
     def test_matches_loop_oracle(self, seed, family, n_bits, strong, split_kraus):
-        ext = None if family is None else ExtractorSpec(DEOR, family.n, family.m, family)
-        inst = gen_random_instance(seed, n_bits=n_bits, ext=ext, strong=strong)
+        ext = (ExtractorSpec(IP, n_bits) if family is None
+               else ExtractorSpec(DEOR, family.n, family.m, family))
+        inst = gen_random_instance(seed, ext, strong=strong)
         if split_kraus:
             # several Kraus operators per outcome y
             inst = ScenarioInstance(inst.rho_ab, inst.m_inst, _trace_out_side(inst.n_inst),
@@ -150,7 +152,7 @@ class TestBatchedEpsilon:
     def test_n4_matches_loop_oracle(self, strong, split_kraus):
         # n = 4 groups 256 blocks (x, y) into 32 sums (y, z); seed 13 has
         # d_s = d_b = d_t = 4, so a split far instrument has 4 operators per y
-        inst = gen_random_instance(13, n_bits=4, strong=strong)
+        inst = gen_random_instance(13, ExtractorSpec(IP, 4), strong=strong)
         if split_kraus:
             inst = ScenarioInstance(inst.rho_ab, inst.m_inst, _trace_out_side(inst.n_inst),
                                     inst.ext, strong=strong)
@@ -171,7 +173,7 @@ class TestBatchedEpsilon:
             return branches(self, t)
 
         monkeypatch.setattr(Instrument, "branches", spy)
-        inst = gen_random_instance(13, n_bits=3, ext=ext, strong=True)
+        inst = gen_random_instance(13, ext or ExtractorSpec(IP, 3), strong=True)
         check(inst)
         assert acted == [inst.m_inst, inst.n_inst]
 
@@ -187,7 +189,7 @@ class TestBatchedEpsilon:
 
         monkeypatch.setattr(extractor, "extract_blocks", spy)
         extractor.output_table.cache_clear()
-        run_deor_suite(12)
+        run_deor_suite(12, 0, SUITE_GAP)
         assert 1 <= len(jobs) <= 6
         with pytest.raises(ValueError, match="read-only"):
             extractor.output_table(jobs[0])[0, 0] = 1
@@ -255,7 +257,7 @@ class TestIpBound:
 class TestDeorBound:
     def test_identity_family_matches_ip_with_bookkeeping(self):
         fam = family_of(2, 0, "explicit", (identity_matrix(2),))
-        base = gen_random_instance(11, n_bits=2)
+        base = gen_random_instance(11, ExtractorSpec(IP, 2))
         deor_inst = ScenarioInstance(base.rho_ab, base.m_inst, base.n_inst,
                                      ExtractorSpec(DEOR, 2, 1, fam), strong=True)
         rep_ip = check_ip_bound(base, gap=1e-6)

@@ -2,7 +2,8 @@
 """Regenerate the golden verdict record tests/golden/verify.json.
 
 Runs ``qextract verify`` in-process for each recorded suite, count and
-seed, and keeps the exit code and, of each check, only the fields that
+seed, at the command's default gap ``verify.SUITE_GAP``, and keeps the
+exit code and, of each check, only the fields that
 ``tests/test_golden.py`` compares: identity fields and verdicts exactly,
 ``measured``/``bound`` (``lhs_sq``/``rhs_sq`` in the xor suite) to a
 relative 1e-12, and each certified bracket, kept as its ``lower`` and
@@ -23,11 +24,12 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qextract import cli  # noqa: E402
+from qextract.verify import SUITE_GAP  # noqa: E402
 
 DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "..", "tests", "golden", "verify.json")
-GAP = 1e-6  # the verify command's default gap
 SEEDS = (0, 5)
-# every suite; tightness and counterexample run one check whatever the count
+# every suite of verify.SUITES, once; tightness and counterexample run one
+# check whatever the count
 RUNS = (("ip-bound", 200), ("deor-bound", 100), ("tightness", 1), ("counterexample", 1),
         ("chaining", 200), ("xor", 200), ("alt-model", 50))
 EXACT = ("seed", "kind", "n", "m", "r", "strong", "passed")
@@ -48,8 +50,8 @@ def record_run(suite: str, count: int, seed: int) -> dict:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(["verify", "--suite", suite, "--count", str(count),
-                         "--seed", str(seed), "--gap", repr(GAP)])
-    return {"suite": suite, "count": count, "seed": seed, "gap": GAP, "exit": code,
+                         "--seed", str(seed), "--gap", repr(SUITE_GAP)])
+    return {"suite": suite, "count": count, "seed": seed, "gap": SUITE_GAP, "exit": code,
             "checks": [kept(c) for c in json.loads(buf.getvalue())]}
 
 
