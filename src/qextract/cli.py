@@ -117,11 +117,14 @@ def _load_input(path: str, build):
     """``build`` applied to the JSON document in the file at ``path``.
     Any error in the document's text or content is bad input data: one
     that is not JSON or not UTF-8 (ValueError), nested too deep to parse
-    (RecursionError), or that lacks a field or holds a wrong one."""
+    (RecursionError), or that lacks a field (named in the message) or
+    holds a wrong one."""
     with open(path) as f:
         try:
             return build(json.load(f))
-        except (ValueError, TypeError, OverflowError, KeyError, RecursionError) as exc:
+        except KeyError as exc:
+            raise BadInputError(f"{path}: missing field {exc}") from exc
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise BadInputError(f"{path}: {exc}") from exc
 
 

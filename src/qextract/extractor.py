@@ -36,8 +36,18 @@ The stream kernels work on little-endian uint64 words and
   is the XOR of ceil(n/4) table entries, and output bit i is the parity
   of ``popcount(y & K_i^T x)``.  The kernel reads only the row words,
   so every family gets ``deor_extract``'s bits.
-* Strong mode writes the extractor bits and the unpacked y bits into one
-  array per chunk and packs it once.
+* Strong mode, any n and m: one word-level writer.  A group of 64
+  blocks is n words of y and m words of extractor bits, packed as weak
+  mode writes them: one source row of n + m words, whose output is
+  n + m words.  Output bit o of the group's block j is row bit o - j n
+  (an extractor bit) or o + m (63 - j) (a y bit), so each output word
+  is the OR of a few shifted and masked funnels of two row words.  A
+  plan per job, read-only like the IP plan, places them.  When most
+  output words are whole words of y at one row offset (IP at n = 1024),
+  one run moves them with slices and a per-word shift array.  Every
+  other word is the OR of its pieces, gathered for all groups at once
+  by fancy indexing.  Nothing is unpacked, and no array holds a byte
+  per output bit.
 
 Chunks are whole multiples of 8 blocks, so every chunk starts on a byte
 of input and of output and the output is bit-identical for any worker
@@ -167,21 +177,28 @@ def deor_extract(spec: ExtractorSpec, x: BitVector, y: BitVector) -> BitVector:
 # Stream kernels
 
 # Cap on the largest array one chunk makes, in bytes: the words of a stream
-# span, the K_i^T x words of a matrix family, or the unpacked output bits
-# of strong mode.
+# span, the K_i^T x words of a matrix family, or the strong writer's source
+# rows and output, which it holds together.
 CHUNK_BYTES = 1 << 20
 # A thread pool pays only when each thread gets this many chunks.  On 2
-# cores (numpy 2.4.6; extract_blocks in memory, 1 MiB chunks, median of 31
-# alternating runs), 2 threads ran IP and strong jobs of 2 to 4 chunks at
-# 0.61-0.93x the speed of 1: pool start-up and the hand-off of each chunk
-# outweighed the second core.  IP n=1024 and n=1023 broke even at 8 to 16
-# chunks and ran 1.03-1.22x from 24 chunks on; strong n=1024 broke even
-# near 32 chunks (0.97x at 24, 1.06x at 48).
+# cores (numpy 2.4.6; extract_blocks in memory, two measurements, medians
+# of 21 and of 31 alternating runs), 2 threads ran jobs of 8 chunks at
+# 0.76-1.13x the speed of 1 (IP n=1024 and 1023; strong n=1024, 4,032-block
+# chunks), of 16 chunks at 1.00-1.08x (IP) and 0.95-1.19x (strong), and of
+# 24 chunks at 0.95-1.26x (IP) and 1.00-1.21x (strong); from 32 chunks on,
+# 1.12-1.50x.  Pool start-up and the hand-off of each chunk outweigh the
+# second core below about 16 chunks for both kinds of job.
 MIN_CHUNKS_PER_THREAD = 12
 # Chunks in flight per thread: each thread has a chunk queued behind the one
 # it runs while the calling thread writes the oldest.  On 2 cores, windows
 # of 2 to 8 chunks per thread timed the same on IP and strong jobs.
 WINDOW_PER_THREAD = 2
+
+
+def _low(bits: np.ndarray) -> np.ndarray:
+    """The masks of the low ``bits`` bits of a word, for bits in [0, 64]."""
+    # numpy defines a shift by 64 as 0, so 64 bits is 0 - 1, every bit
+    return (np.uint64(1) << bits.astype(WORD)) - np.uint64(1)
 
 
 def _words(span: np.ndarray) -> np.ndarray:
@@ -222,7 +239,7 @@ class _IpPlan:
 def _ip_plan(n: int, count: int) -> _IpPlan:
     t = np.arange(count + 1) * n
     w = t >> 6
-    low = (np.uint64(1) << (t & 63).astype(WORD)) - np.uint64(1)
+    low = _low(t & 63)
     inword = w[1:] == w[:-1]
     for a in (w, low, inword):
         a.setflags(write=False)
@@ -286,36 +303,191 @@ def _family_bits(table: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return np.bitwise_count(acc).sum(axis=2, dtype=np.uint8) & 1
 
 
-def _chunk_blocks(job: ExtractionJob) -> int:
+@dataclass(frozen=True)
+class _Weave:
+    """The strong writer's plan for n-bit blocks with m extractor bits,
+    the same for every chunk of a job.
+
+    A chunk is read as groups of 64 blocks.  A group's source row is
+    n + m words: its blocks' extractor bits packed as weak mode packs
+    them (m words), then its y bits (n words).  Its output is n + m words
+    as well, and output word k is the OR, over the segments that meet it
+    (a block's extractor bits or its y bits), of a funnel of row words
+    ``(row[a] >> r) | (row[a + 1] << 64 - r)`` masked to the segment.
+
+    When most words of the output are whole words of y, all at one row
+    offset a - k (as when m = 1), output words 0 to len(run_right) - 1
+    are one run: the whole funnels of row words k + ``offset`` and the
+    next, shifted by ``run_right`` and ``run_left`` = 64 - run_right.
+    The run spans the pieced words, which are written again.  Otherwise
+    the run is empty and every word is pieced.  The pieced words and
+    every word outside the run are ``words``, in order.  Their pieces are
+    ``at`` (row word a, as column a + 1 of the writer's row view),
+    ``right``, ``left`` and ``mask``, each a (layers, len(words)) grid
+    flattened: piece i of ``words[c]`` is at row i, column c, and a word
+    with fewer pieces is padded with empty ones.  ``group_words`` is what
+    the writer holds at once per group, in words: the source row, and
+    the output row or the two arrays of pieces, whichever is larger.  The
+    arrays are read-only: pool threads share them."""
+
+    offset: int
+    run_right: np.ndarray
+    run_left: np.ndarray
+    words: np.ndarray
+    at: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    mask: np.ndarray
+    layers: int
+    group_words: int
+
+
+def _weave(n: int, m: int) -> _Weave:
+    w = n + m
+    # the 128 segments of a group's output in order, block j's m extractor
+    # bits at output bit j w and then its n y bits: the output bit where
+    # each starts, its length and the row bit where it starts
+    j, y = np.arange(128) >> 1, np.arange(128) & 1
+    size = m + y * (n - m)
+    lo = j * w + y * m
+    first = j * size + y * 64 * m
+    # one piece per segment and output word that meet, in word order
+    span = (lo + size - 1 >> 6) - (lo >> 6) + 1
+    seg = np.arange(128).repeat(span)
+    k = np.arange(len(seg)) + (lo >> 6).repeat(span) - (span.cumsum() - span).repeat(span)
+    bottom = lo[seg] - 64 * k
+    p = first[seg] - bottom  # row bit under bit 0 of word k, >= -63
+    at, right = p >> 6, (p & 63).astype(WORD)
+    top = np.minimum(bottom + size[seg], 64)
+    np.maximum(bottom, 0, out=bottom)
+    mask = _low(top) & ~_low(bottom)
+    # one run when most words are whole words of y at one row offset; it
+    # ends where its last funnel reads the row's last word
+    whole = top - bottom == 64
+    offsets = at[whole] - k[whole]
+    one = 2 * len(offsets) > w and (offsets == offsets[0]).all()
+    run = whole if one else np.zeros_like(whole)
+    offset = int(offsets[0]) if one else 0
+    run_right = np.zeros(w - offset if one else 0, dtype=WORD)
+    run_right[k[run]] = right[run]
+    # the other words: their pieces in word order, padded with empty
+    # pieces, which read row word 0 and keep none of it
+    k, at, right, mask = k[~run], at[~run], right[~run], mask[~run]
+    per_word = np.bincount(k, minlength=w)
+    words = np.flatnonzero(per_word)
+    per_word = per_word[words]
+    layers = int(per_word.max())
+    cell = (np.arange(len(k)) - (per_word.cumsum() - per_word).repeat(per_word),
+            np.arange(len(words)).repeat(per_word))
+
+    def grid(values: np.ndarray) -> np.ndarray:
+        g = np.zeros((layers, len(words)), dtype=values.dtype)
+        g[cell] = values
+        return g.ravel()
+
+    at, right = grid(at + 1), grid(right)
+    weave = _Weave(offset, run_right, np.uint64(64) - run_right, words, at, right,
+                   np.uint64(64) - right, grid(mask), layers, w + max(w, 2 * len(at)))
+    for a in (weave.run_right, weave.run_left, words, at, right, weave.left, weave.mask):
+        a.setflags(write=False)
+    return weave
+
+
+def _fill(rows: np.ndarray, data: np.ndarray) -> None:
+    """Copy ``data`` into the rows of a 2-D byte array in order."""
+    width = rows.shape[1]
+    full, tail = divmod(len(data), width)
+    rows[:full] = data[:full * width].reshape(full, width)
+    if tail:
+        rows[full, :tail] = data[full * width:]
+
+
+def _strong_words(weave: _Weave, z: np.ndarray, ys: np.ndarray, count: int,
+                  n: int, m: int) -> memoryview:
+    """Strong output bytes of ``count`` blocks from their packed extractor
+    bits ``z`` and the byte-aligned y span ``ys``."""
+    w, groups = n + m, -(-count // 64)
+    # the source rows back to back, between two spare words; a row view
+    # that starts one word early reads row word a at column a + 1.  The
+    # spare words and the row bytes past z and ys are left unset: every
+    # output bit they reach is masked off or lies past the last block.
+    src = np.empty(groups * w + 2, dtype=WORD)
+    body = src[1:-1].view(np.uint8).reshape(groups, 8 * w)
+    _fill(body[:, :8 * m], z)
+    _fill(body[:, 8 * m:], ys)
+    # row g of this view is every word its funnels read: the word before
+    # it (a spare word or the last of row g - 1), its w words, and the
+    # word after it
+    rows = np.lib.stride_tricks.as_strided(src, (groups, w + 2), (8 * w, 8))
+    pieces = rows[:, weave.at]
+    pieces >>= weave.right
+    high = rows[:, weave.at + 1]
+    high <<= weave.left
+    pieces |= high
+    pieces &= weave.mask
+    out = np.bitwise_or.reduce(pieces.reshape(groups, weave.layers, -1), axis=1)
+    r = len(weave.run_right)
+    if r:
+        # every word not in the run is pieced; the rows are read no more,
+        # so the run shifts the second word of each funnel in place
+        # (columns c + 1 to c + r of two rows are different words, r <= w)
+        pieced, out = out, np.empty((groups, w), dtype=WORD)
+        c = weave.offset + 1
+        np.right_shift(rows[:, c:c + r], weave.run_right, out=out[:, :r])
+        high = rows[:, c + 1:c + 1 + r]
+        high <<= weave.run_left
+        out[:, :r] |= high
+        out[:, weave.words] = pieced
+    # the bits past the last block are not output
+    nbits = count * w
+    piece = out.reshape(-1).view(np.uint8)[:(nbits + 7) // 8]
+    if nbits % 8:
+        piece[-1] &= (1 << nbits % 8) - 1
+    return memoryview(piece)
+
+
+def _chunk_blocks(job: ExtractionJob, weave: _Weave | None) -> int:
     """Blocks per chunk: a multiple of 8, so that every chunk starts on a
     byte of input and of output, and at most CHUNK_BYTES of its largest
-    array (at least 8 blocks).  An IP job holds one plan for this many
-    blocks, once per job: at most 17 bytes per block, 8 when n is a
-    multiple of 64 (64 KiB at n = 1024)."""
+    array (at least 8 blocks).  The kernel arrays take 8 bytes per block
+    and word of a block, times m for a family.  The strong writer holds
+    ``weave.group_words`` words per 64 blocks at once, its source rows and
+    its output, about (n + m) / 4 bytes per block when n is large; a
+    strong chunk is capped by those together and is whole groups of 64
+    blocks when one fits (4,032 blocks at n = 1024).  Capped by one of
+    them (8,128 blocks), a chunk's 2 MiB and ``write_atomic``'s 2 MiB
+    buffer passed glibc's 4 MiB heap trim threshold, so every warm call
+    gave its heap back and faulted 567-1,090 pages in again.  An IP job
+    holds one plan for this many blocks, once per job: at most 17 bytes
+    per block, 8 when n is a multiple of 64 (64 KiB at n = 1024)."""
     spec = job.spec
-    per_block = max(8 * -(-spec.n // 64) * (spec.m if spec.kind == DEOR else 1),
-                    job.out_bits_per_block if job.strong else 0)
-    return max(8, CHUNK_BYTES // per_block // 8 * 8)
+    group = 512 * -(-spec.n // 64) * (spec.m if spec.kind == DEOR else 1)
+    if weave is not None:
+        group = max(group, 8 * weave.group_words)
+    blocks = 64 * CHUNK_BYTES // group
+    step = 64 if weave is not None and blocks >= 64 else 8
+    return max(8, blocks // step * step)
 
 
-def _extract_chunk(job: ExtractionJob, plan: _IpPlan | np.ndarray, x: bytes, y: bytes,
-                   start: int, count: int) -> bytes:
+def _extract_chunk(job: ExtractionJob,
+                   plan: _IpPlan | np.ndarray | tuple[_IpPlan | np.ndarray, _Weave],
+                   x: bytes, y: bytes, start: int, count: int) -> memoryview:
     """Output bytes of ``count`` blocks from block ``start``; ``plan`` is the
-    job's IP plan or its family's row table."""
+    job's IP plan or its family's row table, paired with the writer's plan
+    in a strong job."""
     n, m = job.spec.n, job.spec.m
     lo, nbytes = start * n // 8, (count * n + 7) // 8
     xs = np.frombuffer(x, dtype=np.uint8, count=nbytes, offset=lo)
     ys = np.frombuffer(y, dtype=np.uint8, count=nbytes, offset=lo)
-    if isinstance(plan, _IpPlan):
-        bits = _ip_bits(xs, ys, count, plan)
+    kernel, weave = plan if job.strong else (plan, None)
+    if isinstance(kernel, _IpPlan):
+        bits = _ip_bits(xs, ys, count, kernel)
     else:
-        bits = _family_bits(plan, xs, ys, count, n)
-    if job.strong:
-        out = np.empty((count, m + n), dtype=np.uint8)
-        out[:, :m] = bits.reshape(count, m)
-        out[:, m:] = np.unpackbits(ys, count=count * n, bitorder="little").reshape(count, n)
-        bits = out
-    return np.packbits(bits, axis=None, bitorder="little").tobytes()
+        bits = _family_bits(kernel, xs, ys, count, n)
+    z = np.packbits(bits, axis=None, bitorder="little")
+    if weave is not None:
+        return _strong_words(weave, z, ys, count, n, m)
+    return memoryview(z)
 
 
 def _check_stream(which: str, data: bytes, blocks: int, n: int) -> None:
@@ -325,7 +497,8 @@ def _check_stream(which: str, data: bytes, blocks: int, n: int) -> None:
         raise TruncatedStreamError(which, have_bits // n, need_bits, have_bits)
 
 
-def _chunks(job: ExtractionJob, x: bytes, y: bytes, workers: int) -> Iterator[tuple[int, bytes]]:
+def _chunks(job: ExtractionJob, x: bytes, y: bytes,
+            workers: int) -> Iterator[tuple[int, memoryview]]:
     """Check the job against both streams, then return an iterator over the
     chunks in stream order: the block where each chunk ends and the
     chunk's output bytes.  No kernel work is done before the first chunk
@@ -338,17 +511,20 @@ def _chunks(job: ExtractionJob, x: bytes, y: bytes, workers: int) -> Iterator[tu
 
 
 def _run_chunks(job: ExtractionJob, x: bytes, y: bytes,
-                workers: int) -> Iterator[tuple[int, bytes]]:
+                workers: int) -> Iterator[tuple[int, memoryview]]:
     if job.blocks == 0:
         return
-    chunk = _chunk_blocks(job)
+    weave = _weave(job.spec.n, job.spec.m) if job.strong else None
+    chunk = _chunk_blocks(job, weave)
     if job.spec.kind == DEOR:
         plan = row_table(job.spec.family)
     else:
         plan = _ip_plan(job.spec.n, min(chunk, job.blocks))
+    if weave is not None:
+        plan = plan, weave
     starts = range(0, job.blocks, chunk)
 
-    def run(start: int) -> tuple[int, bytes]:
+    def run(start: int) -> tuple[int, memoryview]:
         end = min(start + chunk, job.blocks)
         return end, _extract_chunk(job, plan, x, y, start, end - start)
 
@@ -445,7 +621,7 @@ def _output_errors(path: str) -> Iterator[None]:
         raise OutputError(exc.errno, exc.strerror, path) from exc
 
 
-def write_atomic(path: str, pieces: Iterable[bytes]) -> int:
+def write_atomic(path: str, pieces: Iterable[bytes | memoryview]) -> int:
     """Write the concatenation of ``pieces`` to ``path`` through a temporary
     file in the same directory and one rename, so that a failure leaves no
     partial output.  Returns the number of bytes written.
@@ -471,9 +647,10 @@ def write_atomic(path: str, pieces: Iterable[bytes]) -> int:
                                        prefix=".qextract-")
             # a buffer larger than any chunk array: when it is freed, glibc
             # raises its mmap threshold above the chunk arrays, which later
-            # calls then take from the heap.  Without it, an n=1024 strong
-            # job at 2 threads mapped fresh pages for each chunk and spent 3x
-            # the system time (2-vCPU VM).
+            # calls then take from the heap.  Without it, IP n=1024 jobs
+            # on 2 threads ran 5% slower (extract-aligned, 5 of 6 pairs)
+            # and strong n=1024 ones faulted 230-290 pages a call, not 40
+            # (2-vCPU VM).
             f = os.fdopen(fd, "wb", buffering=2 * CHUNK_BYTES)
         with f:
             for piece in pieces:

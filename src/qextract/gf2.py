@@ -315,9 +315,12 @@ class MatrixFamily:
 
         A file lists no matrices: the construction is the rank proof.
         """
-        if not isinstance(d, dict) or set(d) != {"n", "m", "r", "construction"}:
-            raise ValueError("a family file has exactly the keys n, m, r and construction "
-                             "(regenerate a file that lists matrices with gen-family)")
+        keys = ("n", "m", "r", "construction")
+        if not isinstance(d, dict) or set(d) != set(keys):
+            missing = [k for k in keys if k not in d] if isinstance(d, dict) else []
+            raise ValueError("a family file has exactly the keys n, m, r and construction"
+                             + "".join(f", missing field {k!r}" for k in missing)
+                             + " (regenerate a file that lists matrices with gen-family)")
         n, m, r, construction = d["n"], d["m"], d["r"], d["construction"]
         if any(type(v) is not int for v in (n, m, r)) or not isinstance(construction, str):
             raise ValueError(f"family n, m, r must be integers and its construction a "

@@ -732,6 +732,30 @@ class TestMalformedJsonShapes:
         err = self.check(capsys, "entropy", "--kind", "hmin", "--state", state)
         assert "at least one system" in err
 
+    def test_state_without_matrix_names_the_field(self, capsys, tmp_path):
+        state = self.write(tmp_path, "s.json", {"systems": [{"name": "A", "dim": 1}]})
+        err = self.check(capsys, "entropy", "--kind", "hinf", "--state", state)
+        assert err.strip() == f"error: bad input data: {state}: missing field 'matrix'"
+
+    def test_system_without_dim_names_the_field(self, capsys, tmp_path):
+        state = self.write(tmp_path, "s.json",
+                           {"systems": [{"name": "A"}], "matrix": [[[1.0, 0.0]]]})
+        err = self.check(capsys, "entropy", "--kind", "hinf", "--state", state)
+        assert err.strip() == f"error: bad input data: {state}: missing field 'dim'"
+
+    @pytest.mark.parametrize("key", ["n", "m", "r", "construction"])
+    def test_family_without_a_key_names_it(self, capsys, tmp_path, key):
+        doc = {"n": 3, "m": 1, "r": 0, "construction": "field-mult"}
+        del doc[key]
+        family = self.write(tmp_path, "f.json", doc)
+        x = tmp_path / "x.bin"
+        x.write_bytes(b"\x00" * 8)
+        err = self.check(capsys, "extract", "--family", family, "--x", str(x), "--y", str(x),
+                         "--blocks", "1", "--out", str(tmp_path / "out.bin"))
+        assert f"{family}: a family file has exactly the keys" in err
+        assert f"missing field '{key}'" in err
+        assert not (tmp_path / "out.bin").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("literal", ["Infinity", "1e400", "NaN"])
     def test_state_non_finite_entry(self, capsys, tmp_path, literal):

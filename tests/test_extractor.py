@@ -410,6 +410,26 @@ def stream_specs(draw):
     return ExtractorSpec(DEOR, fam.n, fam.m, fam)
 
 
+# block sizes on both sides of one, two and sixteen words
+WRITER_N = [*range(1, 9), 63, 64, 65, 127, 128, 129, 1023, 1024, 1025]
+
+
+@st.composite
+def strong_writer_specs(draw):
+    """IP, or a random arbitrary-matrix family with up to 70 matrices, so
+    that a block's extractor bits may span two words, at block sizes
+    around the word boundaries; families stop at n = 129, where the
+    block oracle still runs in time."""
+    n = draw(st.one_of(st.sampled_from(WRITER_N), st.integers(1, 200)))
+    if n > 129 or draw(st.booleans()):
+        return ExtractorSpec(IP, n)
+    m = draw(st.integers(1, 70))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fam = family_of(n, 0, "random", tuple(
+        BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n))) for _ in range(m)))
+    return ExtractorSpec(DEOR, n, m, fam)
+
+
 class TestStreamDifferential:
     """The packed stream kernels against the block oracles."""
 
@@ -484,7 +504,7 @@ class TestStreamDifferential:
 
         monkeypatch.setattr(extractor, "_ip_plan", plan_spy)
         monkeypatch.setattr(extractor, "_extract_chunk", chunk_spy)
-        chunk = extractor._chunk_blocks(ExtractionJob(ExtractorSpec(IP, n), 1))
+        chunk = extractor._chunk_blocks(ExtractionJob(ExtractorSpec(IP, n), 1), None)
         rng = random.Random(n * 10 + workers)
         for blocks in (1, chunk, 5 * chunk + 3, 12 * chunk):
             job = ExtractionJob(ExtractorSpec(IP, n), blocks)
@@ -501,6 +521,73 @@ class TestStreamDifferential:
         assert extract_blocks(ExtractionJob(ExtractorSpec(IP, n), 0), b"", b"", workers) == b""
         with pytest.raises(TruncatedStreamError):
             extract_blocks(ExtractionJob(ExtractorSpec(IP, n), 9), b"\0" * n, b"", workers)
+        assert built == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=strong_writer_specs(), blocks=st.integers(0, 300), workers=st.integers(1, 3),
+           chunk_bytes=st.sampled_from([8, 100, 1000, 5000, 1 << 20]),
+           slack=st.integers(0, 9), seed=st.integers(0, 2**32))
+    def test_strong_writer_matches_block_oracles(self, spec, blocks, workers, chunk_bytes,
+                                                 slack, seed):
+        # up to five 64-block groups; chunks below a group's words are 8
+        # blocks long and start inside a group, and the slack bytes after
+        # the last block must not reach the output's last byte
+        rng = random.Random(seed)
+        nbytes = (blocks * spec.n + 7) // 8 + slack
+        x, y = rng.randbytes(nbytes), rng.randbytes(nbytes)
+        job = ExtractionJob(spec, blocks, strong=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extractor, "CHUNK_BYTES", chunk_bytes)
+            mp.setattr(extractor, "MIN_CHUNKS_PER_THREAD", 1)
+            assert extract_blocks(job, x, y, workers=workers) == oracle_stream(job, x, y)
+
+    @pytest.mark.parametrize("spec", [ExtractorSpec(IP, 13), ExtractorSpec(IP, 1024),
+                                      ExtractorSpec(DEOR, 5, 3, build_circulant_family(5, 3))],
+                             ids=["IP-13", "IP-1024", "circulant-5-3"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_strong_plan_built_once_per_job(self, monkeypatch, spec, workers):
+        # every chunk of a strong job reads the one read-only writer plan;
+        # none is built for a weak job, for a job with no blocks, for one
+        # that fails its stream check, or before the first chunk is asked for
+        monkeypatch.setattr(extractor, "CHUNK_BYTES", 2048)
+        monkeypatch.setattr(extractor, "MIN_CHUNKS_PER_THREAD", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        built, used = [], set()
+        weave, extract_chunk = extractor._weave, extractor._extract_chunk
+
+        def weave_spy(*args):
+            built.append(weave(*args))
+            return built[-1]
+
+        def chunk_spy(job, plan, *args):
+            used.add(id(plan[1]) if job.strong else None)
+            return extract_chunk(job, plan, *args)
+
+        monkeypatch.setattr(extractor, "_weave", weave_spy)
+        monkeypatch.setattr(extractor, "_extract_chunk", chunk_spy)
+        n = spec.n
+        chunk = extractor._chunk_blocks(ExtractionJob(spec, 1, strong=True), weave(n, spec.m))
+        rng = random.Random(n * 10 + workers)
+        for blocks in (1, chunk, 5 * chunk + 3):
+            job = ExtractionJob(spec, blocks, strong=True)
+            x, y = (rng.randbytes((blocks * n + 7) // 8) for _ in range(2))
+            built.clear()
+            used.clear()
+            chunks = extractor._chunks(job, x, y, workers)
+            assert built == []
+            assert b"".join(piece for _, piece in chunks) == oracle_stream(job, x, y)
+            assert len(built) == 1 and used == {id(built[0])}
+            plan = built[0]
+            arrays = [plan.run_right, plan.run_left, plan.words, plan.at, plan.right,
+                      plan.left, plan.mask]
+            assert not any(a.flags.writeable for a in arrays)
+        built.clear()
+        job = ExtractionJob(spec, 3 * chunk)
+        x = rng.randbytes(3 * chunk * n // 8 + 1)
+        assert extract_blocks(job, x, x, workers) == oracle_stream(job, x, x)
+        assert extract_blocks(ExtractionJob(spec, 0, strong=True), b"", b"", workers) == b""
+        with pytest.raises(TruncatedStreamError):
+            extract_blocks(ExtractionJob(spec, 9, strong=True), b"\0" * n, b"", workers)
         assert built == []
 
     @pytest.mark.parametrize("n,m,r", [(61, 32, 1), (64, 32, 0), (1019, 3, 1)])
@@ -593,7 +680,7 @@ class TestWorkers:
     @staticmethod
     def job_with_chunks(chunks):
         n = 64
-        blocks = chunks * extractor._chunk_blocks(ExtractionJob(ExtractorSpec(IP, n), 8))
+        blocks = chunks * extractor._chunk_blocks(ExtractionJob(ExtractorSpec(IP, n), 8), None)
         data = random.Random(chunks).randbytes(blocks * n // 8)
         return ExtractionJob(ExtractorSpec(IP, n), blocks), data
 
